@@ -1,12 +1,28 @@
 """Log-barrier interior-point solver for the relaxation model.
 
 Maximizes gamma over the linear rows plus the concave geometric-mean
-conditions t_beta <= prod_j (c_j/lambda_j)**lambda_j.  Both constraint
-families are handled with logarithmic barriers: -log of a positive
-concave function is convex, so each centering step is a damped Newton
-method on a smooth convex function.  A phase-1 pass (minimize the
-uniform violation w) supplies a strictly feasible start when the canned
-initialization is not already interior.
+conditions t_beta <= prod_j (c_j/lambda_j)**lambda_j.  Every constraint
+enters a logarithmic barrier: -log of a positive concave function is
+convex, so each centering step is a damped Newton method.  A phase-1
+pass (minimize the uniform violation w) supplies a strictly feasible
+start when the canned and constructive starts are not interior.
+
+The barrier has three families of terms, each evaluated for all of its
+members at once, with slacks formed in long double (near-active slacks
+cancel catastrophically in float64 once tau is large):
+
+* the general rows A z + b >= 0, dense;
+* diagonal terms: z_v >= 0 for the sign-bounded variables, and
+  VARIABLE_CAP - z_v >= 0 for every variable at weight CAP_WEIGHT;
+* circuits theta_b(c) - t_b [+ w] > 0.  All theta_b come from one
+  np.add.reduceat over the concatenated c entries; the Hessian terms
+  are V^T V - W^T W plus a diagonal, V and W being (circuits x nvar).
+
+-log(theta(c) - t) - sum_j log c_j is self-concordant (Nesterov &
+Nemirovskii 1994), and the sign bounds supply the -log c_j terms.  So
+below FULL_STEP_DECREMENT the full Newton step is taken after one
+strict-feasibility check: an Armijo search there compares phi values
+below float resolution.
 
 Everything is deterministic: fixed iteration order, no randomness.
 """
@@ -27,8 +43,16 @@ GAMMA_DIVERGENCE = 1e10  # |gamma| beyond this: the relaxation looks unbounded
 # All variables are capped at this value so the barrier stays bounded along
 # recession directions (e.g. multipliers of constraints with vanishing
 # constant term).  A solution pressing against the cap is reported as a
-# numerical error rather than silently truncated.
+# numerical error rather than silently truncated.  The caps carry a small
+# weight so they barely inflate the duality-gap estimate.
 VARIABLE_CAP = 1e8
+CAP_WEIGHT = 0.01
+
+# Newton decrement lambda^2 = -grad.d below which the full step needs no
+# line search.  With the caps weighted by CAP_WEIGHT the barrier is
+# self-concordant with constant M = 1/sqrt(CAP_WEIGHT) = 10; M*lambda <= 0.6
+# keeps the full step in the domain and meets the Armijo condition.
+FULL_STEP_DECREMENT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -59,96 +83,106 @@ class SolveResult:
     message: str = ""
 
 
-@dataclass
-class _Geo:
-    """Barrier term -log(geo(c) - t [+ w]) for one inner block."""
-
-    t_index: int
-    c_indices: np.ndarray
-    lambdas: np.ndarray
-    w_index: int = -1  # phase-1 shift variable, -1 when absent
-
-
-@dataclass
 class _Barrier:
-    """min tau * obj.z  subject to rows z + rhs >= 0 and geo slacks > 0.
+    """min tau * obj.z over general rows, diagonal terms and circuits.
 
-    Row barrier terms carry weights: regularization rows (the variable
-    caps) get a small weight so they barely inflate the duality-gap
-    estimate while still fencing off recession directions.
+    circuits holds (t_index, c_indices, lambdas) per geometric-mean
+    block; every c index must be in lower, so a nonpositive c_j shows
+    as a nonpositive diagonal slack.  w_index is the phase-1 shift
+    variable added to every circuit slack, -1 when absent.
     """
 
-    obj: np.ndarray
-    rows: np.ndarray
-    rhs: np.ndarray
-    geos: list[_Geo]
-    weights: np.ndarray | None = None
+    def __init__(self, obj, rows, rhs, lower, circuits, w_index=-1):
+        nvar = len(obj)
+        self.obj, self.rows, self.rhs, self.w_index = obj, rows, rhs, w_index
+        self.rows_hp = rows.astype(np.longdouble)
+        self.rhs_hp = rhs.astype(np.longdouble)
+        # Diagonal terms: slack sign * z[idx] + off, weight w.
+        lower = np.asarray(lower, dtype=np.intp)
+        self.diag_idx = np.concatenate([lower, np.arange(nvar)])
+        self.diag_sign = np.concatenate([np.ones(len(lower)), -np.ones(nvar)])
+        self.diag_off = np.concatenate(
+            [np.zeros(len(lower)), np.full(nvar, VARIABLE_CAP)]).astype(np.longdouble)
+        self.diag_w = np.concatenate([np.ones(len(lower)), np.full(nvar, CAP_WEIGHT)])
+        # Summed in the order of one weight per row, as a dense row list would be.
+        self.num_terms = float(np.sum(np.concatenate([np.ones(len(rhs)), self.diag_w])))
+        self.num_terms += len(circuits)
+        # Circuits, flattened: entry k belongs to circuit blk[k].
+        sizes = [len(c) for _, c, _ in circuits]
+        nb = len(circuits)
+        self.t_idx = np.array([t for t, _, _ in circuits], dtype=np.intp)
+        self.c_idx = np.array([v for _, c, _ in circuits for v in c], dtype=np.intp)
+        self.lam = np.array([x for _, _, lams in circuits for x in lams], dtype=float)
+        self.lam_hp = self.lam.astype(np.longdouble)
+        self.loglam_hp = np.log(self.lam_hp)
+        self.starts = np.cumsum([0] + sizes)[:-1].astype(np.intp)
+        self.blk = np.repeat(np.arange(nb), sizes)
+        # Flat positions of the c and t entries in the (nb, nvar) arrays V
+        # and W, and of the c diagonal in the Hessian.
+        self.v_c = self.blk * nvar + self.c_idx
+        self.v_t = np.arange(nb) * nvar + self.t_idx
+        self.h_cc = self.c_idx * (nvar + 1)
 
-    def __post_init__(self):
-        if self.weights is None:
-            self.weights = np.ones(len(self.rhs))
-        # Slacks of nearly-active rows suffer catastrophic cancellation in
-        # float64 once the barrier parameter is large; extended precision
-        # keeps the stationarity residual measurable.
-        self.rows_hp = self.rows.astype(np.longdouble)
-        self.rhs_hp = self.rhs.astype(np.longdouble)
 
-    @property
-    def num_terms(self) -> float:
-        return float(np.sum(self.weights)) + len(self.geos)
-
-    def slacks(self, z: np.ndarray) -> np.ndarray:
-        acc = self.rows_hp @ z.astype(np.longdouble) + self.rhs_hp
-        return acc.astype(float)
+def _linear_hp(prob: _Barrier, zl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Long-double slacks of the general rows and the diagonal terms."""
+    return prob.rows_hp @ zl + prob.rhs_hp, prob.diag_sign * zl[prob.diag_idx] + prob.diag_off
 
 
-def _geo_slack(geo: _Geo, z: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Return (slack, theta, c) for one geometric-mean term, evaluated in
-    extended precision: the slack cancels catastrophically near activity."""
-    c = z[geo.c_indices]
-    if np.any(c <= 0.0):
-        return -np.inf, 0.0, c
-    c_hp = c.astype(np.longdouble)
-    lam_hp = geo.lambdas.astype(np.longdouble)
-    theta_hp = np.exp(np.sum(lam_hp * (np.log(c_hp) - np.log(lam_hp))))
-    slack_hp = theta_hp - np.longdouble(z[geo.t_index])
-    if geo.w_index >= 0:
-        slack_hp += np.longdouble(z[geo.w_index])
-    return float(slack_hp), float(theta_hp), c
+def _slacks_hp(prob: _Barrier, zl: np.ndarray):
+    """(rows, diagonal, theta, circuit) slacks in long double at zl.
+
+    theta and the circuit slacks are None where some diagonal slack is
+    nonpositive: some c_j may then lie outside the domain of log.
+    """
+    rho, diag = _linear_hp(prob, zl)
+    if not diag.min() > 0.0:
+        return rho, diag, None, None
+    logs = prob.lam_hp * (np.log(zl[prob.c_idx]) - prob.loglam_hp)
+    theta = np.exp(np.add.reduceat(logs, prob.starts))
+    geo = theta - zl[prob.t_idx]
+    if prob.w_index >= 0:
+        geo += zl[prob.w_index]
+    return rho, diag, theta, geo
+
+
+def _slacks(prob: _Barrier, z: np.ndarray):
+    """_slacks_hp rounded to float64."""
+    return [s if s is None else s.astype(float)
+            for s in _slacks_hp(prob, z.astype(np.longdouble))]
 
 
 def _phi(prob: _Barrier, tau: float, z: np.ndarray) -> float:
-    rho = prob.slacks(z)
-    if np.any(rho <= 0.0):
+    rho, diag, _, geo = _slacks(prob, z)
+    if geo is None or (rho <= 0.0).any() or (geo <= 0.0).any():
         return np.inf
-    val = tau * float(prob.obj @ z) - float(prob.weights @ np.log(rho))
-    for geo in prob.geos:
-        slack, _, _ = _geo_slack(geo, z)
-        if slack <= 0.0:
-            return np.inf
-        val -= np.log(slack)
-    return val
+    logs = np.log(rho).sum() + prob.diag_w @ np.log(diag) + np.log(geo).sum()
+    return tau * float(prob.obj @ z) - float(logs)
 
 
 def _grad_hess(prob: _Barrier, tau: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rho = prob.slacks(z)
-    grad = tau * prob.obj.copy()
-    grad -= prob.rows.T @ (prob.weights / rho)
-    hess = (prob.rows * (prob.weights / rho**2)[:, None]).T @ prob.rows
-    for geo in prob.geos:
-        slack, theta, c = _geo_slack(geo, z)
-        psi = geo.lambdas / c  # d(log theta)/dc
-        # gradient of the slack
-        u = np.zeros(len(z))
-        u[geo.c_indices] = theta * psi
-        u[geo.t_index] = -1.0
-        if geo.w_index >= 0:
-            u[geo.w_index] = 1.0
-        grad -= u / slack
-        hess += np.outer(u, u) / slack**2
-        # -hess(slack)/slack: theta * (diag(lam/c^2) - psi psi^T) / slack
-        block = theta * (np.diag(geo.lambdas / c**2) - np.outer(psi, psi)) / slack
-        hess[np.ix_(geo.c_indices, geo.c_indices)] += block
+    nvar = len(z)
+    rho, diag, theta, geo = _slacks(prob, z)
+    grad = tau * prob.obj - prob.rows.T @ (1.0 / rho)
+    grad -= np.bincount(prob.diag_idx, prob.diag_sign * prob.diag_w / diag, nvar)
+    hess = (prob.rows * (1.0 / rho**2)[:, None]).T @ prob.rows
+    hess.flat[:: nvar + 1] += np.bincount(prob.diag_idx, prob.diag_w / diag**2, nvar)
+    # Circuit slack gradients u_b = (theta_b psi on c, -1 on t, +1 on w),
+    # psi = lambda / c = d(log theta)/dc; V holds u_b / slack_b.
+    c = z[prob.c_idx]
+    psi = prob.lam / c
+    th, sl = theta[prob.blk], geo[prob.blk]
+    V = np.zeros((len(geo), nvar))
+    V.flat[prob.v_c] = th * psi / sl
+    V.flat[prob.v_t] = -1.0 / geo
+    if prob.w_index >= 0:
+        V[:, prob.w_index] = 1.0 / geo
+    # -hess(slack)/slack = theta * (diag(lambda/c^2) - psi psi^T) / slack
+    W = np.zeros_like(V)
+    W.flat[prob.v_c] = np.sqrt(th / sl) * psi
+    grad -= V.sum(axis=0)
+    hess += V.T @ V - W.T @ W
+    hess.flat[prob.h_cc] += th * prob.lam / (c**2 * sl)
     return grad, hess
 
 
@@ -159,22 +193,13 @@ def _grad_hp(prob: _Barrier, tau: float, z: np.ndarray) -> np.ndarray:
     cancellation between the objective and near-active barrier terms.
     """
     zl = z.astype(np.longdouble)
-    rho = prob.rows_hp @ zl + prob.rhs_hp
-    weights = prob.weights.astype(np.longdouble)
-    grad = tau * prob.obj.astype(np.longdouble) - prob.rows_hp.T @ (weights / rho)
-    for geo in prob.geos:
-        c = zl[geo.c_indices]
-        lam = geo.lambdas.astype(np.longdouble)
-        theta = np.exp(np.sum(lam * (np.log(c) - np.log(lam))))
-        slack = theta - zl[geo.t_index]
-        if geo.w_index >= 0:
-            slack += zl[geo.w_index]
-        u = np.zeros(len(z), dtype=np.longdouble)
-        u[geo.c_indices] = theta * lam / c
-        u[geo.t_index] = -1.0
-        if geo.w_index >= 0:
-            u[geo.w_index] = 1.0
-        grad -= u / slack
+    rho, diag, theta, geo = _slacks_hp(prob, zl)
+    grad = tau * prob.obj.astype(np.longdouble) - prob.rows_hp.T @ (1.0 / rho)
+    np.add.at(grad, prob.diag_idx, -prob.diag_sign * prob.diag_w / diag)
+    grad[prob.c_idx] -= theta[prob.blk] * prob.lam_hp / zl[prob.c_idx] / geo[prob.blk]
+    grad[prob.t_idx] += 1.0 / geo
+    if prob.w_index >= 0:
+        grad[prob.w_index] -= np.sum(1.0 / geo)
     return grad
 
 
@@ -183,7 +208,10 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     try:
         d = np.linalg.solve(hess, -grad)
     except np.linalg.LinAlgError:
-        return np.linalg.solve(hess + 1e-10 * np.eye(len(grad)), -grad)
+        try:
+            return np.linalg.solve(hess + 1e-10 * np.eye(len(grad)), -grad)
+        except np.linalg.LinAlgError:
+            raise st.NumericalError("singular Newton system") from None
     hess_hp = hess.astype(np.longdouble)
     rhs_hp = -grad.astype(np.longdouble)
     for _ in range(2):
@@ -196,13 +224,14 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _max_step(prob: _Barrier, z: np.ndarray, d: np.ndarray) -> float:
-    """Largest step keeping the linear slacks strictly positive."""
-    rho = prob.slacks(z)
-    dr = prob.rows @ d
-    shrink = dr < -1e-300
-    if not np.any(shrink):
-        return 1.0
-    return min(1.0, 0.99 * float(np.min(rho[shrink] / -dr[shrink])))
+    """Largest step keeping the row and diagonal slacks strictly positive."""
+    rho, diag = _linear_hp(prob, z.astype(np.longdouble))
+    step = 1.0
+    for slack, rate in ((rho, prob.rows @ d), (diag, prob.diag_sign * d[prob.diag_idx])):
+        shrink = rate < -1e-300
+        if shrink.any():
+            step = min(step, 0.99 * float(np.min(slack[shrink].astype(float) / -rate[shrink])))
+    return step
 
 
 def _decrement_floor(tau: float) -> float:
@@ -232,17 +261,19 @@ def _center(
         if abs(decrement) <= _decrement_floor(tau):
             return z, True, steps, decrement
         alpha = _max_step(prob, z, d)
-        phi0 = _phi(prob, tau, z)
-        gd = float(grad @ d)
-        while alpha > 1e-16:
-            cand = z + alpha * d
-            if _phi(prob, tau, cand) <= phi0 + 0.01 * alpha * gd:
-                break
-            alpha *= 0.5
-        else:
-            # Progress is below float resolution; fine if nearly centered.
-            return z, abs(decrement) <= _stall_tolerance(tau), steps, decrement
-        z = z + alpha * d
+        cand = z + alpha * d
+        if not (0.0 < decrement <= FULL_STEP_DECREMENT and _strictly_feasible(prob, cand)):
+            phi0 = _phi(prob, tau, z)
+            gd = float(grad @ d)
+            while alpha > 1e-16:
+                cand = z + alpha * d
+                if _phi(prob, tau, cand) <= phi0 + 0.01 * alpha * gd:
+                    break
+                alpha *= 0.5
+            else:
+                # Progress is below float resolution; fine if nearly centered.
+                return z, abs(decrement) <= _stall_tolerance(tau), steps, decrement
+        z = cand
         steps += 1
         if stop_early is not None and stop_early(z):
             return z, True, steps, decrement
@@ -252,11 +283,8 @@ def _center(
 def _kkt_residual(prob: _Barrier, tau: float, z: np.ndarray) -> float:
     """Relative stationarity residual with implicit barrier duals 1/(tau*slack)."""
     grad_inf = float(np.max(np.abs(_grad_hp(prob, tau, z))))
-    rho = prob.slacks(z)
-    max_dual = float(np.max(prob.weights / (tau * rho))) if len(rho) else 0.0
-    for geo in prob.geos:
-        slack, _, _ = _geo_slack(geo, z)
-        max_dual = max(max_dual, 1.0 / (tau * slack))
+    rho, diag, _, geo = _slacks(prob, z)
+    max_dual = float(np.max(np.concatenate([1.0 / rho, prob.diag_w / diag, 1.0 / geo]))) / tau
     return grad_inf / (tau * (1.0 + max_dual))
 
 
@@ -284,11 +312,11 @@ def _strictly_feasible(prob: _Barrier, z: np.ndarray) -> bool:
 
 
 def _feasible_margin(prob: _Barrier, z: np.ndarray) -> float:
-    rho = prob.slacks(z)
-    margin = float(np.min(rho)) if len(rho) else np.inf
-    for geo in prob.geos:
-        margin = min(margin, _geo_slack(geo, z)[0])
-    return margin
+    """Smallest slack; -inf where some diagonal slack is nonpositive."""
+    rho, diag, _, geo = _slacks(prob, z)
+    if geo is None:
+        return -np.inf
+    return float(min(rho.min(initial=np.inf), diag.min(), geo.min(initial=np.inf)))
 
 
 def _constructive_start(model: RelaxationModel) -> np.ndarray | None:
@@ -401,81 +429,47 @@ def _moderate(prob: _Barrier, z_feasible: np.ndarray, z_anchor: np.ndarray) -> n
     return z_anchor + hi * (z_feasible - z_anchor)
 
 
-CAP_WEIGHT = 0.01
-
-
-def _cap_rows(nvar: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows VARIABLE_CAP - z_v >= 0 for every variable."""
-    return -np.eye(nvar), np.full(nvar, VARIABLE_CAP)
+def _general_rows(model: RelaxationModel) -> tuple[np.ndarray, np.ndarray]:
+    """The model's rows except its sign bounds, which enter as diagonal terms."""
+    keep = np.array([not label.startswith("bound") for label in model.row_labels], dtype=bool)
+    return model.rows[keep], model.rhs[keep]
 
 
 def _phase2_problem(model: RelaxationModel) -> _Barrier:
     obj = np.zeros(model.nvar)
     obj[model.gamma_index] = -1.0  # maximize gamma
-    geos = [
-        _Geo(blk.t_index, np.array(blk.c_indices), np.array(blk.lambdas))
-        for blk in model.blocks
-    ]
-    cap_rows, cap_rhs = _cap_rows(model.nvar)
-    rows = np.vstack([model.rows, cap_rows]) if len(model.rows) else cap_rows
-    rhs = np.concatenate([model.rhs, cap_rhs])
-    weights = np.concatenate([np.ones(len(model.rhs)), np.full(model.nvar, CAP_WEIGHT)])
-    return _Barrier(obj=obj, rows=rows, rhs=rhs, geos=geos, weights=weights)
+    rows, rhs = _general_rows(model)
+    circuits = [(blk.t_index, blk.c_indices, blk.lambdas) for blk in model.blocks]
+    return _Barrier(obj, rows, rhs, model.nonneg_indices, circuits)
+
+
+def _phase1_problem(model: RelaxationModel) -> _Barrier:
+    """min w over the model without gamma; w is the last variable.
+
+    Rows containing gamma are dropped (gamma always has feasible room);
+    variable sign bounds stay hard; the other rows and every circuit
+    slack are shifted by w.
+    """
+    g, w = model.gamma_index, model.nvar - 1
+    rows, rhs = _general_rows(model)
+    free = rows[:, g] == 0.0
+    rows1 = np.hstack([np.delete(rows[free], g, axis=1), np.ones((int(free.sum()), 1))])
+    new = np.arange(model.nvar) - (np.arange(model.nvar) > g)  # old index -> new
+    circuits = [(new[blk.t_index], new[list(blk.c_indices)], blk.lambdas)
+                for blk in model.blocks]
+    obj = np.zeros(model.nvar)
+    obj[w] = 1.0
+    return _Barrier(obj, rows1, rhs[free], new[list(model.nonneg_indices)], circuits,
+                    w_index=w)
 
 
 def _phase1(model: RelaxationModel, opts: SolverOptions) -> tuple[np.ndarray | None, str, int]:
-    """Minimize the uniform violation w; returns (z or None, message, steps).
-
-    Rows containing gamma are dropped (gamma always has feasible room);
-    variable sign bounds stay hard; everything else is shifted by w.
-    """
+    """Minimize the uniform violation w; returns (z or None, message, steps)."""
     g = model.gamma_index
-    old_to_new = {}
-    for v in range(model.nvar):
-        if v != g:
-            old_to_new[v] = len(old_to_new)
-    w = len(old_to_new)
-    nvar1 = w + 1
-
-    rows1, rhs1 = [], []
-    for row, const, label in zip(model.rows, model.rhs, model.row_labels):
-        if row[g]:
-            continue
-        new_row = np.zeros(nvar1)
-        for v in np.nonzero(row)[0]:
-            new_row[old_to_new[v]] = row[v]
-        if not label.startswith("bound"):
-            new_row[w] = 1.0
-        rows1.append(new_row)
-        rhs1.append(const)
-    geos1 = [
-        _Geo(
-            old_to_new[blk.t_index],
-            np.array([old_to_new[v] for v in blk.c_indices]),
-            np.array(blk.lambdas),
-            w_index=w,
-        )
-        for blk in model.blocks
-    ]
-    obj = np.zeros(nvar1)
-    obj[w] = 1.0
-    cap_rows, cap_rhs = _cap_rows(nvar1)
-    all_rows = np.vstack([np.array(rows1), cap_rows]) if rows1 else cap_rows
-    all_rhs = np.concatenate([np.array(rhs1), cap_rhs])
-    weights = np.concatenate([np.ones(len(rhs1)), np.full(nvar1, CAP_WEIGHT)])
-    prob = _Barrier(obj=obj, rows=all_rows, rhs=all_rhs, geos=geos1, weights=weights)
-
-    z_model = _canned_start(model)
-    z = np.zeros(nvar1)
-    for v, nv in old_to_new.items():
-        z[nv] = z_model[v]
-    worst = 0.0
-    if len(prob.rhs):
-        worst = min(worst, float(np.min(prob.rows[:, :w] @ z[:w] + prob.rhs)))
-    for geo in prob.geos:
-        slack, _, _ = _geo_slack(geo, z)
-        worst = min(worst, slack)
-    z[w] = -worst + 1.0
+    prob = _phase1_problem(model)
+    w = prob.w_index
+    z = np.append(np.delete(_canned_start(model), g), 0.0)
+    z[w] = 1.0 - min(0.0, _feasible_margin(prob, z))
 
     total_steps = 0
     tau = opts.tau0
@@ -497,9 +491,7 @@ def _phase1(model: RelaxationModel, opts: SolverOptions) -> tuple[np.ndarray | N
     if z[w] > -1e-8:
         return None, f"no strictly feasible start exists (best violation {z[w]:.3e})", total_steps
 
-    z_full = np.zeros(model.nvar)
-    for v, nv in old_to_new.items():
-        z_full[v] = z[nv]
+    z_full = np.insert(z[:w], g, 0.0)
     # pick gamma so the origin row has healthy slack
     for row, const in zip(model.rows, model.rhs):
         if row[g]:
@@ -547,9 +539,16 @@ def solve_relaxation(model: RelaxationModel, opts: SolverOptions | None = None) 
     Returns status optimal once the scaled stationarity residual is
     below tol_kkt and the gap estimate is below tol_gap * (1 + |gamma|);
     infeasible when no strictly feasible point exists; numerical-error
-    on iteration caps, divergence, or line-search failure.
+    on iteration caps, divergence, line-search failure, or a singular
+    Newton system.
     """
-    opts = opts or SolverOptions()
+    try:
+        return _path_follow(model, opts or SolverOptions())
+    except st.NumericalError as exc:
+        return SolveResult(status=st.NUMERICAL_ERROR, message=str(exc))
+
+
+def _path_follow(model: RelaxationModel, opts: SolverOptions) -> SolveResult:
     if model.infeasible_reason is not None:
         return SolveResult(status=st.INFEASIBLE, message=model.infeasible_reason)
 

@@ -131,9 +131,8 @@ def classify_support(
     and one-sided when all entries are even.
     """
     cand_set = set(cands.points)
-    present = [p for p in cands.points if p in cand_set]
     inner = [(e, inner_term_kind(e)) for e in sorted(support) if e not in cand_set]
-    return present, inner
+    return list(cands.points), inner
 
 
 def barycentric_coordinates(beta: Exponent, cands: CandidateSet) -> Cover:

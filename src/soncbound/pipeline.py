@@ -179,7 +179,7 @@ def solve_on_box(
         message=result.message,
         seconds=time.perf_counter() - start,
     )
-    if result.status != st.OPTIMAL:
+    if result.status != st.OPTIMAL or not root.options.certify:
         return base
     try:
         cert = repair_and_certify(model, result)

@@ -4,9 +4,12 @@ import time
 import numpy as np
 import pytest
 
+from soncbound import barrier
 from soncbound import status as st
 from soncbound.barrier import SolverOptions, solve_relaxation
 from soncbound.covers import build_candidates_and_covers, make_bound_constraints
+from soncbound.generator import generate_instance
+from soncbound.pipeline import PipelineOptions, prepare_model, solve_instance
 from soncbound.poly import evaluate, parse_instance
 from soncbound.relaxation import assemble_lagrangian, build_model, geometric_mean
 
@@ -175,3 +178,163 @@ class TestSoundnessOnSamples:
             gammas.append(res.gamma)
         for smaller, larger in zip(gammas, gammas[1:]):
             assert larger <= smaller + 1e-7
+
+
+def _acceptance_instance(i):
+    """Instance i of the acceptance corpus (seed 1000 + i)."""
+    return generate_instance(1000 + i, n=1 + i % 3, m=i % 3, max_degree=3 + i % 4, density=0.5)
+
+
+def _off_center(prob, z):
+    """z moved along a seeded direction, at most a quarter of the way to
+    the linear boundary.
+
+    At a center the gradient would vanish; off it every term has a share.
+    """
+    move = np.random.default_rng(0).standard_normal(len(z)) * np.maximum(1.0, np.abs(z))
+    step = 0.25 * barrier._max_step(prob, z, move)
+    while not barrier._strictly_feasible(prob, z + step * move):
+        step *= 0.5
+    return z + step * move
+
+
+def _phase2_point(model):
+    z, message, _ = barrier._phase1(model, SolverOptions())
+    assert z is not None, message
+    prob = barrier._phase2_problem(model)
+    z, _, _, _ = barrier._center(prob, 1.0, z, 50)
+    return _off_center(prob, z)
+
+
+def _phase1_point(model):
+    """Near the phase-1 start point: the canned start shifted by w."""
+    prob = barrier._phase1_problem(model)
+    z = np.append(np.delete(barrier._canned_start(model), model.gamma_index), 0.0)
+    z[prob.w_index] = 1.0 - min(0.0, barrier._feasible_margin(prob, z))
+    return _off_center(prob, z)
+
+
+@pytest.fixture(scope="module")
+def circuit_models():
+    """Acceptance seeds 1001, 1002 and 1004: 3, 9 and 4 circuits."""
+    return [prepare_model(_acceptance_instance(i), PipelineOptions()) for i in (1, 2, 4)]
+
+
+class TestBarrierDerivatives:
+    """phi, its gradient and its Hessian against central differences and
+    against a per-circuit loop."""
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    @pytest.mark.parametrize("k", range(3))
+    def test_against_central_differences(self, circuit_models, phase, k):
+        model = circuit_models[k]
+        assert len(model.blocks) >= 3
+        if phase == 1:
+            prob, z = barrier._phase1_problem(model), _phase1_point(model)
+            assert prob.w_index >= 0
+        else:
+            prob, z = barrier._phase2_problem(model), _phase2_point(model)
+        tau = 1.0
+        grad, hess = barrier._grad_hess(prob, tau, z)
+        fd_grad = np.zeros_like(z)
+        fd_hess = np.zeros_like(hess)
+        for i in range(len(z)):
+            h = 1e-7 * max(1.0, abs(z[i]))
+            e = np.zeros_like(z)
+            e[i] = h
+            fd_grad[i] = (barrier._phi(prob, tau, z + e) - barrier._phi(prob, tau, z - e)) / (2 * h)
+            fd_hess[:, i] = (barrier._grad_hess(prob, tau, z + e)[0]
+                             - barrier._grad_hess(prob, tau, z - e)[0]) / (2 * h)
+        scale = np.max(np.abs(grad))
+        np.testing.assert_allclose(fd_grad, grad, rtol=1e-5, atol=1e-6 * scale)
+        np.testing.assert_allclose(fd_hess, hess, rtol=1e-5, atol=1e-6 * np.max(np.abs(hess)))
+        np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12 * np.max(np.abs(hess)))
+        grad_hp = barrier._grad_hp(prob, tau, z).astype(float)
+        np.testing.assert_allclose(grad_hp, grad, rtol=1e-9, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_against_loop_reference(self, circuit_models, k):
+        model = circuit_models[k]
+        prob, z = barrier._phase2_problem(model), _phase2_point(model)
+        phi, grad, hess = _loop_reference(model, 2.0, z)
+        assert barrier._phi(prob, 2.0, z) == pytest.approx(phi, rel=1e-12)
+        for got, want in zip(barrier._grad_hess(prob, 2.0, z), (grad, hess)):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
+
+
+def _loop_reference(model, tau, z):
+    """Phase-2 phi, gradient and Hessian one circuit at a time, with the
+    sign bounds and the caps as dense rows."""
+    nvar = model.nvar
+    rows = np.vstack([model.rows, -np.eye(nvar)])
+    rho = rows @ z + np.concatenate([model.rhs, np.full(nvar, barrier.VARIABLE_CAP)])
+    weights = np.concatenate([np.ones(len(model.rhs)), np.full(nvar, barrier.CAP_WEIGHT)])
+    phi = -tau * z[model.gamma_index] - weights @ np.log(rho)
+    grad = -rows.T @ (weights / rho)
+    grad[model.gamma_index] -= tau
+    hess = (rows * (weights / rho**2)[:, None]).T @ rows
+    for blk in model.blocks:
+        idx, lam = list(blk.c_indices), np.array(blk.lambdas)
+        c = z[idx]
+        theta = geometric_mean(c, lam)
+        slack = theta - z[blk.t_index]
+        psi = lam / c
+        u = np.zeros(nvar)
+        u[idx] = theta * psi
+        u[blk.t_index] = -1.0
+        phi -= np.log(slack)
+        grad -= u / slack
+        hess += np.outer(u, u) / slack**2
+        hess[np.ix_(idx, idx)] += theta * (np.diag(lam / c**2) - np.outer(psi, psi)) / slack
+    return phi, grad, hess
+
+
+# (seed, status, certified gamma) recorded before the barrier was vectorized.
+PINNED_ACCEPTANCE = [
+    (1000, "optimal", -18.14848713793409),
+    (1001, "optimal", -8.462607374907929),
+    (1002, "optimal", -109.58077342859151),
+    (1003, "optimal", -7.110366597235498),
+    (1004, "optimal", -11.93907839521359),
+    (1005, "optimal", -70.3257965749946),
+    (1006, "optimal", -48.40029156551881),
+    (1007, "optimal", -9.204252193728273),
+    (1008, "optimal", -15.623301918745083),
+    (1009, "optimal", -3.5776626610310185),
+    (1010, "optimal", -1.695331556002066),
+    (1011, "optimal", -126.03996155688459),
+    (1012, "optimal", -7.834990628371928),
+    (1013, "optimal", -36.45393183965251),
+    (1014, "optimal", -94.75024425409765),
+    (1015, "optimal", -13.380247176026979),
+    (1016, "optimal", -16.583031964220446),
+    (1017, "optimal", -12.643469779496861),
+    (1018, "optimal", -134.376951696047),
+    (1019, "optimal", -90.9579109949044),
+]
+PINNED_HIGHDEG = [  # generate_instance(seed, n=4, m=2, max_degree=8)
+    (0, "optimal", -110.70774741476762),
+    (1, "optimal", -557.7956969915374),
+    (2, "numerical-error", None),
+    (3, "optimal", -149.72739312330893),
+    (4, "numerical-error", None),
+]
+
+
+def _check_pinned(inst, status, gamma):
+    res = solve_instance(inst)
+    assert res.status == status
+    if gamma is None:
+        assert res.gamma_certified is None
+    else:
+        assert res.gamma_certified == pytest.approx(gamma, rel=1e-7)
+
+
+class TestPinnedResults:
+    @pytest.mark.parametrize("seed,status,gamma", PINNED_ACCEPTANCE)
+    def test_acceptance(self, seed, status, gamma):
+        _check_pinned(_acceptance_instance(seed - 1000), status, gamma)
+
+    @pytest.mark.parametrize("seed,status,gamma", PINNED_HIGHDEG)
+    def test_highdeg(self, seed, status, gamma):
+        _check_pinned(generate_instance(seed, n=4, m=2, max_degree=8), status, gamma)

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from soncbound import barrier
 from soncbound import status as st
 from soncbound.pipeline import PipelineOptions, prepare_root, solve_instance, solve_on_box
 from soncbound.poly import parse_instance
@@ -86,3 +88,22 @@ class TestSolveOnBox:
         res = solve_on_box(root, (-1.0, -1.0), (1.0, 1.0))
         assert res.status == st.OPTIMAL
         assert res.gamma_certified <= 0.0 + 1e-6
+
+    def test_certify_false_skips_certificate(self):
+        root = prepare_root(MIN_X, PipelineOptions(certify=False))
+        res = solve_on_box(root, (-1.0, ), (2.0, ))
+        assert res.status == st.OPTIMAL
+        assert res.certificate is None
+        assert res.gamma_certified is None
+        assert res.gamma_solver == pytest.approx(-2.0, abs=1e-5)
+
+
+def test_singular_newton_system_is_numerical_error(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(barrier.np.linalg, "solve", singular)
+    for res in (solve_instance(MIN_X),
+                solve_on_box(prepare_root(MIN_X, PipelineOptions()), (-1.0, ), (2.0, ))):
+        assert res.status == st.NUMERICAL_ERROR
+        assert res.message == "singular Newton system"
