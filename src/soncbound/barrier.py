@@ -3,9 +3,10 @@
 Maximizes gamma over the linear rows plus the concave geometric-mean
 conditions t_beta <= prod_j (c_j/lambda_j)**lambda_j.  Every constraint
 enters a logarithmic barrier: -log of a positive concave function is
-convex, so each centering step is a damped Newton method.  A phase-1
-pass (minimize the uniform violation w) supplies a strictly feasible
-start when the canned and constructive starts are not interior.
+convex, so each centering step is a damped Newton method.  The path
+starts from a closed-form constructive point; where that point is
+missing or not strictly feasible, a phase-1 pass (minimize the uniform
+violation w) supplies one.  Either point is used as it is.
 
 The barrier has three families of terms, each evaluated for all of its
 members at once, with slacks formed in long double (near-active slacks
@@ -29,7 +30,7 @@ Everything is deterministic: fixed iteration order, no randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +39,8 @@ from .poly import Exponent
 from .relaxation import RelaxationModel
 
 CANNED_EPS = 1e-3  # canned-start value for mu, nu and the c variables
+START_CONSTRUCTIVE = "constructive"
+START_PHASE1 = "phase-1"
 GAMMA_DIVERGENCE = 1e10  # |gamma| beyond this: the relaxation looks unbounded
 
 # All variables are capped at this value so the barrier stays bounded along
@@ -81,6 +84,7 @@ class SolveResult:
     max_residual: float = float("inf")
     gamma_trace: tuple[float, ...] = ()
     message: str = ""
+    start: str = ""  # START_CONSTRUCTIVE or START_PHASE1; "" for a model infeasible as built
 
 
 class _Barrier:
@@ -204,23 +208,17 @@ def _grad_hp(prob: _Barrier, tau: float, z: np.ndarray) -> np.ndarray:
 
 
 def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Newton step with two rounds of extended-precision refinement."""
+    """Newton step from one float64 solve.
+
+    A singular Hessian is retried once with a 1e-10 diagonal shift.
+    """
     try:
-        d = np.linalg.solve(hess, -grad)
+        return np.linalg.solve(hess, -grad)
     except np.linalg.LinAlgError:
         try:
             return np.linalg.solve(hess + 1e-10 * np.eye(len(grad)), -grad)
         except np.linalg.LinAlgError:
             raise st.NumericalError("singular Newton system") from None
-    hess_hp = hess.astype(np.longdouble)
-    rhs_hp = -grad.astype(np.longdouble)
-    for _ in range(2):
-        residual = rhs_hp - hess_hp @ d.astype(np.longdouble)
-        try:
-            d = d + np.linalg.solve(hess, residual.astype(float))
-        except np.linalg.LinAlgError:
-            break
-    return d
 
 
 def _max_step(prob: _Barrier, z: np.ndarray, d: np.ndarray) -> float:
@@ -289,7 +287,7 @@ def _kkt_residual(prob: _Barrier, tau: float, z: np.ndarray) -> float:
 
 
 def _canned_start(model: RelaxationModel) -> np.ndarray:
-    """mu = nu = c = 1e-3, t = geo(c)/2, gamma with origin slack 1e-3."""
+    """Phase 1's seed point: mu = nu = c = 1e-3, t = geo(c)/2, gamma = 0."""
     z = np.zeros(model.nvar)
     for v in model.nonneg_indices:
         z[v] = CANNED_EPS
@@ -298,13 +296,19 @@ def _canned_start(model: RelaxationModel) -> np.ndarray:
         c = z[list(blk.c_indices)]
         theta = float(np.exp(np.sum(lams * (np.log(c) - np.log(lams)))))
         z[blk.t_index] = 0.5 * theta
-    # gamma appears only in the origin row with coefficient -1
-    for row, const in zip(model.rows, model.rhs):
-        if row[model.gamma_index]:
-            rest = float(row @ z + const - row[model.gamma_index] * z[model.gamma_index])
-            z[model.gamma_index] = rest - CANNED_EPS
-            break
     return z
+
+
+def _set_gamma(model: RelaxationModel, z: np.ndarray) -> None:
+    """Set gamma in place so the origin row has slack 1.
+
+    gamma appears only in the origin row, with coefficient -1.
+    """
+    g = model.gamma_index
+    for row, const in zip(model.rows, model.rhs):
+        if row[g]:
+            z[g] = float(row @ z + const - row[g] * z[g]) - 1.0
+            return
 
 
 def _strictly_feasible(prob: _Barrier, z: np.ndarray) -> bool:
@@ -402,31 +406,8 @@ def _constructive_start(model: RelaxationModel) -> np.ndarray | None:
         )
         z[model.nu_indices[nu_pos]] = max(CANNED_EPS, total + 1.0 - fixed_part[j])
 
-    for row, const in zip(model.rows, model.rhs):
-        if row[model.gamma_index]:
-            rest = float(row @ z + const - row[model.gamma_index] * z[model.gamma_index])
-            z[model.gamma_index] = rest - 1.0
-            break
+    _set_gamma(model, z)
     return z
-
-
-def _moderate(prob: _Barrier, z_feasible: np.ndarray, z_anchor: np.ndarray) -> np.ndarray:
-    """Pull a strictly feasible point back toward the canned anchor.
-
-    Every slack is concave along the segment, so the strictly feasible
-    region of the segment is an interval containing the feasible end;
-    bisection finds the smallest workable blend.
-    """
-    target = min(1e-6, 0.5 * _feasible_margin(prob, z_feasible))
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        zmid = z_anchor + mid * (z_feasible - z_anchor)
-        if _feasible_margin(prob, zmid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return z_anchor + hi * (z_feasible - z_anchor)
 
 
 def _general_rows(model: RelaxationModel) -> tuple[np.ndarray, np.ndarray]:
@@ -463,8 +444,14 @@ def _phase1_problem(model: RelaxationModel) -> _Barrier:
                     w_index=w)
 
 
-def _phase1(model: RelaxationModel, opts: SolverOptions) -> tuple[np.ndarray | None, str, int]:
-    """Minimize the uniform violation w; returns (z or None, message, steps)."""
+def _phase1(model: RelaxationModel,
+            opts: SolverOptions) -> tuple[np.ndarray | None, str, str, int]:
+    """Minimize the uniform violation w from the canned start.
+
+    Returns (z, status, message, steps).  z is the full phase-2 point
+    with gamma set by _set_gamma and status optimal, or None with status
+    infeasible (no strictly feasible point exists) or numerical-error.
+    """
     g = model.gamma_index
     prob = _phase1_problem(model)
     w = prob.w_index
@@ -480,25 +467,21 @@ def _phase1(model: RelaxationModel, opts: SolverOptions) -> tuple[np.ndarray | N
         if found(z):
             break
         if not converged:
-            return None, "phase-1 centering did not converge", total_steps
+            return None, st.NUMERICAL_ERROR, "phase-1 centering did not converge", total_steps
         gap = prob.num_terms / tau
         if gap <= 1e-9 * (1.0 + abs(z[w])):
             break
         tau *= opts.tau_factor
     else:
-        return None, "phase-1 iteration cap exceeded", total_steps
+        return None, st.NUMERICAL_ERROR, "phase-1 iteration cap exceeded", total_steps
 
     if z[w] > -1e-8:
-        return None, f"no strictly feasible start exists (best violation {z[w]:.3e})", total_steps
+        return (None, st.INFEASIBLE,
+                f"no strictly feasible start exists (best violation {z[w]:.3e})", total_steps)
 
     z_full = np.insert(z[:w], g, 0.0)
-    # pick gamma so the origin row has healthy slack
-    for row, const in zip(model.rows, model.rhs):
-        if row[g]:
-            rest = float(row @ z_full + const - row[g] * z_full[g])
-            z_full[g] = rest - 1.0
-            break
-    return z_full, "", total_steps
+    _set_gamma(model, z_full)
+    return z_full, st.OPTIMAL, "", total_steps
 
 
 def _extract(model: RelaxationModel, z: np.ndarray, stat: str, gap: float, kkt: float,
@@ -540,35 +523,29 @@ def solve_relaxation(model: RelaxationModel, opts: SolverOptions | None = None) 
     below tol_kkt and the gap estimate is below tol_gap * (1 + |gamma|);
     infeasible when no strictly feasible point exists; numerical-error
     on iteration caps, divergence, line-search failure, or a singular
-    Newton system.
+    Newton system.  The result's start names the start path taken.
     """
-    try:
-        return _path_follow(model, opts or SolverOptions())
-    except st.NumericalError as exc:
-        return SolveResult(status=st.NUMERICAL_ERROR, message=str(exc))
-
-
-def _path_follow(model: RelaxationModel, opts: SolverOptions) -> SolveResult:
+    opts = opts or SolverOptions()
     if model.infeasible_reason is not None:
         return SolveResult(status=st.INFEASIBLE, message=model.infeasible_reason)
-
     prob = _phase2_problem(model)
-    total_steps = 0
-    z = _canned_start(model)
-    if not _strictly_feasible(prob, z):
-        z_anchor = z
-        z_built = _constructive_start(model)
-        if z_built is not None and _strictly_feasible(prob, z_built):
-            z = _moderate(prob, z_built, z_anchor)
-        else:
-            z_start, message, ph1_steps = _phase1(model, opts)
-            total_steps += ph1_steps
-            if z_start is None:
-                if message.startswith("no strictly feasible"):
-                    return SolveResult(status=st.INFEASIBLE, message=message)
-                return SolveResult(status=st.NUMERICAL_ERROR, message=message)
-            z = _moderate(prob, z_start, z_anchor)
+    start, steps = START_CONSTRUCTIVE, 0
+    z = _constructive_start(model)
+    try:
+        if z is None or not _strictly_feasible(prob, z):
+            start = START_PHASE1
+            z, stat, message, steps = _phase1(model, opts)
+            if z is None:
+                return SolveResult(status=stat, message=message, start=start)
+        result = _path_follow(model, prob, z, steps, opts)
+    except st.NumericalError as exc:
+        result = SolveResult(status=st.NUMERICAL_ERROR, message=str(exc))
+    return replace(result, start=start)
 
+
+def _path_follow(model: RelaxationModel, prob: _Barrier, z: np.ndarray, total_steps: int,
+                 opts: SolverOptions) -> SolveResult:
+    """Follow the central path from the strictly feasible z."""
     tau = opts.tau0
     trace: list[float] = []
     outers = 0
@@ -578,19 +555,17 @@ def _path_follow(model: RelaxationModel, opts: SolverOptions) -> SolveResult:
         outers += 1
         gamma = float(z[model.gamma_index])
         trace.append(gamma)
+        failure = ""
         if not converged:
+            failure = "inner Newton stalled"
+        elif abs(gamma) > GAMMA_DIVERGENCE:
+            failure = ("gamma diverged; the relaxation appears unbounded "
+                       "(the problem is likely infeasible)")
+        elif float(np.max(z)) > 0.1 * VARIABLE_CAP:
+            failure = "a variable pressed against the regularization cap"
+        if failure:
             return _extract(model, z, st.NUMERICAL_ERROR, prob.num_terms / tau,
-                            _kkt_residual(prob, tau, z), trace, total_steps, outers,
-                            "inner Newton stalled")
-        if abs(gamma) > GAMMA_DIVERGENCE:
-            return _extract(model, z, st.NUMERICAL_ERROR, prob.num_terms / tau,
-                            _kkt_residual(prob, tau, z), trace, total_steps, outers,
-                            "gamma diverged; the relaxation appears unbounded "
-                            "(the problem is likely infeasible)")
-        if float(np.max(z)) > 0.1 * VARIABLE_CAP:
-            return _extract(model, z, st.NUMERICAL_ERROR, prob.num_terms / tau,
-                            _kkt_residual(prob, tau, z), trace, total_steps, outers,
-                            "a variable pressed against the regularization cap")
+                            _kkt_residual(prob, tau, z), trace, total_steps, outers, failure)
         gap = prob.num_terms / tau
         if gap <= opts.tol_gap * (1.0 + abs(gamma)):
             kkt = _kkt_residual(prob, tau, z)

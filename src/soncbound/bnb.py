@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from . import status as st
-from .pipeline import PipelineOptions, prepare_root, solve_on_box
+from .pipeline import PREPARE_ERRORS, PipelineOptions, failure_result, prepare_root, solve_on_box
 from .poly import PopInstance, evaluate
 
 WIDTH_EPS = 1e-9  # boxes thinner than this are leaves
@@ -110,10 +110,20 @@ def solve_bnb(
     """Best-first branch-and-bound; returns the certified global bound.
 
     The reported lower bound is the minimum over open and closed leaf
-    bounds, so it stays valid whatever stops the search.
+    bounds, so it stays valid whatever stops the search.  When the root
+    cannot be prepared, the result is bound -inf with one error node
+    whose record carries the mapped status.
     """
     options = options or PipelineOptions()
-    root_struct = prepare_root(inst, options)
+    try:
+        root_struct = prepare_root(inst, options)
+    except PREPARE_ERRORS as exc:
+        stat = failure_result(exc).status
+        if log is not None:
+            log(f"node 0 depth 0 bound -inf incumbent inf status {stat}")
+        return BnbResult(lower_bound=-math.inf, incumbent_value=math.inf,
+                         incumbent_point=None, nodes=1, status=EXHAUSTED, error_nodes=1,
+                         records=(NodeRecord(0, 0, -math.inf, None, -math.inf, stat),))
 
     incumbent_value = math.inf
     incumbent_point = None

@@ -1,4 +1,9 @@
-"""End-to-end solve pipeline: classify, cover, model, solve, certify."""
+"""End-to-end solve pipeline: classify, cover, model, solve, certify.
+
+prepare_root fixes what does not depend on the box (bound exponents,
+candidates, covers); solve_on_box builds, solves and certifies the
+model of one box.  solve_instance is the two on the instance's box.
+"""
 
 from __future__ import annotations
 
@@ -43,13 +48,53 @@ class PipelineResult:
     seconds: float = 0.0
 
 
-def prepare_model(inst: PopInstance, options: PipelineOptions) -> RelaxationModel:
-    """Build the relaxation model, choosing bound exponents if requested.
+PREPARE_ERRORS = (CoverUnavailable, LpFailure, st.NumericalError)
 
-    Raises CoverUnavailable when some inner term cannot be covered and
-    NumericalError on LP failures or big-M overflow.
+
+def failure_result(exc: Exception) -> PipelineResult:
+    """The status a model-preparation failure (one of PREPARE_ERRORS) maps to."""
+    if isinstance(exc, CoverUnavailable):
+        return PipelineResult(
+            status=st.COVER_UNAVAILABLE, unavailable_beta=exc.beta, message=str(exc)
+        )
+    return PipelineResult(status=st.NUMERICAL_ERROR, message=str(exc))
+
+
+def solve_instance(inst: PopInstance, options: PipelineOptions | None = None) -> PipelineResult:
+    """Run the full pipeline on one instance and map failures to statuses.
+
+    This is prepare_root followed by solve_on_box on the instance's own
+    box.  A certification repair failure demotes an optimal solve to the
+    numerical-error status: the bound exists but cannot be vouched for.
+    """
+    start = time.perf_counter()
+    try:
+        result = solve_on_box(prepare_root(inst, options or PipelineOptions()),
+                              inst.lower, inst.upper)
+    except PREPARE_ERRORS as exc:
+        result = failure_result(exc)
+    return replace(result, seconds=time.perf_counter() - start)
+
+
+@dataclass(frozen=True)
+class RootStructure:
+    """Everything box-independent, reusable across branch-and-bound nodes."""
+
+    inst: PopInstance
+    options: PipelineOptions
+    exponents: tuple[int, ...] | None  # None without bound constraints
+    cands: CandidateSet
+    covers: dict[Exponent, Cover]
+
+
+def prepare_root(inst: PopInstance, options: PipelineOptions) -> RootStructure:
+    """Fix the bound exponents and covers once; boxes only change big-M.
+
+    Raises CoverUnavailable when some inner term cannot be covered,
+    LpFailure when an LP gives up, and NumericalError on big-M overflow.
     """
     lag_plain = assemble_lagrangian(inst, [], False)
+    a, bcs, lag = None, [], lag_plain
     if options.use_bound_constraints:
         if options.exponents is not None:
             a = tuple(options.exponents)
@@ -61,96 +106,6 @@ def prepare_model(inst: PopInstance, options: PipelineOptions) -> RelaxationMode
             )
         bcs = make_bound_constraints(inst, a)
         lag = assemble_lagrangian(inst, bcs, True)
-    else:
-        bcs = []
-        lag = lag_plain
-    cands, covers = build_candidates_and_covers(
-        lag.support, bcs, inst.n, genuine_support=lag_plain.support
-    )
-    return build_model(lag, cands, covers, bcs)
-
-
-def solve_instance(inst: PopInstance, options: PipelineOptions | None = None) -> PipelineResult:
-    """Run the full pipeline on one instance and map failures to statuses.
-
-    A certification repair failure demotes an optimal solve to the
-    numerical-error status: the bound exists but cannot be vouched for.
-    """
-    options = options or PipelineOptions()
-    start = time.perf_counter()
-
-    def done(result: PipelineResult) -> PipelineResult:
-        return replace(result, seconds=time.perf_counter() - start)
-
-    try:
-        model = prepare_model(inst, options)
-    except CoverUnavailable as exc:
-        return done(
-            PipelineResult(
-                status=st.COVER_UNAVAILABLE,
-                unavailable_beta=exc.beta,
-                message=str(exc),
-            )
-        )
-    except (LpFailure, st.NumericalError) as exc:
-        return done(PipelineResult(status=st.NUMERICAL_ERROR, message=str(exc)))
-
-    a = tuple(bc.exponent for bc in model.bcs) or None
-    try:
-        result = solve_relaxation(model, options.solver)
-    except st.NumericalError as exc:
-        return done(
-            PipelineResult(
-                status=st.NUMERICAL_ERROR, model=model, bound_exponents=a, message=str(exc)
-            )
-        )
-
-    base = PipelineResult(
-        status=result.status,
-        gamma_solver=result.gamma,
-        solve=result,
-        model=model,
-        bound_exponents=a,
-        message=result.message,
-    )
-    if result.status != st.OPTIMAL or not options.certify:
-        return done(base)
-
-    try:
-        cert = repair_and_certify(model, result)
-    except RepairFailure as exc:
-        return done(
-            replace(
-                base,
-                status=st.NUMERICAL_ERROR,
-                message=f"certification failed: {exc}",
-            )
-        )
-    return done(replace(base, gamma_certified=cert.gamma_certified, certificate=cert))
-
-
-@dataclass(frozen=True)
-class RootStructure:
-    """Everything box-independent, reusable across branch-and-bound nodes."""
-
-    inst: PopInstance
-    options: PipelineOptions
-    exponents: tuple[int, ...]
-    cands: CandidateSet
-    covers: dict[Exponent, Cover]
-
-
-def prepare_root(inst: PopInstance, options: PipelineOptions) -> RootStructure:
-    """Fix the bound exponents and covers once; boxes only change big-M."""
-    lag_plain = assemble_lagrangian(inst, [], False)
-    if options.exponents is not None:
-        a = tuple(options.exponents)
-    else:
-        cands_plain = build_candidate_set(lag_plain.support, [], inst.n)
-        _, inner_plain = classify_support(lag_plain.support, cands_plain)
-        a = select_bound_exponents(inst, [e for e, _ in inner_plain], options.exponent_strategy)
-    bcs = make_bound_constraints(inst, a)
-    lag = assemble_lagrangian(inst, bcs, True)
     cands, covers = build_candidates_and_covers(
         lag.support, bcs, inst.n, genuine_support=lag_plain.support
     )
@@ -160,15 +115,16 @@ def prepare_root(inst: PopInstance, options: PipelineOptions) -> RootStructure:
 def solve_on_box(
     root: RootStructure, lower: tuple[float, ...], upper: tuple[float, ...]
 ) -> PipelineResult:
-    """Solve the relaxation for a sub-box, reusing the root covers."""
+    """Solve and certify the relaxation for a sub-box, reusing the root covers."""
     inst = replace(root.inst, lower=tuple(lower), upper=tuple(upper))
     start = time.perf_counter()
+    use_bcs = root.options.use_bound_constraints
     try:
-        bcs = make_bound_constraints(inst, root.exponents)
-    except st.NumericalError as exc:
-        return PipelineResult(status=st.NUMERICAL_ERROR, message=str(exc))
-    lag = assemble_lagrangian(inst, bcs, True)
-    model = build_model(lag, root.cands, root.covers, bcs)
+        bcs = make_bound_constraints(inst, root.exponents) if use_bcs else []
+        model = build_model(assemble_lagrangian(inst, bcs, use_bcs), root.cands, root.covers,
+                            bcs)
+    except PREPARE_ERRORS as exc:
+        return failure_result(exc)
     result = solve_relaxation(model, root.options.solver)
     base = PipelineResult(
         status=result.status,

@@ -135,10 +135,6 @@ class RelaxationModel:
     covers: dict[Exponent, Cover]
     bcs: tuple[BoundConstraint, ...]
 
-    @property
-    def num_barrier_terms(self) -> int:
-        return len(self.rhs) + len(self.blocks)
-
 
 def _affine_row(coeff: AffineCoeff, model_vars: "_VarLayout") -> tuple[np.ndarray, float]:
     row = np.zeros(model_vars.nvar)

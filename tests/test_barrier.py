@@ -7,9 +7,10 @@ import pytest
 from soncbound import barrier
 from soncbound import status as st
 from soncbound.barrier import SolverOptions, solve_relaxation
+from soncbound.certify import strict_gamma_float
 from soncbound.covers import build_candidates_and_covers, make_bound_constraints
 from soncbound.generator import generate_instance
-from soncbound.pipeline import PipelineOptions, prepare_model, solve_instance
+from soncbound.pipeline import PipelineOptions, prepare_root, solve_instance
 from soncbound.poly import evaluate, parse_instance
 from soncbound.relaxation import assemble_lagrangian, build_model, geometric_mean
 
@@ -199,8 +200,8 @@ def _off_center(prob, z):
 
 
 def _phase2_point(model):
-    z, message, _ = barrier._phase1(model, SolverOptions())
-    assert z is not None, message
+    z, stat, message, _ = barrier._phase1(model, SolverOptions())
+    assert stat == st.OPTIMAL and z is not None, message
     prob = barrier._phase2_problem(model)
     z, _, _, _ = barrier._center(prob, 1.0, z, 50)
     return _off_center(prob, z)
@@ -217,7 +218,8 @@ def _phase1_point(model):
 @pytest.fixture(scope="module")
 def circuit_models():
     """Acceptance seeds 1001, 1002 and 1004: 3, 9 and 4 circuits."""
-    return [prepare_model(_acceptance_instance(i), PipelineOptions()) for i in (1, 2, 4)]
+    insts = [_acceptance_instance(i) for i in (1, 2, 4)]
+    return [build_for(inst, prepare_root(inst, PipelineOptions()).exponents) for inst in insts]
 
 
 class TestBarrierDerivatives:
@@ -330,6 +332,17 @@ def _check_pinned(inst, status, gamma):
         assert res.gamma_certified == pytest.approx(gamma, rel=1e-7)
 
 
+# High-degree solves whose first centering succeeds only when it begins at
+# the start point itself: (n, degree, m, seed, certified gamma).
+NEWLY_OPTIMAL_HIGHDEG = [
+    (2, 8, 1, 1, -23.235317759274732),
+    (2, 8, 1, 4, -517.7116876075853),
+    (2, 8, 1, 11, -514.2101946086946),
+    (4, 8, 2, 17, -638.289051607057),
+    (4, 8, 2, 19, -244.74239294921068),
+]
+
+
 class TestPinnedResults:
     @pytest.mark.parametrize("seed,status,gamma", PINNED_ACCEPTANCE)
     def test_acceptance(self, seed, status, gamma):
@@ -338,3 +351,31 @@ class TestPinnedResults:
     @pytest.mark.parametrize("seed,status,gamma", PINNED_HIGHDEG)
     def test_highdeg(self, seed, status, gamma):
         _check_pinned(generate_instance(seed, n=4, m=2, max_degree=8), status, gamma)
+
+    @pytest.mark.parametrize("n,degree,m,seed,gamma", NEWLY_OPTIMAL_HIGHDEG)
+    def test_highdeg_start_used_as_is(self, n, degree, m, seed, gamma):
+        res = solve_instance(generate_instance(seed, n=n, m=m, max_degree=degree))
+        assert res.status == st.OPTIMAL, res.message
+        assert res.gamma_certified == pytest.approx(gamma, rel=1e-7)
+        strict = strict_gamma_float(res.model, res.certificate)
+        assert strict <= res.gamma_certified <= res.gamma_solver
+
+
+class TestStartPath:
+    def test_constructive(self):
+        res = solve_instance(_acceptance_instance(0))
+        assert res.status == st.OPTIMAL
+        assert res.solve.start == barrier.START_CONSTRUCTIVE == "constructive"
+
+    def test_phase1_when_no_constructive_point(self):
+        res = solve_instance(generate_instance(9, n=1, m=0, max_degree=12))
+        assert barrier._constructive_start(res.model) is None
+        assert res.status == st.OPTIMAL
+        assert res.solve.start == barrier.START_PHASE1 == "phase-1"
+
+    def test_phase1_proves_infeasibility(self):
+        inst = make_inst(lower=(-1,), upper=(1,), objective=(((4,), -1.0), ((2,), 1.0)))
+        res = solve_instance(inst, PipelineOptions(use_bound_constraints=False))
+        assert res.status == st.INFEASIBLE
+        assert res.message.startswith("no strictly feasible start exists")
+        assert res.solve.start == barrier.START_PHASE1

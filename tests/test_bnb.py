@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from soncbound import status as st
 from soncbound.barrier import SolverOptions
-from soncbound.bnb import GAP_REACHED, NODE_LIMIT, BnbNode, branch, solve_bnb
+from soncbound.bnb import EXHAUSTED, GAP_REACHED, NODE_LIMIT, BnbNode, branch, solve_bnb
 from soncbound.generator import generate_instance
 from soncbound.pipeline import PipelineOptions
 from soncbound.poly import parse_instance
@@ -107,3 +108,27 @@ class TestSolveBnb:
         r1 = solve_bnb(MIN_X2, TIGHT, max_nodes=20, gap_tol=1e-6, seed=3)
         r2 = solve_bnb(MIN_X2, TIGHT, max_nodes=20, gap_tol=1e-6, seed=3)
         assert r1 == r2
+
+
+class TestPrepareFailure:
+    """A root that cannot be prepared gives bound -inf and one error node."""
+
+    def _check(self, inst, options, status):
+        lines = []
+        res = solve_bnb(inst, options, max_nodes=10, seed=0, log=lines.append)
+        assert res.lower_bound == -math.inf
+        assert res.incumbent_value == math.inf and res.incumbent_point is None
+        assert res.status == EXHAUSTED
+        assert res.nodes == 1 and res.error_nodes == 1
+        (rec, ) = res.records
+        assert rec.status == status and rec.computed_bound is None
+        assert rec.effective_bound == -math.inf
+        assert lines == [f"node 0 depth 0 bound -inf incumbent inf status {status}"]
+
+    def test_big_m_overflow(self):
+        huge = inst_from({"n": 1, "objective": [[[1], -1.0]], "constraints": [],
+                          "lower": [-1e200], "upper": [1e200]})
+        self._check(huge, TIGHT, st.NUMERICAL_ERROR)
+
+    def test_cover_unavailable_without_bound_constraints(self):
+        self._check(MIN_X, PipelineOptions(use_bound_constraints=False), st.COVER_UNAVAILABLE)

@@ -54,6 +54,7 @@ class TestSolveCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "optimal"
         assert payload["gamma_certified"] == pytest.approx(-2.0, abs=1e-5)
+        assert payload["start"] == "constructive"
 
     def test_emit_certificate(self, minx_file, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"

@@ -5,7 +5,15 @@ import pytest
 
 from soncbound import barrier
 from soncbound import status as st
-from soncbound.pipeline import PipelineOptions, prepare_root, solve_instance, solve_on_box
+from soncbound.generator import generate_instance
+from soncbound.pipeline import (
+    PREPARE_ERRORS,
+    PipelineOptions,
+    failure_result,
+    prepare_root,
+    solve_instance,
+    solve_on_box,
+)
 from soncbound.poly import parse_instance
 
 
@@ -96,6 +104,45 @@ class TestSolveOnBox:
         assert res.certificate is None
         assert res.gamma_certified is None
         assert res.gamma_solver == pytest.approx(-2.0, abs=1e-5)
+
+
+class TestOnePipeline:
+    """solve_instance is prepare_root plus solve_on_box on the instance box."""
+
+    @pytest.mark.parametrize("use_bcs", [True, False])
+    def test_parity_on_acceptance_seeds(self, use_bcs):
+        options = PipelineOptions(use_bound_constraints=use_bcs)
+        for i in range(10):
+            inst = generate_instance(1000 + i, n=1 + i % 3, m=i % 3, max_degree=3 + i % 4,
+                                     density=0.5)
+            full = solve_instance(inst, options)
+            try:
+                parts = solve_on_box(prepare_root(inst, options), inst.lower, inst.upper)
+            except PREPARE_ERRORS as exc:
+                parts = failure_result(exc)
+            assert full.status == parts.status
+            assert full.gamma_solver == parts.gamma_solver
+            assert full.gamma_certified == parts.gamma_certified
+            assert full.unavailable_beta == parts.unavailable_beta
+            if full.solve is not None:
+                assert full.solve.iterations == parts.solve.iterations
+            assert full.status == (st.OPTIMAL if use_bcs else st.COVER_UNAVAILABLE)
+
+    def test_root_without_bound_constraints(self):
+        root = prepare_root(MOTZKIN, PipelineOptions(use_bound_constraints=False))
+        assert root.exponents is None
+        res = solve_on_box(root, (-2.0, -2.0), (2.0, 2.0))
+        assert res.status == st.OPTIMAL
+        assert not res.model.nu_indices and not res.model.bcs
+        assert res.bound_exponents is None
+        assert res.gamma_certified == pytest.approx(0.0, abs=1e-5)
+
+    def test_big_m_overflow_is_numerical_error(self):
+        huge = inst_from({"n": 1, "objective": [[[1], -1.0]], "constraints": [],
+                          "lower": [-1e200], "upper": [1e200]})
+        res = solve_instance(huge)
+        assert res.status == st.NUMERICAL_ERROR
+        assert "overflows" in res.message
 
 
 def test_singular_newton_system_is_numerical_error(monkeypatch):
