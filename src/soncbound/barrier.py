@@ -128,18 +128,14 @@ class _Barrier:
         self.h_cc = self.c_idx * (nvar + 1)
 
 
-def _linear_hp(prob: _Barrier, zl: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Long-double slacks of the general rows and the diagonal terms."""
-    return prob.rows_hp @ zl + prob.rhs_hp, prob.diag_sign * zl[prob.diag_idx] + prob.diag_off
-
-
 def _slacks_hp(prob: _Barrier, zl: np.ndarray):
     """(rows, diagonal, theta, circuit) slacks in long double at zl.
 
     theta and the circuit slacks are None where some diagonal slack is
     nonpositive: some c_j may then lie outside the domain of log.
     """
-    rho, diag = _linear_hp(prob, zl)
+    rho = prob.rows_hp @ zl + prob.rhs_hp
+    diag = prob.diag_sign * zl[prob.diag_idx] + prob.diag_off
     if not diag.min() > 0.0:
         return rho, diag, None, None
     logs = prob.lam_hp * (np.log(zl[prob.c_idx]) - prob.loglam_hp)
@@ -164,7 +160,8 @@ def _phi(prob: _Barrier, tau: float, z: np.ndarray) -> float:
     return tau * float(prob.obj @ z) - float(logs)
 
 
-def _grad_hess(prob: _Barrier, tau: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _grad_hess(prob: _Barrier, tau: float, z: np.ndarray):
+    """(gradient, Hessian, row slacks, diagonal slacks) at z, in float64."""
     nvar = len(z)
     rho, diag, theta, geo = _slacks(prob, z)
     grad = tau * prob.obj - prob.rows.T @ (1.0 / rho)
@@ -187,7 +184,7 @@ def _grad_hess(prob: _Barrier, tau: float, z: np.ndarray) -> tuple[np.ndarray, n
     grad -= V.sum(axis=0)
     hess += V.T @ V - W.T @ W
     hess.flat[prob.h_cc] += th * prob.lam / (c**2 * sl)
-    return grad, hess
+    return grad, hess, rho, diag
 
 
 def _grad_hp(prob: _Barrier, tau: float, z: np.ndarray) -> np.ndarray:
@@ -221,14 +218,14 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
             raise st.NumericalError("singular Newton system") from None
 
 
-def _max_step(prob: _Barrier, z: np.ndarray, d: np.ndarray) -> float:
-    """Largest step keeping the row and diagonal slacks strictly positive."""
-    rho, diag = _linear_hp(prob, z.astype(np.longdouble))
+def _max_step(prob: _Barrier, rho: np.ndarray, diag: np.ndarray, d: np.ndarray) -> float:
+    """Largest step along d keeping the row and diagonal slacks rho and
+    diag (float64, as _grad_hess returns them) strictly positive."""
     step = 1.0
     for slack, rate in ((rho, prob.rows @ d), (diag, prob.diag_sign * d[prob.diag_idx])):
         shrink = rate < -1e-300
         if shrink.any():
-            step = min(step, 0.99 * float(np.min(slack[shrink].astype(float) / -rate[shrink])))
+            step = min(step, 0.99 * float(np.min(slack[shrink] / -rate[shrink])))
     return step
 
 
@@ -253,12 +250,12 @@ def _center(
     steps = 0
     decrement = np.inf
     for _ in range(max_inner):
-        grad, hess = _grad_hess(prob, tau, z)
+        grad, hess, rho, diag = _grad_hess(prob, tau, z)
         d = _newton_direction(hess, grad)
         decrement = float(-grad @ d)
         if abs(decrement) <= _decrement_floor(tau):
             return z, True, steps, decrement
-        alpha = _max_step(prob, z, d)
+        alpha = _max_step(prob, rho, diag, d)
         cand = z + alpha * d
         if not (0.0 < decrement <= FULL_STEP_DECREMENT and _strictly_feasible(prob, cand)):
             phi0 = _phi(prob, tau, z)

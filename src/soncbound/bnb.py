@@ -1,10 +1,14 @@
 """Spatial branch-and-bound over the variable box.
 
-Best-first search using the relaxation as bounding oracle.  Bound
-constraints are regenerated per node from the node box (big-M shrinks
-with the box) while the exponents and covers stay fixed from the root,
-so only the model constants change between nodes.  Incumbents come from
-seeded sampling plus the box corners and center.
+Best-first search using the relaxation as bounding oracle.  The
+exponents and covers stay fixed from the root; a node's model sees its
+box only through the big-M values M_i = max(|l_i|, |u_i|) of the bound
+constraints.  A child that keeps its parent's M vector (a split that
+leaves the largest-magnitude endpoint of every coordinate in place)
+therefore has its parent's relaxation, and solve_on_box returns the
+stored result: each distinct M vector is solved once per run, and the
+bound tightens only where a split lowers some M_i.  Incumbents come
+from seeded sampling plus the box corners and center.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ class BnbResult:
     status: str
     error_nodes: int = 0
     records: tuple[NodeRecord, ...] = ()
+    relaxations_solved: int = 0  # distinct node relaxations solved; the rest reused one
 
 
 def branch(node: BnbNode) -> tuple[BnbNode, BnbNode] | None:
@@ -216,4 +221,5 @@ def solve_bnb(
         status=outcome,
         error_nodes=error_nodes,
         records=tuple(records),
+        relaxations_solved=root_struct.relaxations_solved,
     )

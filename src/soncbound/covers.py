@@ -76,11 +76,15 @@ def select_bound_exponents(
         a[i_star] *= 2
 
 
+def box_magnitudes(lower: tuple[float, ...], upper: tuple[float, ...]) -> tuple[float, ...]:
+    """max(|l_i|, |u_i|) per coordinate: all that bound constraints see of a box."""
+    return tuple(max(abs(lo), abs(hi)) for lo, hi in zip(lower, upper))
+
+
 def make_bound_constraints(inst: PopInstance, a: tuple[int, ...]) -> list[BoundConstraint]:
     """One bound constraint per variable with big_m = max(|l|,|u|)**a_i."""
     out = []
-    for i in range(inst.n):
-        big = max(abs(inst.lower[i]), abs(inst.upper[i]))
+    for i, big in enumerate(box_magnitudes(inst.lower, inst.upper)):
         try:
             big_m = big ** a[i]
         except OverflowError:

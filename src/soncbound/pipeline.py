@@ -2,7 +2,8 @@
 
 prepare_root fixes what does not depend on the box (bound exponents,
 candidates, covers); solve_on_box builds, solves and certifies the
-model of one box.  solve_instance is the two on the instance's box.
+model of one box, once per distinct model of a root.  solve_instance is
+the two on the instance's box.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from .barrier import SolveResult, SolverOptions, solve_relaxation
 from .certify import Certificate, RepairFailure, repair_and_certify
 from .covers import (
     UNIFORM,
+    BoundConstraint,
+    box_magnitudes,
     build_candidate_set,
     build_candidates_and_covers,
     make_bound_constraints,
@@ -22,7 +25,7 @@ from .covers import (
 )
 from .geometry import CandidateSet, Cover, CoverUnavailable, LpFailure, classify_support
 from .poly import Exponent, PopInstance
-from .relaxation import RelaxationModel, assemble_lagrangian, build_model
+from .relaxation import LagrangianSupport, RelaxationModel, assemble_lagrangian, build_model
 
 
 @dataclass(frozen=True)
@@ -78,13 +81,32 @@ def solve_instance(inst: PopInstance, options: PipelineOptions | None = None) ->
 
 @dataclass(frozen=True)
 class RootStructure:
-    """Everything box-independent, reusable across branch-and-bound nodes."""
+    """Everything box-independent, reusable across branch-and-bound nodes.
+
+    bcs and lag are those of the instance's own box.  _results holds the
+    outcome of every box solved on this root, by its box key (see
+    solve_on_box); it lives and dies with the root.
+    """
 
     inst: PopInstance
     options: PipelineOptions
     exponents: tuple[int, ...] | None  # None without bound constraints
     cands: CandidateSet
     covers: dict[Exponent, Cover]
+    bcs: tuple[BoundConstraint, ...]  # () without bound constraints
+    lag: LagrangianSupport
+    _results: dict[tuple[float, ...], PipelineResult] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+
+    @property
+    def relaxations_solved(self) -> int:
+        """The number of distinct relaxations built and solved on this root."""
+        return len(self._results)
+
+    def box_key(self, lower: tuple[float, ...], upper: tuple[float, ...]) -> tuple[float, ...]:
+        """What the model of a box depends on: M_i = max(|l_i|, |u_i|) with
+        bound constraints, nothing without them."""
+        return box_magnitudes(lower, upper) if self.options.use_bound_constraints else ()
 
 
 def prepare_root(inst: PopInstance, options: PipelineOptions) -> RootStructure:
@@ -109,20 +131,48 @@ def prepare_root(inst: PopInstance, options: PipelineOptions) -> RootStructure:
     cands, covers = build_candidates_and_covers(
         lag.support, bcs, inst.n, genuine_support=lag_plain.support
     )
-    return RootStructure(inst=inst, options=options, exponents=a, cands=cands, covers=covers)
+    return RootStructure(inst=inst, options=options, exponents=a, cands=cands, covers=covers,
+                         bcs=tuple(bcs), lag=lag)
 
 
 def solve_on_box(
     root: RootStructure, lower: tuple[float, ...], upper: tuple[float, ...]
 ) -> PipelineResult:
-    """Solve and certify the relaxation for a sub-box, reusing the root covers."""
-    inst = replace(root.inst, lower=tuple(lower), upper=tuple(upper))
+    """Solve and certify the relaxation for a sub-box, reusing the root covers.
+
+    The model sees the box only through root.box_key: the bound
+    constraints' M_i = max(|l_i|, |u_i|), and nothing without them.
+    Boxes with one key therefore share one bit-identical relaxation, so
+    each key is built, solved and certified once per root; a later box
+    with that key gets the stored result (every status included), its
+    seconds the lookup time, and shares its solve, model and
+    certificate: treat them as read-only.  A model that reads l and u
+    itself must widen the key to the full box.
+    """
+    start = time.perf_counter()
+    key = root.box_key(lower, upper)
+    stored = root._results.get(key)
+    if stored is not None:
+        return replace(stored, seconds=time.perf_counter() - start)
+    result = root._results[key] = _solve_model(root, key, lower, upper)
+    return result
+
+
+def _solve_model(
+    root: RootStructure, key: tuple[float, ...], lower: tuple[float, ...],
+    upper: tuple[float, ...]
+) -> PipelineResult:
+    """Build, solve and certify the model of a box with this key."""
     start = time.perf_counter()
     use_bcs = root.options.use_bound_constraints
     try:
-        bcs = make_bound_constraints(inst, root.exponents) if use_bcs else []
-        model = build_model(assemble_lagrangian(inst, bcs, use_bcs), root.cands, root.covers,
-                            bcs)
+        if key == root.box_key(root.inst.lower, root.inst.upper):
+            bcs, lag = root.bcs, root.lag
+        else:
+            inst = replace(root.inst, lower=tuple(lower), upper=tuple(upper))
+            bcs = make_bound_constraints(inst, root.exponents) if use_bcs else []
+            lag = assemble_lagrangian(inst, bcs, use_bcs)
+        model = build_model(lag, root.cands, root.covers, bcs)
     except PREPARE_ERRORS as exc:
         return failure_result(exc)
     result = solve_relaxation(model, root.options.solver)

@@ -193,7 +193,8 @@ def _off_center(prob, z):
     At a center the gradient would vanish; off it every term has a share.
     """
     move = np.random.default_rng(0).standard_normal(len(z)) * np.maximum(1.0, np.abs(z))
-    step = 0.25 * barrier._max_step(prob, z, move)
+    rho, diag = barrier._slacks(prob, z)[:2]
+    step = 0.25 * barrier._max_step(prob, rho, diag, move)
     while not barrier._strictly_feasible(prob, z + step * move):
         step *= 0.5
     return z + step * move
@@ -237,7 +238,7 @@ class TestBarrierDerivatives:
         else:
             prob, z = barrier._phase2_problem(model), _phase2_point(model)
         tau = 1.0
-        grad, hess = barrier._grad_hess(prob, tau, z)
+        grad, hess, _, _ = barrier._grad_hess(prob, tau, z)
         fd_grad = np.zeros_like(z)
         fd_hess = np.zeros_like(hess)
         for i in range(len(z)):
@@ -262,6 +263,42 @@ class TestBarrierDerivatives:
         assert barrier._phi(prob, 2.0, z) == pytest.approx(phi, rel=1e-12)
         for got, want in zip(barrier._grad_hess(prob, 2.0, z), (grad, hess)):
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
+
+
+def _max_step_from_z(prob, z, d):
+    """The maximum step with the row and diagonal slacks recomputed in
+    long double at z and rounded to float64 before the division."""
+    zl = z.astype(np.longdouble)
+    rho = prob.rows_hp @ zl + prob.rhs_hp
+    diag = prob.diag_sign * zl[prob.diag_idx] + prob.diag_off
+    step = 1.0
+    for slack, rate in ((rho, prob.rows @ d), (diag, prob.diag_sign * d[prob.diag_idx])):
+        shrink = rate < -1e-300
+        if shrink.any():
+            step = min(step, 0.99 * float(np.min(slack[shrink].astype(float) / -rate[shrink])))
+    return step
+
+
+class TestMaxStep:
+    """_max_step on the slacks _grad_hess returns equals the step from
+    slacks recomputed at the point, bit for bit."""
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    @pytest.mark.parametrize("k", range(3))
+    def test_matches_recomputed_slacks(self, circuit_models, phase, k):
+        model = circuit_models[k]
+        if phase == 1:
+            prob, z = barrier._phase1_problem(model), _phase1_point(model)
+        else:
+            prob, z = barrier._phase2_problem(model), _phase2_point(model)
+        _, _, rho, diag = barrier._grad_hess(prob, 1.0, z)
+        rng = np.random.default_rng(k)
+        steps = []
+        for _ in range(20):
+            d = rng.standard_normal(len(z)) * np.maximum(1.0, np.abs(z))
+            steps.append(barrier._max_step(prob, rho, diag, d))
+            assert steps[-1] == _max_step_from_z(prob, z, d)
+        assert min(steps) < 1.0  # some direction meets a boundary
 
 
 def _loop_reference(model, tau, z):

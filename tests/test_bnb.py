@@ -3,11 +3,12 @@ import math
 
 import pytest
 
+from soncbound import bnb, pipeline
 from soncbound import status as st
 from soncbound.barrier import SolverOptions
 from soncbound.bnb import EXHAUSTED, GAP_REACHED, NODE_LIMIT, BnbNode, branch, solve_bnb
 from soncbound.generator import generate_instance
-from soncbound.pipeline import PipelineOptions
+from soncbound.pipeline import PipelineOptions, prepare_root
 from soncbound.poly import parse_instance
 
 TIGHT = PipelineOptions(solver=SolverOptions(tol_gap=1e-8, tol_kkt=1e-5))
@@ -119,7 +120,7 @@ class TestPrepareFailure:
         assert res.lower_bound == -math.inf
         assert res.incumbent_value == math.inf and res.incumbent_point is None
         assert res.status == EXHAUSTED
-        assert res.nodes == 1 and res.error_nodes == 1
+        assert res.nodes == 1 and res.error_nodes == 1 and res.relaxations_solved == 0
         (rec, ) = res.records
         assert rec.status == status and rec.computed_bound is None
         assert rec.effective_bound == -math.inf
@@ -132,3 +133,49 @@ class TestPrepareFailure:
 
     def test_cover_unavailable_without_bound_constraints(self):
         self._check(MIN_X, PipelineOptions(use_bound_constraints=False), st.COVER_UNAVAILABLE)
+
+
+# The benchmark's B&B pair: 1 distinct big-M vector in 40 nodes on the
+# demo instance, 9 on HARD.
+DEMO = generate_instance(1002, n=2, m=1, max_degree=4)
+NODE_RUNS = [
+    pytest.param(DEMO, TIGHT, 1, id="demo"),
+    pytest.param(HARD, PipelineOptions(solver=TIGHT.solver, exponents=(4,)), 9, id="hard"),
+]
+
+
+class TestNodeResultsReused:
+    """solve_bnb solves each distinct node relaxation once and matches a
+    run that solves every node on a fresh root."""
+
+    @pytest.mark.parametrize("inst, options, distinct", NODE_RUNS)
+    def test_same_result_as_fresh_root_per_node(self, monkeypatch, inst, options, distinct):
+        cached = solve_bnb(inst, options, max_nodes=40, gap_tol=1e-6, seed=0)
+
+        def fresh(root, lower, upper):
+            return pipeline.solve_on_box(prepare_root(inst, options), lower, upper)
+
+        monkeypatch.setattr(bnb, "solve_on_box", fresh)
+        plain = solve_bnb(inst, options, max_nodes=40, gap_tol=1e-6, seed=0)
+        assert cached.nodes == plain.nodes == 40
+        assert cached.records == plain.records
+        assert cached.lower_bound == plain.lower_bound
+        assert cached.incumbent_value == plain.incumbent_value
+        assert cached.incumbent_point == plain.incumbent_point
+        assert cached.error_nodes == plain.error_nodes
+        assert cached.status == plain.status
+        assert cached.relaxations_solved == distinct
+
+    @pytest.mark.parametrize("inst, options, distinct", NODE_RUNS)
+    def test_one_solve_per_distinct_big_m(self, monkeypatch, inst, options, distinct):
+        solves = []
+        original = pipeline.solve_relaxation
+
+        def counted(*args):
+            solves.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "solve_relaxation", counted)
+        res = solve_bnb(inst, options, max_nodes=40, gap_tol=1e-6, seed=0)
+        assert res.nodes == 40
+        assert len(solves) == res.relaxations_solved == distinct

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from soncbound import barrier
+from soncbound import barrier, pipeline
 from soncbound import status as st
 from soncbound.generator import generate_instance
 from soncbound.pipeline import (
@@ -143,6 +144,90 @@ class TestOnePipeline:
         res = solve_instance(huge)
         assert res.status == st.NUMERICAL_ERROR
         assert "overflows" in res.message
+
+
+HARD = inst_from({"n": 1, "objective": [[[2], 1.0], [[4], -1.0]], "constraints": [],
+                  "lower": [-1], "upper": [1]})
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name to count its calls; returns the list of call args."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestNodeResultsReused:
+    """solve_on_box solves each box key once per root."""
+
+    def test_same_big_m_is_one_solve(self, monkeypatch):
+        solves = count_calls(monkeypatch, pipeline, "solve_relaxation")
+        root = prepare_root(HARD, PipelineOptions(exponents=(4,)))
+        left = solve_on_box(root, (-1.0, ), (0.0, ))
+        right = solve_on_box(root, (0.0, ), (1.0, ))
+        assert len(solves) == 1 and root.relaxations_solved == 1
+        assert left.status == right.status == st.OPTIMAL
+        assert right.gamma_certified == left.gamma_certified
+        assert right.certificate is left.certificate
+        inner = solve_on_box(root, (0.0, ), (0.5, ))
+        assert len(solves) == 2 and root.relaxations_solved == 2
+        assert inner.status == st.OPTIMAL
+        assert inner.gamma_certified != left.gamma_certified
+
+    def test_without_bound_constraints_every_box_is_one_solve(self, monkeypatch):
+        solves = count_calls(monkeypatch, pipeline, "solve_relaxation")
+        root = prepare_root(MOTZKIN, PipelineOptions(use_bound_constraints=False))
+        wide = solve_on_box(root, (-2.0, -2.0), (2.0, 2.0))
+        narrow = solve_on_box(root, (0.0, -0.5), (0.25, 1.0))
+        assert len(solves) == 1 and root.relaxations_solved == 1
+        assert narrow.gamma_certified == wide.gamma_certified
+        assert narrow.status == st.OPTIMAL
+
+    def test_failures_are_stored_too(self, monkeypatch):
+        # repair fails on this instance (see test_repair_failure_demotes_to_numerical_error)
+        inst = inst_from({
+            "n": 2,
+            "objective": [[[4, 0], 1.0], [[0, 4], 1.0], [[2, 2], -1.0], [[0, 0], 1.0]],
+            "constraints": [], "lower": [-1, -1], "upper": [1, 1],
+        })
+        solves = count_calls(monkeypatch, pipeline, "solve_relaxation")
+        root = prepare_root(inst, PipelineOptions())
+        first = solve_on_box(root, (-1.0, -1.0), (1.0, 1.0))
+        again = solve_on_box(root, (-1.0, 0.0), (1.0, 1.0))
+        assert len(solves) == 1
+        assert first.status == again.status == st.NUMERICAL_ERROR
+        assert again.message == first.message
+
+    def test_hit_reports_lookup_time(self):
+        root = prepare_root(HARD, PipelineOptions(exponents=(4,)))
+        first = solve_on_box(root, (-1.0, ), (1.0, ))
+        again = solve_on_box(root, (-1.0, ), (1.0, ))
+        assert again.seconds < first.seconds
+        assert again == replace(first, seconds=again.seconds)
+
+    def test_fresh_root_per_call(self, monkeypatch):
+        solves = count_calls(monkeypatch, pipeline, "solve_relaxation")
+        for _ in range(2):
+            assert solve_instance(HARD, PipelineOptions(exponents=(4,))).status == st.OPTIMAL
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize("inst, use_bcs, lagrangians, bound_sets", [
+        (generate_instance(1000, n=1, m=0, max_degree=3, density=0.5), True, 2, 1),
+        (MOTZKIN, False, 1, 0),  # acceptance seeds stop at cover-unavailable without bcs
+    ], ids=["with-bcs", "without-bcs"])
+    def test_instance_box_reuses_root_model_parts(self, monkeypatch, inst, use_bcs,
+                                                  lagrangians, bound_sets):
+        lags = count_calls(monkeypatch, pipeline, "assemble_lagrangian")
+        bcs = count_calls(monkeypatch, pipeline, "make_bound_constraints")
+        res = solve_instance(inst, PipelineOptions(use_bound_constraints=use_bcs))
+        assert res.status == st.OPTIMAL
+        assert (len(lags), len(bcs)) == (lagrangians, bound_sets)
 
 
 def test_singular_newton_system_is_numerical_error(monkeypatch):
