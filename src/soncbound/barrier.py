@@ -36,7 +36,7 @@ import numpy as np
 
 from . import status as st
 from .poly import Exponent
-from .relaxation import RelaxationModel
+from .relaxation import RelaxationModel, geometric_mean, required_magnitude
 
 CANNED_EPS = 1e-3  # canned-start value for mu, nu and the c variables
 START_CONSTRUCTIVE = "constructive"
@@ -289,10 +289,7 @@ def _canned_start(model: RelaxationModel) -> np.ndarray:
     for v in model.nonneg_indices:
         z[v] = CANNED_EPS
     for blk in model.blocks:
-        lams = np.asarray(blk.lambdas)
-        c = z[list(blk.c_indices)]
-        theta = float(np.exp(np.sum(lams * (np.log(c) - np.log(lams)))))
-        z[blk.t_index] = 0.5 * theta
+        z[blk.t_index] = 0.5 * geometric_mean(z[list(blk.c_indices)], np.asarray(blk.lambdas))
     return z
 
 
@@ -357,7 +354,7 @@ def _constructive_start(model: RelaxationModel) -> np.ndarray | None:
     for bi, blk in enumerate(model.blocks):
         lams = np.asarray(blk.lambdas)
         s = blk.coeff.value(mu_vec, nu_zero)
-        required = abs(s) if blk.kind != "one-sided" else max(0.0, -s)
+        required = required_magnitude(blk.kind, s)
         target = 2.0 * (required + 1.0)
         prov = np.zeros(len(blk.cand_indices))
         lam0 = 0.0
@@ -385,8 +382,7 @@ def _constructive_start(model: RelaxationModel) -> np.ndarray | None:
             lam_boost = float(sum(lams[k] for k in boost_ks))
             if lam_boost <= 0.0:
                 return None
-            theta = float(np.exp(np.sum(lams * (np.log(prov) - np.log(lams)))))
-            factor = (target / theta) ** (1.0 / lam_boost)
+            factor = (target / geometric_mean(prov, lams)) ** (1.0 / lam_boost)
             if not np.isfinite(factor) or factor > 1e5:
                 return None
             for k in boost_ks:
@@ -492,9 +488,7 @@ def _extract(model: RelaxationModel, z: np.ndarray, stat: str, gap: float, kkt: 
         c_vals[blk.beta] = {
             j: float(z[v]) for j, v in zip(blk.cand_indices, blk.c_indices)
         }
-        theta = float(
-            np.exp(np.sum(np.asarray(blk.lambdas) * (np.log(z[list(blk.c_indices)]) - np.log(blk.lambdas))))
-        )
+        theta = geometric_mean(z[list(blk.c_indices)], np.asarray(blk.lambdas))
         max_resid = max(max_resid, z[blk.t_index] - theta)
     return SolveResult(
         status=stat,

@@ -1,12 +1,15 @@
 """A posteriori certification of solver output.
 
-The interior-point solution is repaired into a certificate whose
-inequalities hold in evaluated floating-point arithmetic: multipliers
-are clamped nonnegative, vertex shares are scaled down until every
-splitting constraint holds with margin, each circuit's origin share is
-recomputed in closed form to dominate the inner coefficient, and the
-bound is re-derived from the origin budget.  Repair can only lower the
-bound, never raise it above the solver's value.
+One repair, in exact rational arithmetic, turns float multipliers and
+vertex shares into a certificate whose inequalities hold exactly:
+multipliers are clamped nonnegative, vertex shares are scaled down
+exactly where a splitting constraint is violated, each circuit's origin
+share is set in closed form, rounded up, so that its circuit inequality
+holds as an integer-power inequality, and the bound is re-derived from
+the origin budget.  repair_and_certify runs it on the solver output and
+rounds the bound down to a float; strict_gamma runs it again on the
+certificate's own floats.  Repair can only lower the bound, never raise
+it above the solver's value.
 """
 
 from __future__ import annotations
@@ -14,18 +17,20 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .geometry import ONE_SIDED
 from .poly import Exponent, PopInstance, evaluate, zero_exponent
-from .relaxation import RelaxationModel, geometric_mean
+from .relaxation import RelaxationModel, required_magnitude
 from .barrier import SolveResult
 
 SOUNDNESS_SLACK = 1e-6  # f(x) >= gamma - SOUNDNESS_SLACK * (1 + |gamma|)
 FEAS_SAMPLE_TOL = 1e-9  # sampled point counts as feasible when g >= -tol
+ROOT_BITS = 64  # significant bits of the rounded-up root in each origin share
+_FLOAT_MAX = Fraction(sys.float_info.max)
 
 
 class RepairFailure(Exception):
@@ -68,160 +73,212 @@ class Certificate:
         return json.dumps(data, indent=1)
 
 
-def _required_magnitude(kind: str, s: float) -> float:
-    return max(0.0, -s) if kind == ONE_SIDED else abs(s)
-
-
 def repair_and_certify(model: RelaxationModel, result: SolveResult) -> Certificate:
     """Turn an optimal SolveResult into a rigorously repaired Certificate.
 
-    Raises RepairFailure when a cover carries no origin weight while its
-    inner coefficient is nonzero, or when a non-origin share vanished.
+    The bound is the exact repair's, rounded down to a float; the
+    certificate's other floats are its exact values, rounded.  Raises
+    RepairFailure when a cover carries no origin weight while its inner
+    coefficient is nonzero, or when a non-origin share vanished.
     """
     if result.gamma is None:
         raise RepairFailure("solver result carries no bound")
-    mu = np.maximum(np.asarray(result.mu, dtype=float), 0.0)
-    nu = np.maximum(np.asarray(result.nu, dtype=float), 0.0)
-    nu_full = np.zeros(model.lag.n)
-    nu_full[: len(nu)] = nu
-
-    origin = zero_exponent(model.lag.n)
-    c_vals: dict[Exponent, dict[int, float]] = {
-        beta: dict(shares) for beta, shares in result.c.items()
-    }
-
-    # Scale vertex shares so every splitting constraint holds with margin.
-    blocks_at: dict[int, list[Exponent]] = {}
-    for blk in model.blocks:
-        for j in blk.cand_indices:
-            if j != 0:
-                blocks_at.setdefault(j, []).append(blk.beta)
-    coeff_at: dict[int, float] = {}
-    for j, point in enumerate(model.cands.points):
-        if j == 0:
-            continue
-        coeff = model.lag.coeffs.get(point)
-        if coeff is None:
-            continue
-        value = coeff.value(mu, nu_full)
-        if value < 0.0:
-            raise RepairFailure(
-                f"vertex coefficient at {point} is negative ({value:.3e}) after clamping"
-            )
-        coeff_at[j] = value
-        betas = blocks_at.get(j, [])
-        total = sum(c_vals[b][j] for b in betas)
-        if total > value:
-            scale = 0.0 if value == 0.0 else (value / total) * (1.0 - 1e-13)
-            for b in betas:
-                c_vals[b][j] *= scale
-            while sum(c_vals[b][j] for b in betas) > value:
-                for b in betas:
-                    c_vals[b][j] *= 1.0 - 1e-13
-
-    # Recompute each circuit's origin share in closed form.
-    circuits = []
-    origin_total = 0.0
-    for blk in model.blocks:
-        cover = model.covers[blk.beta]
-        s = blk.coeff.value(mu, nu_full)
-        required = _required_magnitude(blk.kind, s)
-        shares = c_vals[blk.beta]
-        lam0 = cover.origin_weight
-        if required == 0.0:
-            if 0 in shares:
-                shares[0] = 0.0
-        else:
-            if lam0 <= 0.0:
-                raise RepairFailure(
-                    f"cover of {blk.beta} has no origin weight; "
-                    "the required magnitude cannot be absorbed at the origin"
-                )
-            log_prod = 0.0
-            for j, lam in cover.weights.items():
-                if j == 0:
-                    continue
-                if shares[j] <= 0.0:
-                    raise RepairFailure(
-                        f"non-origin share at candidate {j} vanished for {blk.beta} "
-                        f"while the inner coefficient is {s:.3e}"
-                    )
-                log_prod += lam * (np.log(shares[j]) - np.log(lam))
-            c0 = lam0 * (required / np.exp(log_prod)) ** (1.0 / lam0)
-            if not np.isfinite(c0):
-                raise RepairFailure(f"origin share for {blk.beta} overflows")
-            # Pad until the circuit condition holds in evaluated arithmetic.
-            lams_arr = np.array([cover.weights[j] for j in sorted(cover.weights)])
-            for _ in range(20):
-                trial = dict(shares)
-                trial[0] = c0
-                theta = geometric_mean(
-                    np.array([trial[j] for j in sorted(cover.weights)]), lams_arr
-                )
-                if theta >= required:
-                    break
-                c0 *= 1.0 + 1e-13
-            else:
-                raise RepairFailure(f"could not stabilize the origin share for {blk.beta}")
-            shares[0] = c0
-        origin_total += shares.get(0, 0.0)
-        circuits.append(
-            CircuitCertificate(
-                beta=blk.beta,
-                lambdas=dict(cover.weights),
-                c=dict(shares),
-                inner_coeff=s,
-            )
+    rep = _repair(model, result.mu, result.nu, result.c, Fraction(result.gamma))
+    gamma = _float_below(rep.gamma)
+    circuits = tuple(
+        CircuitCertificate(
+            beta=blk.beta,
+            lambdas=dict(model.covers[blk.beta].weights),
+            c={j: float(v) for j, v in rep.shares[blk.beta].items()},
+            inner_coeff=float(rep.inner[blk.beta]),
         )
-
-    origin_coeff = model.lag.coeffs[origin]
-    gamma_formula = origin_coeff.value(mu, nu_full, gamma=0.0) - origin_total
-    gamma_certified = min(gamma_formula, float(result.gamma))
-
-    leftovers = {0: gamma_formula - gamma_certified}
-    for j, value in coeff_at.items():
-        used = sum(c_vals[b][j] for b in blocks_at.get(j, []))
-        leftovers[j] = value - used
-
+        for blk in model.blocks
+    )
+    leftovers = {0: float(rep.budget - Fraction(gamma))}
+    leftovers.update((j, float(v)) for j, v in rep.leftovers.items())
     return Certificate(
-        gamma_certified=gamma_certified,
-        mu=mu,
-        nu=nu,
-        circuits=tuple(circuits),
+        gamma_certified=gamma,
+        mu=np.array([float(v) for v in rep.mu]),
+        nu=np.array([float(v) for v in rep.nu]),
+        circuits=circuits,
         leftovers=leftovers,
         candidates=model.cands.points,
     )
 
 
-def _exact_solve(rows, rhs):
-    """Gaussian elimination over the rationals; None when singular."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
+def strict_gamma(model: RelaxationModel, cert: Certificate) -> Fraction:
+    """Re-derive the certified bound in exact rational arithmetic.
+
+    This is the exact repair again, run on the certificate's own floats
+    (multipliers and vertex shares; origin shares are recomputed) and
+    capped at its certified bound, so strict <= certified holds by
+    construction.  The returned Fraction is a rigorous lower bound.
+    """
+    shares = {circ.beta: circ.c for circ in cert.circuits}
+    return _repair(model, cert.mu, cert.nu, shares, Fraction(cert.gamma_certified)).gamma
+
+
+def strict_gamma_float(model: RelaxationModel, cert: Certificate) -> float:
+    """Float representation of the strict bound, rounded toward -inf."""
+    return _float_below(strict_gamma(model, cert))
+
+
+def _float_below(value: Fraction) -> float:
+    """The largest float <= value."""
+    nearest = float(value)  # correctly rounded
+    return nearest if Fraction(nearest) <= value else math.nextafter(nearest, -math.inf)
+
+
+@dataclass(frozen=True)
+class _Repair:
+    gamma: Fraction  # min(budget, cap)
+    budget: Fraction  # origin coefficient minus the origin shares
+    mu: list[Fraction]
+    nu: list[Fraction]
+    shares: dict[Exponent, dict[int, Fraction]]  # circuit -> candidate index -> share
+    inner: dict[Exponent, Fraction]  # circuit -> inner coefficient f_beta(mu)
+    leftovers: dict[int, Fraction]  # non-origin candidate index -> unused mass
+
+
+def _repair(model: RelaxationModel, mu, nu, c, cap: Fraction) -> _Repair:
+    """The one certificate repair, in exact rational arithmetic.
+
+    Multipliers are clamped at 0, vertex shares c (circuit -> candidate
+    index -> share) are scaled down exactly where a splitting constraint
+    is violated, each circuit's origin share is set in closed form
+    (_origin_share), and the bound is re-derived from the origin budget
+    and capped at cap.
+    """
+    mu = [Fraction(max(0.0, float(v))) for v in mu]
+    nu = [Fraction(max(0.0, float(v))) for v in nu]
+    nu_full = nu + [Fraction(0)] * (model.lag.n - len(nu))
+    shares = {beta: {j: Fraction(float(v)) for j, v in cb.items()} for beta, cb in c.items()}
+
+    blocks_at: dict[int, list[Exponent]] = {}
+    for blk in model.blocks:
+        for j in blk.cand_indices:
+            if j != 0:
+                blocks_at.setdefault(j, []).append(blk.beta)
+    leftovers = {}
+    for j, point in enumerate(model.cands.points[1:], start=1):
+        coeff = model.lag.coeffs.get(point)
+        value = _exact_affine(coeff, mu, nu_full) if coeff is not None else Fraction(0)
+        if value < 0:
+            raise RepairFailure(
+                f"vertex coefficient at {point} is negative ({float(value):.3e}) after clamping"
+            )
+        betas = blocks_at.get(j, [])
+        total = sum(shares[b][j] for b in betas)
+        if total > value:
+            for b in betas:
+                shares[b][j] *= value / total
+            total = value
+        leftovers[j] = value - total
+
+    inner = {}
+    origin_shares = Fraction(0)
+    for blk in model.blocks:
+        circ = shares[blk.beta]
+        s = inner[blk.beta] = _exact_affine(blk.coeff, mu, nu_full)
+        required = required_magnitude(blk.kind, s)
+        if required:
+            circ[0] = _origin_share(model, blk.beta, circ, required, s)
+            origin_shares += circ[0]
+        elif 0 in circ:
+            circ[0] = Fraction(0)
+
+    origin = model.lag.coeffs[zero_exponent(model.lag.n)]
+    budget = _exact_affine(origin, mu, nu_full) - origin_shares
+    return _Repair(min(budget, cap), budget, mu, nu, shares, inner, leftovers)
+
+
+def _origin_share(model: RelaxationModel, beta: Exponent, shares: dict[int, Fraction],
+                  required: Fraction, s: Fraction) -> Fraction:
+    """c0 = lam0 * y for the least dyadic y of ROOT_BITS bits with
+    prod_j (c_j / lam_j)**lam_j >= required, over the exact weights lam.
+
+    With L the lcm of the weights' denominators, that inequality is
+    y**(lam0 L) >= required**L / prod_{j != 0} (c_j / lam_j)**(lam_j L),
+    an integer-power inequality, so y is an integer root rounded up.
+    """
+    idx = list(shares)
+    pts = [model.cands.points[j] for j in idx]
+    rows = [[p[i] for p in pts] for i in range(len(beta))] + [[1] * len(pts)]
+    lam = _exact_solve(rows, [*beta, 1])
+    if lam is None or any(w.numerator < 0 for w in lam):
+        raise RepairFailure(f"no exact barycentric weights for {beta}")
+    weights = dict(zip(idx, lam))
+    if not weights.get(0):
+        raise RepairFailure(
+            f"cover of {beta} has no origin weight; "
+            "the required magnitude cannot be absorbed at the origin"
+        )
+    lcm = math.lcm(*(w.denominator for w in lam))
+    num, den = required.numerator**lcm, required.denominator**lcm
+    for j, w in weights.items():
+        if j == 0 or not w:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, m):
-        if a[i][n] != 0:
+        c_j = shares[j]
+        if c_j.numerator <= 0:
+            raise RepairFailure(
+                f"non-origin share at candidate {j} vanished for {beta} "
+                f"while the inner coefficient is {float(s):.3e}"
+            )
+        k = w.numerator * (lcm // w.denominator)  # w * L
+        num *= (c_j.denominator * w.numerator) ** k
+        den *= (c_j.numerator * w.denominator) ** k
+    lam0 = weights[0]
+    c0 = lam0 * _root_up(num, den, lam0.numerator * (lcm // lam0.denominator))
+    if c0 > _FLOAT_MAX:
+        raise RepairFailure(f"origin share for {beta} overflows")
+    return c0
+
+
+def _root_up(num: int, den: int, p: int) -> Fraction:
+    """The least y = m * 2**e, m of ROOT_BITS bits, with y**p >= num / den > 0."""
+    t = num.bit_length() - den.bit_length()  # floor(log2(num / den)) is t or t - 1
+    if num << max(0, -t) < den << max(0, t):
+        t -= 1
+    # The root lies in [2**(t // p), 2**(t // p + 1)), so m lies in
+    # [2**(ROOT_BITS - 1), 2**ROOT_BITS].
+    e = t // p - ROOT_BITS + 1
+    shift = e * p
+    target = -(-(num << max(0, -shift)) // (den << max(0, shift)))  # ceil(num / den / 2**shift)
+    m = _iroot_up(target, p)
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def _iroot_up(n: int, p: int) -> int:
+    """The least integer m with m**p >= n >= 1, by integer Newton steps."""
+    drop = max(0, n.bit_length() - 64)
+    guess = max(1, int(2.0 ** ((math.log2(n >> drop) + drop) / p)))
+
+    def step(x: int) -> int:  # at or above floor(n ** (1/p)) from any x >= 1
+        return ((p - 1) * x + n // x ** (p - 1)) // p
+
+    x = step(guess)
+    while (y := step(x)) < x:  # descends to floor(n ** (1/p))
+        x = y
+    return x if x**p >= n else x + 1
+
+
+def _exact_solve(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
+    """The unique rational x with rows @ x = rhs, by fraction-free
+    elimination over the integers; None when there is none or many."""
+    a = [row + [b] for row, b in zip(rows, rhs)]
+    n = len(rows[0])
+    for col in range(n):
+        piv = next((i for i in range(col, len(a)) if a[i][col]), None)
+        if piv is None:
             return None
-    if len(pivots) < n:
+        a[col], a[piv] = a[piv], a[col]
+        p, pivot_row = a[col][col], a[col]
+        a = [row if i == col or not row[col]
+             else [p * v - row[col] * w for v, w in zip(row, pivot_row)]
+             for i, row in enumerate(a)]
+    if any(row[n] for row in a[n:]):
         return None
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = a[i][n]
-    return x
+    return [Fraction(a[i][n], a[i][i]) for i in range(n)]
 
 
 def _exact_affine(coeff, mu, nu) -> Fraction:
@@ -231,100 +288,6 @@ def _exact_affine(coeff, mu, nu) -> Fraction:
     for i, v in coeff.nu.items():
         total += Fraction(v) * nu[i]
     return total
-
-
-def strict_gamma(model: RelaxationModel, cert: Certificate) -> Fraction:
-    """Re-derive the certified bound in exact rational arithmetic.
-
-    Barycentric weights are recomputed exactly from the integer cover
-    points, vertex shares are rescaled exactly where splitting demands
-    it, and each circuit condition is verified as an integer-power
-    inequality (raising both sides to the lcm of the weight
-    denominators), so no irrational quantity is ever evaluated.  The
-    returned Fraction is a mathematically rigorous lower bound.
-    """
-    mu = [Fraction(float(v)) for v in cert.mu]
-    nu = [Fraction(float(v)) for v in cert.nu]
-    nu_full = nu + [Fraction(0)] * (model.lag.n - len(nu))
-    origin = zero_exponent(model.lag.n)
-
-    # Exact vertex shares, rescaled to meet the splitting constraints.
-    shares: dict[Exponent, dict[int, Fraction]] = {
-        circ.beta: {j: Fraction(float(v)) for j, v in circ.c.items()}
-        for circ in cert.circuits
-    }
-    blocks_at: dict[int, list[Exponent]] = {}
-    for circ in cert.circuits:
-        for j in circ.c:
-            if j != 0:
-                blocks_at.setdefault(j, []).append(circ.beta)
-    for j, betas in sorted(blocks_at.items()):
-        coeff = model.lag.coeffs.get(model.cands.points[j])
-        value = _exact_affine(coeff, mu, nu_full) if coeff is not None else Fraction(0)
-        if value < 0:
-            raise RepairFailure(f"strict mode: negative vertex coefficient at index {j}")
-        total = sum(shares[b][j] for b in betas)
-        if total > value:
-            scale = value / total
-            for b in betas:
-                shares[b][j] *= scale
-
-    origin_total = Fraction(0)
-    for blk in model.blocks:
-        circ_shares = shares[blk.beta]
-        s = _exact_affine(blk.coeff, mu, nu_full)
-        required = max(Fraction(0), -s) if blk.kind == ONE_SIDED else abs(s)
-        if required == 0:
-            circ_shares[0] = Fraction(0)
-            continue
-        pts = [model.cands.points[j] for j in sorted(circ_shares)]
-        rows = [[Fraction(p[i]) for p in pts] for i in range(model.lag.n)]
-        rows.append([Fraction(1)] * len(pts))
-        rhs = [Fraction(v) for v in blk.beta] + [Fraction(1)]
-        lam = _exact_solve(rows, rhs)
-        if lam is None or any(v < 0 for v in lam):
-            raise RepairFailure(f"strict mode: no exact barycentric weights for {blk.beta}")
-        index_of = {j: k for k, j in enumerate(sorted(circ_shares))}
-        if 0 not in index_of or lam[index_of[0]] <= 0:
-            raise RepairFailure(f"strict mode: cover of {blk.beta} has no origin weight")
-        denom_lcm = 1
-        for v in lam:
-            denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-
-        def circuit_holds(c0: Fraction) -> bool:
-            lhs = required**denom_lcm
-            rhs_val = Fraction(1)
-            for j, k in index_of.items():
-                if lam[k] == 0:
-                    continue
-                c_j = c0 if j == 0 else circ_shares[j]
-                if c_j <= 0:
-                    return False
-                rhs_val *= (c_j / lam[k]) ** int(lam[k] * denom_lcm)
-            return rhs_val >= lhs
-
-        c0 = circ_shares.get(0, Fraction(0))
-        bump = Fraction(2**40 + 1, 2**40)
-        for _ in range(200):
-            if c0 > 0 and circuit_holds(c0):
-                break
-            c0 = c0 * bump if c0 > 0 else Fraction(1, 10**6)
-        else:
-            raise RepairFailure(f"strict mode: cannot settle the origin share for {blk.beta}")
-        circ_shares[0] = c0
-        origin_total += c0
-
-    gamma_exact = _exact_affine(model.lag.coeffs[origin], mu, nu_full) - origin_total
-    return min(gamma_exact, Fraction(float(cert.gamma_certified)))
-
-
-def strict_gamma_float(model: RelaxationModel, cert: Certificate) -> float:
-    """Float representation of the strict bound, rounded toward -inf."""
-    exact = strict_gamma(model, cert)
-    value = float(exact)
-    while Fraction(value) > exact:
-        value = math.nextafter(value, -math.inf)
-    return value
 
 
 @dataclass(frozen=True)

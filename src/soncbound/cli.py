@@ -7,7 +7,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import status as st
@@ -242,20 +242,12 @@ def cmd_bnb(args) -> int:
     inst = _load_instance(args.instance)
     if inst is None:
         return 1
-    solver = SolverOptions(
+    options = replace(_pipeline_options(args, use_bcs=True), solver=SolverOptions(
         tol_gap=min(args.tol_gap, 1e-8),
         tol_kkt=1e-5,
         tol_feas=args.tol_feas,
         max_outer=args.max_iters,
-    )
-    options = PipelineOptions(
-        use_bound_constraints=True,
-        exponent_strategy=args.exponent_strategy,
-        exponents=tuple(int(v) for v in args.bound_exponents.split(","))
-        if args.bound_exponents
-        else None,
-        solver=solver,
-    )
+    ))
     result = solve_bnb(
         inst,
         options,

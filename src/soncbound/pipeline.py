@@ -34,7 +34,6 @@ class PipelineOptions:
     exponent_strategy: str = UNIFORM
     exponents: tuple[int, ...] | None = None  # explicit override of the a_i
     solver: SolverOptions = field(default_factory=SolverOptions)
-    certify: bool = True
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,7 @@ def _solve_model(
         message=result.message,
         seconds=time.perf_counter() - start,
     )
-    if result.status != st.OPTIMAL or not root.options.certify:
+    if result.status != st.OPTIMAL:
         return base
     try:
         cert = repair_and_certify(model, result)

@@ -271,6 +271,13 @@ def build_model(
     )
 
 
+def required_magnitude(kind: str, s):
+    """What a circuit's geometric mean must dominate at inner coefficient s:
+    |s| for a two-sided term, only -s (when positive) for a one-sided one.
+    Works for floats and Fractions alike."""
+    return max(0, -s) if kind == ONE_SIDED else abs(s)
+
+
 def geometric_mean(c: np.ndarray, lambdas: np.ndarray) -> float:
     """prod_j (c_j / lambda_j)**lambda_j, computed in the log domain."""
     c = np.asarray(c, dtype=float)

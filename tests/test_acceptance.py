@@ -10,6 +10,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from soncbound import status as st
 from soncbound.barrier import SolveResult, SolverOptions
 from soncbound.bnb import GAP_REACHED, solve_bnb
-from soncbound.certify import repair_and_certify, sample_soundness_check
+from soncbound.certify import repair_and_certify, sample_soundness_check, strict_gamma
 from soncbound.cli import main
 from soncbound.generator import generate_instance
 from soncbound.geometry import CandidateSet, CoverUnavailable, barycentric_coordinates
@@ -227,6 +228,16 @@ def test_criterion_5_certifier_contract(corpus):
         f"repair idempotent (max drift {worst_drift:.2e})",
     )
     assert ok
+
+
+def test_strict_certifies_every_optimal_solve(corpus):
+    """The exact re-check succeeds wherever a float certificate was issued."""
+    entries, _ = corpus
+    optimal = [e.with_bcs for e in entries if e.with_bcs.status == st.OPTIMAL]
+    assert optimal
+    for res in optimal:
+        strict = strict_gamma(res.model, res.certificate)
+        assert strict <= Fraction(res.gamma_certified) <= Fraction(res.gamma_solver)
 
 
 def test_criterion_6_bnb_sanity(corpus):

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,13 +8,17 @@ import pytest
 from soncbound import status as st
 from soncbound.barrier import SolveResult, solve_relaxation
 from soncbound.certify import (
+    ROOT_BITS,
     RepairFailure,
+    _root_up,
     repair_and_certify,
     sample_soundness_check,
     strict_gamma,
     strict_gamma_float,
 )
 from soncbound.covers import build_candidates_and_covers, make_bound_constraints
+from soncbound.generator import generate_instance
+from soncbound.pipeline import solve_instance
 from soncbound.poly import parse_instance
 from soncbound.relaxation import assemble_lagrangian, build_model
 
@@ -188,6 +193,26 @@ class TestStrictMode:
         sg = strict_gamma_float(model, cert)
         report = sample_soundness_check(inst, sg, k=500, seed=3)
         assert report.ok()
+
+    def test_strict_settles_high_degree_origin_share(self):
+        res = solve_instance(generate_instance(3, n=2, m=1, max_degree=8))
+        assert res.status == st.OPTIMAL
+        assert strict_gamma(res.model, res.certificate) <= Fraction(res.gamma_certified)
+
+
+class TestOriginShareRoot:
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_least_dyadic_at_or_above_the_root(self, p):
+        rng = random.Random(p)
+        for _ in range(20):
+            num = rng.randrange(1, 2 ** rng.randrange(1, 400))
+            den = rng.randrange(1, 2 ** rng.randrange(1, 400))
+            y, r = _root_up(num, den, p), Fraction(num, den)
+            assert y**p >= r
+            assert (y * (1 - Fraction(1, 2**50))) ** p < r
+            odd = y.numerator >> ((y.numerator & -y.numerator).bit_length() - 1)
+            assert y.denominator & (y.denominator - 1) == 0  # a power of two
+            assert odd.bit_length() <= ROOT_BITS
 
 
 class TestSoundnessCheck:

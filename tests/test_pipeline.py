@@ -98,14 +98,6 @@ class TestSolveOnBox:
         assert res.status == st.OPTIMAL
         assert res.gamma_certified <= 0.0 + 1e-6
 
-    def test_certify_false_skips_certificate(self):
-        root = prepare_root(MIN_X, PipelineOptions(certify=False))
-        res = solve_on_box(root, (-1.0, ), (2.0, ))
-        assert res.status == st.OPTIMAL
-        assert res.certificate is None
-        assert res.gamma_certified is None
-        assert res.gamma_solver == pytest.approx(-2.0, abs=1e-5)
-
 
 class TestOnePipeline:
     """solve_instance is prepare_root plus solve_on_box on the instance box."""
