@@ -195,25 +195,22 @@ def _repair(model: RelaxationModel, mu, nu, c, cap: Fraction) -> _Repair:
 def _origin_share(model: RelaxationModel, beta: Exponent, shares: dict[int, Fraction],
                   required: Fraction, s: Fraction) -> Fraction:
     """c0 = lam0 * y for the least dyadic y of ROOT_BITS bits with
-    prod_j (c_j / lam_j)**lam_j >= required, over the exact weights lam.
+    prod_j (c_j / lam_j)**lam_j >= required, over the cover's exact
+    weights lam.
 
     With L the lcm of the weights' denominators, that inequality is
     y**(lam0 L) >= required**L / prod_{j != 0} (c_j / lam_j)**(lam_j L),
     an integer-power inequality, so y is an integer root rounded up.
     """
-    idx = list(shares)
-    pts = [model.cands.points[j] for j in idx]
-    rows = [[p[i] for p in pts] for i in range(len(beta))] + [[1] * len(pts)]
-    lam = _exact_solve(rows, [*beta, 1])
-    if lam is None or any(w.numerator < 0 for w in lam):
+    weights = model.covers[beta].exact_weights
+    if weights is None or any(w.numerator < 0 for w in weights.values()):
         raise RepairFailure(f"no exact barycentric weights for {beta}")
-    weights = dict(zip(idx, lam))
     if not weights.get(0):
         raise RepairFailure(
             f"cover of {beta} has no origin weight; "
             "the required magnitude cannot be absorbed at the origin"
         )
-    lcm = math.lcm(*(w.denominator for w in lam))
+    lcm = math.lcm(*(w.denominator for w in weights.values()))
     num, den = required.numerator**lcm, required.denominator**lcm
     for j, w in weights.items():
         if j == 0 or not w:
@@ -260,25 +257,6 @@ def _iroot_up(n: int, p: int) -> int:
     while (y := step(x)) < x:  # descends to floor(n ** (1/p))
         x = y
     return x if x**p >= n else x + 1
-
-
-def _exact_solve(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
-    """The unique rational x with rows @ x = rhs, by fraction-free
-    elimination over the integers; None when there is none or many."""
-    a = [row + [b] for row, b in zip(rows, rhs)]
-    n = len(rows[0])
-    for col in range(n):
-        piv = next((i for i in range(col, len(a)) if a[i][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        p, pivot_row = a[col][col], a[col]
-        a = [row if i == col or not row[col]
-             else [p * v - row[col] * w for v, w in zip(row, pivot_row)]
-             for i, row in enumerate(a)]
-    if any(row[n] for row in a[n:]):
-        return None
-    return [Fraction(a[i][n], a[i][i]) for i in range(n)]
 
 
 def _exact_affine(coeff, mu, nu) -> Fraction:

@@ -9,6 +9,8 @@ candidate set by linear programming.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -69,10 +71,39 @@ class Cover:
 
     beta: Exponent
     weights: dict[int, float]  # candidate index -> lambda in (0, 1]
+    points: tuple[Exponent, ...]  # the candidate points the weights index
 
     @property
     def origin_weight(self) -> float:
         return self.weights.get(0, 0.0)
+
+    @cached_property
+    def exact_weights(self) -> dict[int, Fraction] | None:
+        """The weights as exact rationals, solved from the points they
+        index; None when those points do not determine them uniquely."""
+        idx = sorted(self.weights)
+        rows = [[self.points[j][i] for j in idx] for i in range(len(self.beta))]
+        lam = _exact_solve(rows + [[1] * len(idx)], [*self.beta, 1])
+        return None if lam is None else dict(zip(idx, lam))
+
+
+def _exact_solve(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
+    """The unique rational x with rows @ x = rhs, by fraction-free
+    elimination over the integers; None when there is none or many."""
+    a = [row + [b] for row, b in zip(rows, rhs)]
+    n = len(rows[0])
+    for col in range(n):
+        piv = next((i for i in range(col, len(a)) if a[i][col]), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        p, pivot_row = a[col][col], a[col]
+        a = [row if i == col or not row[col]
+             else [p * v - row[col] * w for v, w in zip(row, pivot_row)]
+             for i, row in enumerate(a)]
+    if any(row[n] for row in a[n:]):
+        return None
+    return [Fraction(a[i][n], a[i][i]) for i in range(n)]
 
 
 def is_even(e: Exponent) -> bool:
@@ -152,7 +183,7 @@ def barycentric_coordinates(beta: Exponent, cands: CandidateSet) -> Cover:
     if res.status != simplex.OPTIMAL:
         raise LpFailure(f"barycentric LP for {beta}: {res.status}")
     weights = {j: float(w) for j, w in enumerate(res.x) if w > 1e-12}
-    cover = Cover(beta=beta, weights=weights)
+    cover = Cover(beta=beta, weights=weights, points=cands.points)
     _validate_cover(cover, cands)
     return cover
 

@@ -116,8 +116,9 @@ class InnerBlock:
 
 @dataclass(frozen=True)
 class RelaxationModel:
-    """max z[gamma] over linear rows A z + b >= 0 plus, per inner block,
-    the concave circuit condition t <= prod_j (c_j / lambda_j)**lambda_j."""
+    """max z[gamma] over linear rows A z + b >= 0, sign bounds z_v >= 0
+    for v in nonneg_indices and, per inner block, the concave circuit
+    condition t <= prod_j (c_j / lambda_j)**lambda_j."""
 
     nvar: int
     gamma_index: int
@@ -246,12 +247,6 @@ def build_model(
 
     # Sign bounds on everything except gamma.
     nonneg = mu + nu + [v for blk in blocks for v in (blk.t_index, *blk.c_indices)]
-    for v in nonneg:
-        row = np.zeros(layout.nvar)
-        row[v] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-        labels.append(f"bound var{v}")
 
     return RelaxationModel(
         nvar=layout.nvar,
@@ -304,6 +299,8 @@ def dump_model(model: RelaxationModel) -> str:
         if const:
             terms.append(f"{const:+g}")
         lines.append(f"LIN {' '.join(terms)} >= 0   # {label}")
+    for v in model.nonneg_indices:
+        lines.append(f"LIN +1*{names[v]} >= 0   # bound var{v}")
     for blk in model.blocks:
         prods = " * ".join(
             f"(c[{blk.beta},{j}]/{lam:g})^{lam:g}"

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -179,3 +180,13 @@ class TestNodeResultsReused:
         res = solve_bnb(inst, options, max_nodes=40, gap_tol=1e-6, seed=0)
         assert res.nodes == 40
         assert len(solves) == res.relaxations_solved == distinct
+
+
+def test_wide_box_raises_no_warning():
+    """x^7 - x on [-1000, 1000]: every node may fail, but no NaN reaches numpy."""
+    inst = inst_from({"n": 1, "objective": [[[7], 1.0], [[1], -1.0]], "constraints": [],
+                      "lower": [-1000], "upper": [1000]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_bnb(inst, max_nodes=30)
+    assert res.nodes == 30

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from soncbound import geometry
 from soncbound import status as st
 from soncbound.barrier import SolveResult, solve_relaxation
 from soncbound.certify import (
@@ -198,6 +199,27 @@ class TestStrictMode:
         res = solve_instance(generate_instance(3, n=2, m=1, max_degree=8))
         assert res.status == st.OPTIMAL
         assert strict_gamma(res.model, res.certificate) <= Fraction(res.gamma_certified)
+
+
+class TestExactWeights:
+    def test_solved_once_per_cover(self, monkeypatch):
+        calls = []
+        exact_solve = geometry._exact_solve
+
+        def counting(rows, rhs):
+            calls.append(rhs)
+            return exact_solve(rows, rhs)
+
+        monkeypatch.setattr(geometry, "_exact_solve", counting)
+        # acceptance seed 1002: nine circuits
+        res = solve_instance(generate_instance(1002, n=3, m=2, max_degree=5, density=0.5))
+        assert res.status == st.OPTIMAL
+        strict_gamma(res.model, res.certificate)
+        strict_gamma(res.model, res.certificate)
+        betas = [tuple(rhs[:-1]) for rhs in calls]  # each call solves for [*beta, 1]
+        assert len(betas) >= 3
+        assert len(set(betas)) == len(betas)
+        assert set(betas) <= set(res.model.covers)
 
 
 class TestOriginShareRoot:

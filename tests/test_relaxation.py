@@ -122,6 +122,14 @@ class TestBuildModel:
         assert any(line.startswith("LIN ") for line in text.splitlines())
         assert any(line.startswith("GEO t[(1,)] <= ") for line in text.splitlines())
 
+    def test_sign_bounds_only_as_indices(self):
+        model = build_for(make_inst(), a=(2,))
+        assert not any(lbl.startswith("bound") for lbl in model.row_labels)
+        assert len(model.rows) == len(model.row_labels)
+        bound_lines = [line for line in dump_model(model).splitlines() if "# bound" in line]
+        assert bound_lines[0] == "LIN +1*nu[0] >= 0   # bound var1"
+        assert len(bound_lines) == len(model.nonneg_indices)
+
 
 class TestGeometricMean:
     def test_exact_value(self):
