@@ -18,9 +18,11 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import status as st
 from .pipeline import PREPARE_ERRORS, PipelineOptions, failure_result, prepare_root, solve_on_box
-from .poly import PopInstance, evaluate
+from .poly import PopInstance, evaluate_points
 
 WIDTH_EPS = 1e-9  # boxes thinner than this are leaves
 SAMPLES_PER_NODE = 200
@@ -94,14 +96,15 @@ def _sample_incumbent(inst: PopInstance, node: BnbNode, seed: int):
     cands.extend(_corners(node.lower, node.upper))
     for _ in range(SAMPLES_PER_NODE):
         cands.append(tuple(rng.uniform(lo, hi) for lo, hi in zip(node.lower, node.upper)))
-    best_val, best_pt = math.inf, None
-    for x in cands:
-        if any(evaluate(g, x) < -1e-9 for g in inst.constraints):
-            continue
-        fx = evaluate(inst.objective, x)
-        if fx < best_val:
-            best_val, best_pt = fx, x
-    return best_val, best_pt
+    points = np.array(cands)
+    values = evaluate_points(inst.objective, points)
+    usable = values < math.inf  # NaN never counts as a minimum
+    for g in inst.constraints:
+        usable &= ~(evaluate_points(g, points) < -1e-9)
+    if not usable.any():
+        return math.inf, None
+    best = int(np.argmin(np.where(usable, values, math.inf)))
+    return float(values[best]), cands[best]
 
 
 def solve_bnb(

@@ -139,6 +139,7 @@ def cmd_solve(args) -> int:
             payload["mu"] = [float(v) for v in result.solve.mu]
             payload["nu"] = [float(v) for v in result.solve.nu]
             payload["iterations"] = result.solve.iterations
+            payload["outer_iterations"] = result.solve.outer_iterations
             payload["start"] = result.solve.start
         print(json.dumps(payload, indent=1))
     else:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -395,6 +396,57 @@ class TestPinnedResults:
         assert res.gamma_certified == pytest.approx(gamma, rel=1e-7)
         strict = strict_gamma_float(res.model, res.certificate)
         assert strict <= res.gamma_certified <= res.gamma_solver
+
+
+class TestLongStep:
+    """Phase 2 centers loosely between barrier weights and tightly where
+    the gap is read."""
+
+    def test_loose_center_stops_at_its_tolerance(self, circuit_models):
+        loose_total = tight_total = 0
+        for model in circuit_models:
+            prob, z = barrier._phase2_problem(model), _phase2_point(model)
+            z_loose, ok, loose, dec = barrier._center(prob, 1.0, z, barrier.LONG_STEP_DECREMENT)
+            assert ok and abs(dec) <= barrier.LONG_STEP_DECREMENT
+            _, ok, tight, dec = barrier._center(prob, 1.0, z)
+            assert ok and abs(dec) <= barrier._decrement_floor(1.0)
+            assert loose <= tight
+            loose_total, tight_total = loose_total + loose, tight_total + tight
+        assert loose_total < tight_total
+
+    def test_only_the_final_center_is_tight(self, monkeypatch):
+        calls = []
+        original = barrier._center
+
+        def spy(prob, tau, z, *args, **kwargs):
+            out = original(prob, tau, z, *args, **kwargs)
+            calls.append((prob.w_index, tau, out[1], out[3]))
+            return out
+
+        monkeypatch.setattr(barrier, "_center", spy)
+        res = solve_instance(_acceptance_instance(0))
+        assert res.status == st.OPTIMAL
+        phase2 = [c for c in calls if c[0] < 0]
+        *earlier, (_, tau, converged, last) = phase2
+        assert converged and abs(last) <= barrier._decrement_floor(tau)
+        assert all(abs(dec) <= barrier.LONG_STEP_DECREMENT for _, _, _, dec in earlier)
+        assert any(abs(dec) > barrier._decrement_floor(t) for _, t, _, dec in earlier)
+
+    def test_acceptance_step_count(self):
+        # 1,473 steps with every barrier weight centered to the float floor
+        steps = sum(solve_instance(_acceptance_instance(i)).solve.iterations for i in range(20))
+        assert steps <= 770
+
+    def test_highdeg_solved_by_long_steps(self):
+        res = solve_instance(generate_instance(14, n=4, m=2, max_degree=8))
+        assert res.status == st.OPTIMAL, res.message
+        assert res.gamma_certified == pytest.approx(-155.5439416439218, rel=1e-7)
+        strict = strict_gamma_float(res.model, res.certificate)
+        assert strict <= res.gamma_certified <= res.gamma_solver
+
+    def test_tau_growth_is_not_an_option(self):
+        names = {f.name for f in dataclasses.fields(SolverOptions)}
+        assert names == {"tol_gap", "tol_feas", "tol_kkt", "max_outer"}
 
 
 class TestStartPoint:

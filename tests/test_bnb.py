@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import warnings
 
 import pytest
@@ -10,7 +11,7 @@ from soncbound.barrier import SolverOptions
 from soncbound.bnb import EXHAUSTED, GAP_REACHED, NODE_LIMIT, BnbNode, branch, solve_bnb
 from soncbound.generator import generate_instance
 from soncbound.pipeline import PipelineOptions, prepare_root
-from soncbound.poly import parse_instance
+from soncbound.poly import evaluate, parse_instance
 
 TIGHT = PipelineOptions(solver=SolverOptions(tol_gap=1e-8, tol_kkt=1e-5))
 
@@ -190,3 +191,48 @@ def test_wide_box_raises_no_warning():
         warnings.simplefilter("error")
         res = solve_bnb(inst, max_nodes=30)
     assert res.nodes == 30
+
+
+def _sample_incumbent_reference(inst, node, seed):
+    """_sample_incumbent one candidate at a time with the scalar evaluate."""
+    rng = random.Random(seed * 1000003 + node.node_id)
+    cands = [tuple((lo + hi) / 2.0 for lo, hi in zip(node.lower, node.upper))]
+    cands.extend(bnb._corners(node.lower, node.upper))
+    for _ in range(bnb.SAMPLES_PER_NODE):
+        cands.append(tuple(rng.uniform(lo, hi) for lo, hi in zip(node.lower, node.upper)))
+    best_val, best_pt = math.inf, None
+    for x in cands:
+        if any(evaluate(g, x) < -1e-9 for g in inst.constraints):
+            continue
+        fx = evaluate(inst.objective, x)
+        if fx < best_val:
+            best_val, best_pt = fx, x
+    return best_val, best_pt
+
+
+# -1 - x^2 >= 0 holds nowhere: no candidate is feasible.
+NO_FEASIBLE = inst_from({"n": 1, "objective": [[[1], 1.0]],
+                         "constraints": [[[[0], -1.0], [[2], -1.0]]],
+                         "lower": [-1], "upper": [1]})
+
+
+def test_sample_incumbent_matches_scalar_reference():
+    rng = random.Random(7)
+    insts = [NO_FEASIBLE] + [generate_instance(s, n=1 + s % 3, m=s % 3, max_degree=3 + s % 9)
+                             for s in range(40)]
+    for inst in insts:
+        for node_id in range(5):
+            lower, upper = [], []
+            for lo, hi in zip(inst.lower, inst.upper):
+                a, b = sorted((rng.uniform(lo, hi), rng.uniform(lo, hi)))
+                lower.append(a)
+                upper.append(b)
+            node = BnbNode(node_id, tuple(lower), tuple(upper), 1, -math.inf)
+            for seed in (0, 3):
+                val, pt = bnb._sample_incumbent(inst, node, seed)
+                want_val, want_pt = _sample_incumbent_reference(inst, node, seed)
+                assert pt == want_pt
+                if want_pt is None:
+                    assert val == want_val == math.inf
+                else:
+                    assert val == pytest.approx(want_val, rel=1e-12, abs=1e-300)

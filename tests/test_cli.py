@@ -55,6 +55,7 @@ class TestSolveCommand:
         assert payload["status"] == "optimal"
         assert payload["gamma_certified"] == pytest.approx(-2.0, abs=1e-5)
         assert payload["start"] == "constructive"
+        assert 0 < payload["outer_iterations"] < payload["iterations"]
 
     def test_emit_certificate(self, minx_file, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"
