@@ -155,18 +155,20 @@ def _slacks(prob: _Barrier, z: np.ndarray):
     return rho, diag, theta, geo
 
 
-def _phi(prob: _Barrier, tau: float, z: np.ndarray) -> float:
-    rho, diag, _, geo = _slacks(prob, z)
+def _phi(prob: _Barrier, tau: float, z: np.ndarray, slacks=None) -> float:
+    """Barrier value at z; slacks, when given, are _slacks(prob, z)."""
+    rho, diag, _, geo = _slacks(prob, z) if slacks is None else slacks
     if geo is None or (rho <= 0.0).any() or (geo <= 0.0).any():
         return np.inf
     logs = np.log(rho).sum() + prob.diag_w @ np.log(diag) + np.log(geo).sum()
     return tau * float(prob.obj @ z) - float(logs)
 
 
-def _grad_hess(prob: _Barrier, tau: float, z: np.ndarray):
-    """(gradient, Hessian, row slacks, diagonal slacks) at z."""
+def _grad_hess(prob: _Barrier, tau: float, z: np.ndarray, slacks=None):
+    """(gradient, Hessian, row slacks, diagonal slacks) at z; slacks,
+    when given, are _slacks(prob, z)."""
     nvar = len(z)
-    rho, diag, theta, geo = _slacks(prob, z)
+    rho, diag, theta, geo = _slacks(prob, z) if slacks is None else slacks
     grad = tau * prob.obj - prob.rows.T @ (1.0 / rho)
     grad -= np.bincount(prob.diag_idx, prob.diag_sign * prob.diag_w / diag, nvar)
     hess = (prob.rows * (1.0 / rho**2)[:, None]).T @ prob.rows
@@ -233,30 +235,39 @@ def _center(
     stop_early=None,
 ) -> tuple[np.ndarray, bool, int, float]:
     """Damped Newton until the decrement is at most tol, or at the float
-    floor when tol is below it; returns (z, converged, steps, decrement)."""
+    floor when tol is below it; returns (z, converged, steps, decrement).
+
+    Each point's slacks are computed once: the start point's and each
+    trial point's serve the feasibility check, phi and the accepted
+    point's gradient and Hessian.
+    """
     steps = 0
     decrement = np.inf
     stop = max(tol, _decrement_floor(tau))
+    slacks = _slacks(prob, z)
     for _ in range(MAX_INNER):
-        grad, hess, rho, diag = _grad_hess(prob, tau, z)
+        grad, hess, rho, diag = _grad_hess(prob, tau, z, slacks)
         d = _newton_direction(hess, grad)
         decrement = float(-grad @ d)
         if abs(decrement) <= stop:
             return z, True, steps, decrement
         alpha = _max_step(prob, rho, diag, d)
         cand = z + alpha * d
-        if not (0.0 < decrement <= FULL_STEP_DECREMENT and _strictly_feasible(prob, cand)):
-            phi0 = _phi(prob, tau, z)
+        cand_slacks = _slacks(prob, cand)
+        if not (0.0 < decrement <= FULL_STEP_DECREMENT
+                and _feasible_margin(prob, cand, cand_slacks) > 0.0):
+            phi0 = _phi(prob, tau, z, slacks)
             gd = float(grad @ d)
             while alpha > 1e-16:
-                cand = z + alpha * d
-                if _phi(prob, tau, cand) <= phi0 + 0.01 * alpha * gd:
+                if _phi(prob, tau, cand, cand_slacks) <= phi0 + 0.01 * alpha * gd:
                     break
                 alpha *= 0.5
+                cand = z + alpha * d
+                cand_slacks = _slacks(prob, cand)
             else:
                 # Progress is below float resolution; fine if nearly centered.
                 return z, abs(decrement) <= _stall_tolerance(tau), steps, decrement
-        z = cand
+        z, slacks = cand, cand_slacks
         steps += 1
         if stop_early is not None and stop_early(z):
             return z, True, steps, decrement
@@ -265,9 +276,10 @@ def _center(
 
 def _kkt_residual(prob: _Barrier, tau: float, z: np.ndarray) -> float:
     """Relative stationarity residual with implicit barrier duals 1/(tau*slack)."""
-    grad, _, rho, diag = _grad_hess(prob, tau, z)
+    slacks = _slacks(prob, z)
+    grad, _, rho, diag = _grad_hess(prob, tau, z, slacks)
     grad_inf = float(np.max(np.abs(grad)))
-    geo = _slacks(prob, z)[3]
+    geo = slacks[3]
     max_dual = float(np.max(np.concatenate([1.0 / rho, prob.diag_w / diag, 1.0 / geo]))) / tau
     return grad_inf / (tau * (1.0 + max_dual))
 
@@ -302,9 +314,10 @@ def _strictly_feasible(prob: _Barrier, z: np.ndarray) -> bool:
     return _feasible_margin(prob, z) > 0.0
 
 
-def _feasible_margin(prob: _Barrier, z: np.ndarray) -> float:
-    """Smallest slack; -inf where some diagonal slack is nonpositive."""
-    rho, diag, _, geo = _slacks(prob, z)
+def _feasible_margin(prob: _Barrier, z: np.ndarray, slacks=None) -> float:
+    """Smallest slack; -inf where some diagonal slack is nonpositive.
+    slacks, when given, are _slacks(prob, z)."""
+    rho, diag, _, geo = _slacks(prob, z) if slacks is None else slacks
     if geo is None:
         return -np.inf
     return float(min(rho.min(initial=np.inf), diag.min(), geo.min(initial=np.inf)))

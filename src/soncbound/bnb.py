@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,14 +88,28 @@ def _corners(lower, upper, limit: int = 16):
     return [tuple(p) for p in pts]
 
 
-def _sample_incumbent(inst: PopInstance, node: BnbNode, seed: int):
-    """Best feasible (value, point) among corners, center and samples."""
-    rng = random.Random(seed * 1000003 + node.node_id)
-    cands = [tuple((lo + hi) / 2.0 for lo, hi in zip(node.lower, node.upper))]
-    cands.extend(_corners(node.lower, node.upper))
-    for _ in range(SAMPLES_PER_NODE):
-        cands.append(tuple(rng.uniform(lo, hi) for lo, hi in zip(node.lower, node.upper)))
-    points = np.array(cands)
+def _seed_words(key: int) -> list[int]:
+    """abs(key) as 32-bit words, least significant first: the key that
+    random.Random(key) hands to the Mersenne Twister's init_by_array."""
+    key = abs(key)
+    return [(key >> s) & 0xFFFFFFFF for s in range(0, max(key.bit_length(), 1), 32)]
+
+
+def _sample_incumbent(inst: PopInstance, node: BnbNode, seed: int,
+                      rng: np.random.RandomState | None = None):
+    """Best feasible (value, point) among corners, center and samples.
+
+    The samples are random.Random(seed * 1000003 + node_id).uniform
+    draws, bit for bit: rng (a new one when None) is seeded with the
+    same init_by_array key, and its random_sample uses the same 53-bit
+    doubles, in the same order.
+    """
+    if rng is None:
+        rng = np.random.RandomState()
+    rng.seed(_seed_words(seed * 1000003 + node.node_id))
+    lo, hi = np.array(node.lower), np.array(node.upper)
+    points = np.vstack([(lo + hi) / 2.0, *_corners(node.lower, node.upper),
+                        lo + (hi - lo) * rng.random_sample((SAMPLES_PER_NODE, len(lo)))])
     values = evaluate_points(inst.objective, points)
     usable = values < math.inf  # NaN never counts as a minimum
     for g in inst.constraints:
@@ -104,7 +117,7 @@ def _sample_incumbent(inst: PopInstance, node: BnbNode, seed: int):
     if not usable.any():
         return math.inf, None
     best = int(np.argmin(np.where(usable, values, math.inf)))
-    return float(values[best]), cands[best]
+    return float(values[best]), tuple(points[best].tolist())
 
 
 def solve_bnb(
@@ -135,6 +148,7 @@ def solve_bnb(
 
     incumbent_value = math.inf
     incumbent_point = None
+    rng = np.random.RandomState()  # re-seeded per node by _sample_incumbent
     next_id = 0
     nodes_solved = 0
     error_nodes = 0
@@ -172,7 +186,7 @@ def solve_bnb(
             effective = node.parent_bound if math.isfinite(node.parent_bound) else -math.inf
             error_nodes += 1
 
-        val, pt = _sample_incumbent(inst, node, seed)
+        val, pt = _sample_incumbent(inst, node, seed, rng)
         if val < incumbent_value:
             incumbent_value, incumbent_point = val, pt
 

@@ -4,6 +4,24 @@ Splits a Lagrangian support into cover candidates (even exponents that
 may serve as simplex vertices of circuits) and inner terms (everything
 else), and computes barycentric coordinates of inner terms over the
 candidate set by linear programming.
+
+The vertices of a support's hull are found with LPs only where two
+exact integer steps leave the answer open:
+
+* axis simplex: when the origin is in the support, a point p >= 0 whose
+  nonzero entries lie on axes with a largest pure power m_i * e_i
+  (m_i > 0) and satisfy sum p_i / m_i <= 1 equals the convex
+  combination (1 - sum p_i/m_i) * 0 + sum (p_i/m_i) * m_i e_i, so it is
+  no vertex unless it is one of those corners.  With the library's
+  bound exponents this drops every point but the corners;
+* lexicographic extremes: the largest and smallest point under the key
+  (p_i, p), for each coordinate i, uniquely maximize a linear function
+  (e_i plus a vanishing tie-break along the other coordinates), so they
+  are vertices.
+
+Each remaining point takes one LP against the points not yet shown to
+be non-vertices.  That is enough: the dropped points are combinations
+of vertices, and no vertex is ever dropped.
 """
 
 from __future__ import annotations
@@ -132,22 +150,56 @@ def _combination_lp(target: Exponent, points: list[Exponent], objective: np.ndar
     return simplex.lp_solve(simplex.LpProblem(A, rhs, objective))
 
 
+def _axis_simplex_interior(points: list[Exponent]) -> set[Exponent]:
+    """Points of conv(0, m_i e_i) other than its corners, m_i > 0 being
+    the largest pure power on axis i; empty without the origin."""
+    n = len(points[0])
+    if (0,) * n not in points:
+        return set()
+    top: dict[int, int] = {}
+    for p in points:
+        axes = [i for i, v in enumerate(p) if v]
+        if len(axes) == 1 and p[axes[0]] > 0:
+            top[axes[0]] = max(top.get(axes[0], 0), p[axes[0]])
+    corners = {tuple(m if j == i else 0 for j in range(n)) for i, m in top.items()}
+    return {p for p in points
+            if p not in corners and any(p) and min(p) >= 0
+            and all(v == 0 or i in top for i, v in enumerate(p))
+            and sum(Fraction(v, top[i]) for i, v in enumerate(p) if v) <= 1}
+
+
 def polytope_vertices(support: set[Exponent] | list[Exponent]) -> set[Exponent]:
     """Vertices of conv(support): points not expressible as a convex
-    combination of the remaining support points."""
-    points = sorted(support)
+    combination of the remaining support points.
+
+    Exact integer steps decide most points without an LP.  Points in
+    conv(0, m_i e_i), other than its corners, are dropped (see the
+    module docstring); the largest and smallest point under the key
+    (p_i, p), for each coordinate i, are vertices.  Every other point is
+    a vertex iff its LP against the surviving points is infeasible;
+    points found inside drop out of later LPs.  Dropped points are
+    convex combinations of vertices, none of which is ever dropped, so
+    each LP sees the same hull as one against the whole support.
+    """
+    points = sorted(set(support))
     if not points:
         raise ValueError("empty support")
+    if len(points) == 1:
+        return set(points)
+    inside = _axis_simplex_interior(points)
+    alive = [p for p in points if p not in inside]
     vertices: set[Exponent] = set()
-    for p in points:
-        others = [q for q in points if q != p]
-        if not others:
-            vertices.add(p)
-            continue
+    for i in range(len(points[0])):
+        vertices.add(max(alive, key=lambda p: (p[i], p)))
+        vertices.add(min(alive, key=lambda p: (p[i], p)))
+    for p in [p for p in alive if p not in vertices]:
+        others = [q for q in alive if q != p]
         res = _combination_lp(p, others, np.zeros(len(others)))
         if res.status == simplex.INFEASIBLE:
             vertices.add(p)
-        elif res.status != simplex.OPTIMAL:
+        elif res.status == simplex.OPTIMAL:
+            alive = others
+        else:
             raise LpFailure(f"vertex test failed for {p}: {res.status}")
     return vertices
 

@@ -449,6 +449,33 @@ class TestLongStep:
         assert names == {"tol_gap", "tol_feas", "tol_kkt", "max_outer"}
 
 
+class TestSlackReuse:
+    """_center computes each point's slacks once: no point's slacks twice
+    within a centering, with the iterates of the parent tree."""
+
+    def test_one_slack_evaluation_per_point(self, monkeypatch):
+        seen, per_center = [], []  # per centering: (slack calls, distinct points)
+        real_slacks, real_center = barrier._slacks, barrier._center
+
+        def slacks(prob, z):
+            seen.append(z.tobytes())
+            return real_slacks(prob, z)
+
+        def center(*args, **kwargs):
+            seen.clear()
+            out = real_center(*args, **kwargs)
+            per_center.append((len(seen), len(set(seen))))
+            return out
+
+        monkeypatch.setattr(barrier, "_slacks", slacks)
+        monkeypatch.setattr(barrier, "_center", center)
+        steps = sum(solve_instance(_acceptance_instance(i)).solve.iterations for i in range(20))
+        assert steps == 770  # as when every trial point's slacks were recomputed
+        calls = sum(c for c, _ in per_center)
+        trial_points = sum(d - 1 for _, d in per_center)  # a centering's start is no trial
+        assert calls <= trial_points + len(per_center)
+
+
 class TestStartPoint:
     def test_origin_slack_positive_at_huge_big_m(self):
         # M**a = 3000**6 ~ 7e20: a unit slack is below float64 resolution

@@ -3,6 +3,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from soncbound import bnb, pipeline
@@ -236,3 +237,24 @@ def test_sample_incumbent_matches_scalar_reference():
                     assert val == want_val == math.inf
                 else:
                     assert val == pytest.approx(want_val, rel=1e-12, abs=1e-300)
+
+
+def test_sample_incumbent_matches_scalar_reference_for_wide_keys():
+    """Keys seed * 1000003 + node_id above 2**32 and node ids from 10**6:
+    the numpy draw stays random.Random's stream, one generator reused."""
+    # sum (x_i - 0.3)^2 on [-1, 1]^3: a sample, not the center or a corner, is best
+    inst = inst_from({"n": 3, "objective": [[[2, 0, 0], 1.0], [[0, 2, 0], 1.0], [[0, 0, 2], 1.0],
+                                            [[1, 0, 0], -0.6], [[0, 1, 0], -0.6],
+                                            [[0, 0, 1], -0.6]],
+                      "constraints": [], "lower": [-1, -1, -1], "upper": [1, 1, 1]})
+    rng = np.random.RandomState()
+    for seed in (4295, 10**9, -7):
+        for node_id in (10**6, 10**6 + 1, 2**33 + 5):
+            node = BnbNode(node_id, inst.lower, inst.upper, 3, -math.inf)
+            want_val, want_pt = _sample_incumbent_reference(inst, node, seed)
+            assert want_pt is not None
+            for got_val, got_pt in (bnb._sample_incumbent(inst, node, seed),
+                                    bnb._sample_incumbent(inst, node, seed, rng)):
+                assert got_pt == want_pt
+                assert all(type(v) is float for v in got_pt)
+                assert got_val == pytest.approx(want_val, rel=1e-12, abs=1e-300)

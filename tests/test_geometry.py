@@ -3,7 +3,9 @@ import random
 import numpy as np
 import pytest
 
+from soncbound import covers, geometry, simplex
 from soncbound.covers import build_candidate_set
+from soncbound.generator import generate_instance
 from soncbound.geometry import (
     ONE_SIDED,
     TWO_SIDED,
@@ -15,6 +17,7 @@ from soncbound.geometry import (
     is_monomial_square,
     polytope_vertices,
 )
+from soncbound.pipeline import PREPARE_ERRORS, PipelineOptions, prepare_root
 
 from oracle import in_hull_exact, vertices_exact
 
@@ -64,6 +67,113 @@ class TestPolytopeVertices:
             size = rng.randint(1, 8)
             support = {tuple(rng.randint(0, 6) for _ in range(dim)) for _ in range(size)}
             assert polytope_vertices(support) == vertices_exact(support)
+
+
+def _vertices_one_lp_per_point(support):
+    """The vertex test without the exact steps: one LP per point
+    against all the other points."""
+    points = sorted(support)
+    if len(points) == 1:
+        return set(points)
+    vertices = set()
+    for p in points:
+        others = [q for q in points if q != p]
+        res = geometry._combination_lp(p, others, np.zeros(len(others)))
+        assert res.status in (simplex.OPTIMAL, simplex.INFEASIBLE)
+        if res.status == simplex.INFEASIBLE:
+            vertices.add(p)
+    return vertices
+
+
+def _random_support(rng, dim, size):
+    """Up to size points; often the origin plus axis powers (the axis step
+    applies), sometimes points with negative entries (it must not)."""
+    points = set()
+    if rng.random() < 0.7:
+        points.add((0,) * dim)
+        for i in range(dim):
+            if rng.random() < 0.8:
+                points.add(tuple(rng.randint(1, 8) if j == i else 0 for j in range(dim)))
+    low = -3 if rng.random() < 0.3 else 0
+    for _ in range(size):
+        points.add(tuple(rng.randint(low, 8) for _ in range(dim)))
+    return points
+
+
+class TestExactVertexSteps:
+    """The axis-simplex and lexicographic steps decide points without an
+    LP and leave the vertex set unchanged."""
+
+    def test_agrees_with_one_lp_per_point(self):
+        rng = random.Random(2024)
+        fired = negative = 0
+        for _ in range(200):
+            support = _random_support(rng, rng.randint(1, 4), rng.randint(1, 17))
+            fired += bool(geometry._axis_simplex_interior(sorted(support)))
+            negative += any(min(p) < 0 for p in support)
+            assert polytope_vertices(support) == _vertices_one_lp_per_point(support)
+        assert fired > 50 and negative > 30
+
+    def test_agrees_with_exact_oracle(self):
+        rng = random.Random(77)
+        fired = 0
+        for _ in range(60):
+            support = _random_support(rng, rng.randint(1, 4), rng.randint(1, 4))
+            fired += bool(geometry._axis_simplex_interior(sorted(support)))
+            assert polytope_vertices(support) == vertices_exact(support)
+        assert fired > 10
+
+    def test_negative_entry_is_kept(self):
+        # (-1, 1) has sum p_i/m_i = 0 but lies outside conv(0, 4e_1, 4e_2)
+        support = {(0, 0), (4, 0), (0, 4), (-1, 1), (1, 1)}
+        assert geometry._axis_simplex_interior(sorted(support)) == {(1, 1)}
+        assert polytope_vertices(support) == {(0, 0), (4, 0), (0, 4), (-1, 1)}
+
+    def test_axis_step_needs_the_origin(self):
+        support = {(4, 0), (0, 4), (1, 1), (2, 2)}
+        assert geometry._axis_simplex_interior(sorted(support)) == set()
+        assert polytope_vertices(support) == {(4, 0), (0, 4), (1, 1)}
+
+    def test_axis_step_needs_a_pure_power_on_every_used_axis(self):
+        support = {(0, 0), (4, 0), (1, 1), (2, 0)}
+        assert geometry._axis_simplex_interior(sorted(support)) == {(2, 0)}
+        assert polytope_vertices(support) == {(0, 0), (4, 0), (1, 1)}
+
+
+def _vertex_lps(monkeypatch, runs):
+    """Vertex LPs over the hulls that prepare_root takes for each
+    (instance, options) in runs."""
+    supports = []
+    monkeypatch.setattr(covers, "polytope_vertices",
+                        lambda s: supports.append(set(s)) or polytope_vertices(s))
+    for inst, options in runs:
+        try:
+            prepare_root(inst, options)
+        except PREPARE_ERRORS:
+            pass  # the without-bcs configuration: no cover, after the hull
+    lps = []
+    real_lp = geometry._combination_lp
+    monkeypatch.setattr(geometry, "_combination_lp",
+                        lambda *args: lps.append(args[0]) or real_lp(*args))
+    for support in supports:
+        polytope_vertices(support)
+    return len(lps)
+
+
+def _acceptance_instance(i):
+    return generate_instance(1000 + i, n=1 + i % 3, m=i % 3, max_degree=3 + i % 4, density=0.5)
+
+
+class TestVertexLpCount:
+    def test_with_bounds_hull_takes_no_lp(self, monkeypatch):
+        # the bound exponents make the hull conv(0, a_i e_i): every point is decided exactly
+        assert _vertex_lps(monkeypatch, [(_acceptance_instance(0), PipelineOptions())]) == 0
+
+    def test_acceptance_corpus(self, monkeypatch):
+        vanilla = PipelineOptions(use_bound_constraints=False)
+        runs = [(_acceptance_instance(i), options)
+                for i in range(100) for options in (PipelineOptions(), vanilla)]
+        assert _vertex_lps(monkeypatch, runs) <= 450  # 1,987 with one LP per point
 
 
 class TestClassifySupport:
