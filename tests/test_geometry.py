@@ -140,9 +140,9 @@ class TestExactVertexSteps:
         assert polytope_vertices(support) == {(0, 0), (4, 0), (1, 1)}
 
 
-def _vertex_lps(monkeypatch, runs):
-    """Vertex LPs over the hulls that prepare_root takes for each
-    (instance, options) in runs."""
+def _hulls(monkeypatch, runs):
+    """The supports whose hulls prepare_root takes for each (instance,
+    options) in runs, in call order."""
     supports = []
     monkeypatch.setattr(covers, "polytope_vertices",
                         lambda s: supports.append(set(s)) or polytope_vertices(s))
@@ -151,6 +151,10 @@ def _vertex_lps(monkeypatch, runs):
             prepare_root(inst, options)
         except PREPARE_ERRORS:
             pass  # the without-bcs configuration: no cover, after the hull
+    return supports
+
+
+def _vertex_lps(monkeypatch, supports):
     lps = []
     real_lp = geometry._combination_lp
     monkeypatch.setattr(geometry, "_combination_lp",
@@ -166,14 +170,18 @@ def _acceptance_instance(i):
 
 class TestVertexLpCount:
     def test_with_bounds_hull_takes_no_lp(self, monkeypatch):
-        # the bound exponents make the hull conv(0, a_i e_i): every point is decided exactly
-        assert _vertex_lps(monkeypatch, [(_acceptance_instance(0), PipelineOptions())]) == 0
+        # Default options take the hull without bound exponents (to choose
+        # them), then the one with them: conv(0, a_i e_i), decided exactly.
+        supports = _hulls(monkeypatch, [(_acceptance_instance(i), PipelineOptions())
+                                        for i in range(100)])
+        assert len(supports) == 200
+        assert _vertex_lps(monkeypatch, supports[1::2]) == 0  # 795 with one LP per point
 
     def test_acceptance_corpus(self, monkeypatch):
         vanilla = PipelineOptions(use_bound_constraints=False)
         runs = [(_acceptance_instance(i), options)
                 for i in range(100) for options in (PipelineOptions(), vanilla)]
-        assert _vertex_lps(monkeypatch, runs) <= 450  # 1,987 with one LP per point
+        assert _vertex_lps(monkeypatch, _hulls(monkeypatch, runs)) <= 450  # 1,987 before
 
 
 class TestClassifySupport:
