@@ -5,18 +5,24 @@ conditions t_beta <= prod_j (c_j/lambda_j)**lambda_j.  Every constraint
 enters a logarithmic barrier: -log of a positive concave function is
 convex, so each centering step is a damped Newton method.  The path
 starts from a closed-form constructive point; where that point is
-missing or not strictly feasible, a phase-1 pass (minimize the uniform
-violation w) supplies one.  Either point is used as it is.
+missing or not strictly feasible, phase 1 supplies one.  Either point
+is used as it is.
 
-The barrier has three families of terms, each evaluated for all of its
-members at once:
+The barrier carries the model's own constraints, each at unit weight,
+in three families of terms evaluated for all of their members at once:
 
 * the general rows A z + b >= 0, dense;
-* diagonal terms: z_v >= 0 for the sign-bounded variables, and
-  VARIABLE_CAP - z_v >= 0 for every variable at weight CAP_WEIGHT;
-* circuits theta_b(c) - t_b [+ w] > 0.  All theta_b come from one
+* the sign bounds z_v >= 0 of the sign-bounded variables, diagonal;
+* the circuits theta_b(c) - t_b > 0.  All theta_b come from one
   np.add.reduceat over the concatenated c entries; the Hessian terms
   are V^T V - W^T W plus a diagonal, V and W being (circuits x nvar).
+
+Phase 1 is the same barrier on another problem: min w, with w added to
+each general row free of gamma (the canned start already satisfies the
+circuits strictly), plus the row PHASE1_RADIUS - sum of the
+sign-bounded variables >= 0, so that the minimum of w exists and the
+infeasibility verdict can read it.  Phase 2 has no such bound: its
+multipliers grow like 1/M_i**a_i on a box of half-width M_i.
 
 -log(theta(c) - t) - sum_j log c_j is self-concordant (Nesterov &
 Nemirovskii 1994), and the sign bounds supply the -log c_j terms.  So
@@ -33,9 +39,9 @@ so the gap, KKT and feasibility checks read an exact center; phase 1
 centers tightly, so its infeasibility verdict does too.
 
 All arithmetic is float64.  Where the path ends, at tau = num_terms /
-(tol_gap (1 + |gamma|)), the largest stationarity residual over the 137
+(tol_gap (1 + |gamma|)), the largest stationarity residual over the 138
 optimal solves of the benchmark's acceptance, wide and high-degree
-corpora is 2.9e-8 against tol_kkt 1e-7.  On the tenfold tight path,
+corpora is 2.6e-8 against tol_kkt 1e-7.  On the tenfold tight path,
 long-double slacks gave 1.5e-8 against 3.4e-8 in float64, the same
 statuses, and certified gammas within 4e-14 relative.
 
@@ -57,18 +63,13 @@ START_CONSTRUCTIVE = "constructive"
 START_PHASE1 = "phase-1"
 GAMMA_DIVERGENCE = 1e10  # |gamma| beyond this: the relaxation looks unbounded
 
-# All variables are capped at this value so the barrier stays bounded along
-# recession directions (e.g. multipliers of constraints with vanishing
-# constant term).  A solution pressing against the cap is reported as a
-# numerical error rather than silently truncated.  The caps carry a small
-# weight so they barely inflate the duality-gap estimate.
-VARIABLE_CAP = 1e8
-CAP_WEIGHT = 0.01
+PHASE1_RADIUS = 1e8  # phase 1 keeps the sign-bounded variables' sum below this
 
 # Newton decrement lambda^2 = -grad.d below which the full step needs no
-# line search.  With the caps weighted by CAP_WEIGHT the barrier is
-# self-concordant with constant M = 1/sqrt(CAP_WEIGHT) = 10; M*lambda <= 0.6
-# keeps the full step in the domain and meets the Armijo condition.
+# line search.  With unit weights phi is standard self-concordant (M = 1):
+# for lambda < 1 the full step stays in the domain and phi falls by at
+# least lambda^2 + lambda + log(1 - lambda), which meets the Armijo
+# condition (0.01 lambda^2) up to lambda^2 = 0.46; 1e-3 is well inside.
 FULL_STEP_DECREMENT = 1e-3
 LONG_STEP_DECREMENT = 0.1  # phase-2 centering tolerance between barrier weights
 TAU_FACTOR = 100.0  # barrier-weight growth per outer step
@@ -103,24 +104,19 @@ class SolveResult:
 
 
 class _Barrier:
-    """min tau * obj.z over general rows, diagonal terms and circuits.
+    """min tau * obj.z over general rows, sign bounds and circuits.
 
-    circuits holds (t_index, c_indices, lambdas) per geometric-mean
-    block; every c index must be in lower, so a nonpositive c_j shows
-    as a nonpositive diagonal slack.  w_index is the phase-1 shift
-    variable added to every circuit slack, -1 when absent.
+    lower holds the sign-bounded variables, each distinct.  circuits
+    holds (t_index, c_indices, lambdas) per geometric-mean block; every
+    c index must be in lower, so a nonpositive c_j shows as a
+    nonpositive sign slack.
     """
 
-    def __init__(self, obj, rows, rhs, lower, circuits, w_index=-1):
+    def __init__(self, obj, rows, rhs, lower, circuits):
         nvar = len(obj)
-        self.obj, self.rows, self.rhs, self.w_index = obj, rows, rhs, w_index
-        # Diagonal terms: slack sign * z[idx] + off, weight w.
-        lower = np.asarray(lower, dtype=np.intp)
-        self.diag_idx = np.concatenate([lower, np.arange(nvar)])
-        self.diag_sign = np.concatenate([np.ones(len(lower)), -np.ones(nvar)])
-        self.diag_off = np.concatenate([np.zeros(len(lower)), np.full(nvar, VARIABLE_CAP)])
-        self.diag_w = np.concatenate([np.ones(len(lower)), np.full(nvar, CAP_WEIGHT)])
-        self.num_terms = float(len(rhs) + self.diag_w.sum() + len(circuits))
+        self.obj, self.rows, self.rhs = obj, rows, rhs
+        self.lower = np.asarray(lower, dtype=np.intp)
+        self.num_terms = float(len(rhs) + len(self.lower) + len(circuits))
         # Circuits, flattened: entry k belongs to circuit blk[k].
         sizes = [len(c) for _, c, _ in circuits]
         nb = len(circuits)
@@ -138,42 +134,39 @@ class _Barrier:
 
 
 def _slacks(prob: _Barrier, z: np.ndarray):
-    """(rows, diagonal, theta, circuit) slacks at z.
+    """(rows, sign, theta, circuit) slacks at z.
 
-    theta and the circuit slacks are None where some diagonal slack is
+    theta and the circuit slacks are None where some sign slack is
     nonpositive: some c_j may then lie outside the domain of log.
     """
     rho = prob.rows @ z + prob.rhs
-    diag = prob.diag_sign * z[prob.diag_idx] + prob.diag_off
-    if not diag.min() > 0.0:
-        return rho, diag, None, None
+    sign = z[prob.lower]
+    if not sign.min(initial=np.inf) > 0.0:
+        return rho, sign, None, None
     logs = prob.lam * (np.log(z[prob.c_idx]) - prob.loglam)
     theta = np.exp(np.add.reduceat(logs, prob.starts))
-    geo = theta - z[prob.t_idx]
-    if prob.w_index >= 0:
-        geo += z[prob.w_index]
-    return rho, diag, theta, geo
+    return rho, sign, theta, theta - z[prob.t_idx]
 
 
 def _phi(prob: _Barrier, tau: float, z: np.ndarray, slacks=None) -> float:
     """Barrier value at z; slacks, when given, are _slacks(prob, z)."""
-    rho, diag, _, geo = _slacks(prob, z) if slacks is None else slacks
+    rho, sign, _, geo = _slacks(prob, z) if slacks is None else slacks
     if geo is None or (rho <= 0.0).any() or (geo <= 0.0).any():
         return np.inf
-    logs = np.log(rho).sum() + prob.diag_w @ np.log(diag) + np.log(geo).sum()
+    logs = np.log(rho).sum() + np.log(sign).sum() + np.log(geo).sum()
     return tau * float(prob.obj @ z) - float(logs)
 
 
 def _grad_hess(prob: _Barrier, tau: float, z: np.ndarray, slacks=None):
-    """(gradient, Hessian, row slacks, diagonal slacks) at z; slacks,
-    when given, are _slacks(prob, z)."""
+    """(gradient, Hessian, row slacks, sign slacks) at z; slacks, when
+    given, are _slacks(prob, z)."""
     nvar = len(z)
-    rho, diag, theta, geo = _slacks(prob, z) if slacks is None else slacks
+    rho, sign, theta, geo = _slacks(prob, z) if slacks is None else slacks
     grad = tau * prob.obj - prob.rows.T @ (1.0 / rho)
-    grad -= np.bincount(prob.diag_idx, prob.diag_sign * prob.diag_w / diag, nvar)
+    grad[prob.lower] -= 1.0 / sign
     hess = (prob.rows * (1.0 / rho**2)[:, None]).T @ prob.rows
-    hess.flat[:: nvar + 1] += np.bincount(prob.diag_idx, prob.diag_w / diag**2, nvar)
-    # Circuit slack gradients u_b = (theta_b psi on c, -1 on t, +1 on w),
+    hess.flat[prob.lower * (nvar + 1)] += 1.0 / sign**2
+    # Circuit slack gradients u_b = (theta_b psi on c, -1 on t),
     # psi = lambda / c = d(log theta)/dc; V holds u_b / slack_b.
     c = z[prob.c_idx]
     psi = prob.lam / c
@@ -181,15 +174,13 @@ def _grad_hess(prob: _Barrier, tau: float, z: np.ndarray, slacks=None):
     V = np.zeros((len(geo), nvar))
     V.flat[prob.v_c] = th * psi / sl
     V.flat[prob.v_t] = -1.0 / geo
-    if prob.w_index >= 0:
-        V[:, prob.w_index] = 1.0 / geo
     # -hess(slack)/slack = theta * (diag(lambda/c^2) - psi psi^T) / slack
     W = np.zeros_like(V)
     W.flat[prob.v_c] = np.sqrt(th / sl) * psi
     grad -= V.sum(axis=0)
     hess += V.T @ V - W.T @ W
     hess.flat[prob.h_cc] += th * prob.lam / (c**2 * sl)
-    return grad, hess, rho, diag
+    return grad, hess, rho, sign
 
 
 def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -206,11 +197,11 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
             raise st.NumericalError("singular Newton system") from None
 
 
-def _max_step(prob: _Barrier, rho: np.ndarray, diag: np.ndarray, d: np.ndarray) -> float:
-    """Largest step along d keeping the row and diagonal slacks rho and
-    diag (as _grad_hess returns them) strictly positive."""
+def _max_step(prob: _Barrier, rho: np.ndarray, sign: np.ndarray, d: np.ndarray) -> float:
+    """Largest step along d keeping the row and sign slacks rho and sign
+    (as _grad_hess returns them) strictly positive."""
     step = 1.0
-    for slack, rate in ((rho, prob.rows @ d), (diag, prob.diag_sign * d[prob.diag_idx])):
+    for slack, rate in ((rho, prob.rows @ d), (sign, d[prob.lower])):
         shrink = rate < -1e-300
         if shrink.any():
             step = min(step, 0.99 * float(np.min(slack[shrink] / -rate[shrink])))
@@ -246,12 +237,12 @@ def _center(
     stop = max(tol, _decrement_floor(tau))
     slacks = _slacks(prob, z)
     for _ in range(MAX_INNER):
-        grad, hess, rho, diag = _grad_hess(prob, tau, z, slacks)
+        grad, hess, rho, sign = _grad_hess(prob, tau, z, slacks)
         d = _newton_direction(hess, grad)
         decrement = float(-grad @ d)
         if abs(decrement) <= stop:
             return z, True, steps, decrement
-        alpha = _max_step(prob, rho, diag, d)
+        alpha = _max_step(prob, rho, sign, d)
         cand = z + alpha * d
         cand_slacks = _slacks(prob, cand)
         if not (0.0 < decrement <= FULL_STEP_DECREMENT
@@ -277,10 +268,9 @@ def _center(
 def _kkt_residual(prob: _Barrier, tau: float, z: np.ndarray) -> float:
     """Relative stationarity residual with implicit barrier duals 1/(tau*slack)."""
     slacks = _slacks(prob, z)
-    grad, _, rho, diag = _grad_hess(prob, tau, z, slacks)
+    grad, _, rho, sign = _grad_hess(prob, tau, z, slacks)
     grad_inf = float(np.max(np.abs(grad)))
-    geo = slacks[3]
-    max_dual = float(np.max(np.concatenate([1.0 / rho, prob.diag_w / diag, 1.0 / geo]))) / tau
+    max_dual = float(np.max(np.concatenate([1.0 / rho, 1.0 / sign, 1.0 / slacks[3]]))) / tau
     return grad_inf / (tau * (1.0 + max_dual))
 
 
@@ -315,12 +305,13 @@ def _strictly_feasible(prob: _Barrier, z: np.ndarray) -> bool:
 
 
 def _feasible_margin(prob: _Barrier, z: np.ndarray, slacks=None) -> float:
-    """Smallest slack; -inf where some diagonal slack is nonpositive.
+    """Smallest slack; -inf where some sign slack is nonpositive.
     slacks, when given, are _slacks(prob, z)."""
-    rho, diag, _, geo = _slacks(prob, z) if slacks is None else slacks
+    rho, sign, _, geo = _slacks(prob, z) if slacks is None else slacks
     if geo is None:
         return -np.inf
-    return float(min(rho.min(initial=np.inf), diag.min(), geo.min(initial=np.inf)))
+    return float(min(rho.min(initial=np.inf), sign.min(initial=np.inf),
+                     geo.min(initial=np.inf)))
 
 
 def _constructive_start(model: RelaxationModel) -> np.ndarray | None:
@@ -420,19 +411,23 @@ def _phase1_problem(model: RelaxationModel) -> _Barrier:
     """min w over the model without gamma; w is the last variable.
 
     Rows containing gamma are dropped (gamma always has feasible room);
-    variable sign bounds stay hard; the other rows and every circuit
-    slack are shifted by w.
+    the other rows are shifted by w; sign bounds and circuits stay hard.
+    The last row, PHASE1_RADIUS - sum of the sign-bounded variables >= 0,
+    is not shifted: it keeps the problem bounded.
     """
     g, w = model.gamma_index, model.nvar - 1
     free = model.rows[:, g] == 0.0
     rows1 = np.hstack([np.delete(model.rows[free], g, axis=1), np.ones((int(free.sum()), 1))])
     new = np.arange(model.nvar) - (np.arange(model.nvar) > g)  # old index -> new
+    lower = new[list(model.nonneg_indices)]
+    radius = np.zeros(model.nvar)
+    radius[lower] = -1.0
     circuits = [(new[blk.t_index], new[list(blk.c_indices)], blk.lambdas)
                 for blk in model.blocks]
     obj = np.zeros(model.nvar)
     obj[w] = 1.0
-    return _Barrier(obj, rows1, model.rhs[free], new[list(model.nonneg_indices)], circuits,
-                    w_index=w)
+    return _Barrier(obj, np.vstack([rows1, radius]), np.append(model.rhs[free], PHASE1_RADIUS),
+                    lower, circuits)
 
 
 def _phase1(model: RelaxationModel,
@@ -443,9 +438,8 @@ def _phase1(model: RelaxationModel,
     with gamma set by _set_gamma and status optimal, or None with status
     infeasible (no strictly feasible point exists) or numerical-error.
     """
-    g = model.gamma_index
+    g, w = model.gamma_index, model.nvar - 1
     prob = _phase1_problem(model)
-    w = prob.w_index
     z = np.append(np.delete(_canned_start(model), g), 0.0)
     z[w] = 1.0 - min(0.0, _feasible_margin(prob, z))
 
@@ -557,8 +551,6 @@ def _path_follow(model: RelaxationModel, prob: _Barrier, z: np.ndarray, total_st
         elif abs(gamma) > GAMMA_DIVERGENCE:
             failure = ("gamma diverged; the relaxation appears unbounded "
                        "(the problem is likely infeasible)")
-        elif float(np.max(z)) > 0.1 * VARIABLE_CAP:
-            failure = "a variable pressed against the regularization cap"
         if failure:
             return _extract(model, z, st.NUMERICAL_ERROR, gap,
                             _kkt_residual(prob, tau, z), trace, total_steps, outers, failure)

@@ -108,6 +108,14 @@ class TestStatuses:
         res = solve_relaxation(model, SolverOptions(max_outer=2))
         assert res.status == st.NUMERICAL_ERROR
 
+    def test_no_sign_bounds(self):
+        # 1 + x^2 needs no multiplier and no circuit: the barrier has rows only
+        inst = make_inst(lower=(-1,), upper=(1,), objective=(((0,), 1.0), ((2,), 1.0)))
+        res = solve_instance(inst, PipelineOptions(use_bound_constraints=False))
+        assert len(res.model.nonneg_indices) == 0
+        assert res.status == st.OPTIMAL, res.message
+        assert res.gamma_certified == pytest.approx(1.0, abs=1e-5)
+
     def test_liftable_negative_vertex_solved(self):
         # min -x^4 s.t. 1 - x^4 >= 0 on [-1,1]: optimum -1 via mu = 1
         inst = make_inst(lower=(-1,), upper=(1,), objective=(((4,), -1.0),),
@@ -210,10 +218,11 @@ def _phase2_point(model):
 
 
 def _phase1_point(model):
-    """Near the phase-1 start point: the canned start shifted by w."""
+    """Near the phase-1 start point: the canned start with w, its last
+    variable, shifting the rows."""
     prob = barrier._phase1_problem(model)
     z = np.append(np.delete(barrier._canned_start(model), model.gamma_index), 0.0)
-    z[prob.w_index] = 1.0 - min(0.0, barrier._feasible_margin(prob, z))
+    z[-1] = 1.0 - min(0.0, barrier._feasible_margin(prob, z))
     return _off_center(prob, z)
 
 
@@ -235,7 +244,7 @@ class TestBarrierDerivatives:
         assert len(model.blocks) >= 3
         if phase == 1:
             prob, z = barrier._phase1_problem(model), _phase1_point(model)
-            assert prob.w_index >= 0
+            assert prob.obj[-1] == 1.0 and prob.rhs[-1] == barrier.PHASE1_RADIUS
         else:
             prob, z = barrier._phase2_problem(model), _phase2_point(model)
         tau = 1.0
@@ -265,11 +274,10 @@ class TestBarrierDerivatives:
 
 
 def _max_step_from_z(prob, z, d):
-    """The maximum step with the row and diagonal slacks recomputed at z."""
+    """The maximum step with the row and sign slacks recomputed at z."""
     rho = prob.rows @ z + prob.rhs
-    diag = prob.diag_sign * z[prob.diag_idx] + prob.diag_off
     step = 1.0
-    for slack, rate in ((rho, prob.rows @ d), (diag, prob.diag_sign * d[prob.diag_idx])):
+    for slack, rate in ((rho, prob.rows @ d), (z[prob.lower], d[prob.lower])):
         shrink = rate < -1e-300
         if shrink.any():
             step = min(step, 0.99 * float(np.min(slack[shrink] / -rate[shrink])))
@@ -300,18 +308,15 @@ class TestMaxStep:
 
 def _loop_reference(model, tau, z):
     """Phase-2 phi, gradient and Hessian one circuit at a time, with the
-    sign bounds and the caps as dense rows."""
+    sign bounds as dense rows."""
     nvar = model.nvar
     signs = np.eye(nvar)[list(model.nonneg_indices)]
-    rows = np.vstack([model.rows, signs, -np.eye(nvar)])
-    rho = rows @ z + np.concatenate(
-        [model.rhs, np.zeros(len(signs)), np.full(nvar, barrier.VARIABLE_CAP)])
-    weights = np.concatenate(
-        [np.ones(len(model.rhs) + len(signs)), np.full(nvar, barrier.CAP_WEIGHT)])
-    phi = -tau * z[model.gamma_index] - weights @ np.log(rho)
-    grad = -rows.T @ (weights / rho)
+    rows = np.vstack([model.rows, signs])
+    rho = rows @ z + np.concatenate([model.rhs, np.zeros(len(signs))])
+    phi = -tau * z[model.gamma_index] - np.log(rho).sum()
+    grad = -rows.T @ (1.0 / rho)
     grad[model.gamma_index] -= tau
-    hess = (rows * (weights / rho**2)[:, None]).T @ rows
+    hess = (rows * (1.0 / rho**2)[:, None]).T @ rows
     for blk in model.blocks:
         idx, lam = list(blk.c_indices), np.array(blk.lambdas)
         c = z[idx]
@@ -397,6 +402,14 @@ class TestPinnedResults:
         strict = strict_gamma_float(res.model, res.certificate)
         assert strict <= res.gamma_certified <= res.gamma_solver
 
+    def test_highdeg_without_variable_caps(self):
+        # The center at tau = 1 has a variable at 2.1e7: no cap may stop the path there.
+        res = solve_instance(generate_instance(2, n=2, m=1, max_degree=8))
+        assert res.status == st.OPTIMAL, res.message
+        assert res.gamma_certified == pytest.approx(-0.0631898065044517, rel=1e-7)
+        strict = strict_gamma_float(res.model, res.certificate)
+        assert strict <= res.gamma_certified <= res.gamma_solver
+
 
 class TestLongStep:
     """Phase 2 centers loosely between barrier weights and tightly where
@@ -420,13 +433,13 @@ class TestLongStep:
 
         def spy(prob, tau, z, *args, **kwargs):
             out = original(prob, tau, z, *args, **kwargs)
-            calls.append((prob.w_index, tau, out[1], out[3]))
+            calls.append((prob.obj.min() < 0.0, tau, out[1], out[3]))  # phase 2 maximizes gamma
             return out
 
         monkeypatch.setattr(barrier, "_center", spy)
         res = solve_instance(_acceptance_instance(0))
         assert res.status == st.OPTIMAL
-        phase2 = [c for c in calls if c[0] < 0]
+        phase2 = [c for c in calls if c[0]]
         *earlier, (_, tau, converged, last) = phase2
         assert converged and abs(last) <= barrier._decrement_floor(tau)
         assert all(abs(dec) <= barrier.LONG_STEP_DECREMENT for _, _, _, dec in earlier)

@@ -3,10 +3,12 @@
 Every solve must end in one of the four statuses without an exception;
 every optimal result must satisfy strict <= certified <= solver and pass
 the sampled soundness check; and the optimal count per family must not
-fall below the recorded floor.  The box scales 1e-4, 1e-2, 100 and 1000
-are 0/30 optimal today (the point-like boxes end against the
-regularization cap, the wide ones with a stalled first centering), so
-their floor is 0 and they check statuses and soundness only.
+fall below the recorded floor.  On the small boxes the bound-constraint
+multipliers grow like 1/M_i**a_i: at scale 1e-2, 11/30 solves are
+optimal, some with multipliers above 1e8, and the rest stall in
+centering.  The box scales 1e-4, 100 and 1000 are 0/30 optimal today,
+all with a stalled centering, so their floor is 0 and they check
+statuses and soundness only.
 """
 
 import dataclasses
@@ -42,7 +44,7 @@ def _fixed_family():
 # (family, builder, least optimal count)
 FAMILIES = [
     ("box-1e-4", lambda: _box_family(1e-4), 0),
-    ("box-1e-2", lambda: _box_family(1e-2), 0),
+    ("box-1e-2", lambda: _box_family(1e-2), 11),
     ("box-10", lambda: _box_family(10), 2),
     ("box-100", lambda: _box_family(100), 0),
     ("box-1000", lambda: _box_family(1000), 0),
@@ -67,3 +69,13 @@ def test_stress_family(build, floor):
         assert strict <= res.gamma_certified <= res.gamma_solver
         assert sample_soundness_check(inst, res.gamma_certified).ok()
     assert optimal >= floor
+
+
+def test_box_multipliers_beyond_1e8():
+    inst = _box_family(1e-2)[10]
+    res = solve_instance(inst)
+    assert res.status == st.OPTIMAL, res.message
+    assert res.solve.nu.max() > 1e8
+    strict = strict_gamma_float(res.model, res.certificate)
+    assert strict <= res.gamma_certified <= res.gamma_solver
+    assert sample_soundness_check(inst, res.gamma_certified).ok()
