@@ -6,7 +6,8 @@ subprocess with only its own `src/` imported:
 
 * the benchmark corpora of `perfbench/workloads.py` (`acceptance` in
   both configurations, `wide`, `highdeg`), and its `bnb` workload with
-  `solve_bnb` at the benchmark's node budget and gap tolerance;
+  `solve_bnb` at the benchmark's node budget and gap tolerance, B&B
+  seed 1;
 * the seeded stress families of `tests/test_stress.py`;
 * the edge cases of ROADMAP.md (point box, the box ±1e-4, x^7 - x on
   ±1000, the infeasible constraint -1 - x^2 >= 0) and constraints with
@@ -24,7 +25,7 @@ RuntimeWarnings.  For each B&B run it says whether nodes, status, error
 nodes, relaxations_solved, incumbents and every record's id, depth and
 status are equal, and how far the bounds moved.
 
-    python scripts/compare_results.py PARENT_TREE CHANGE_TREE [--bnb-seed 1] [--out results.json]
+    python scripts/compare_results.py PARENT_TREE CHANGE_TREE
 
 Exits 1 when some solve or B&B node that is optimal from PARENT_TREE is
 not optimal from CHANGE_TREE.
@@ -69,6 +70,7 @@ VANISHING_CONSTANT = {
                   ("x^3", [[[3], 1.0]]))
 }
 BNB_EDGE_NODES = 30
+BNB_SEED = 1
 
 
 def _corpora(sb, workloads, stress):
@@ -84,18 +86,19 @@ def _corpora(sb, workloads, stress):
     return out
 
 
-def _bnb_runs(sb, workloads, seed):
+def _bnb_runs(sb, workloads):
     """key -> (instance, options, solve_bnb keyword arguments)."""
     w = workloads.WORKLOADS["bnb"]
+    gap_tol = workloads.BNB_GAP_TOL
     runs = {it.key: (it.inst, it.options,
-                     dict(max_nodes=it.max_nodes, gap_tol=workloads.BNB_GAP_TOL, seed=seed))
+                     dict(max_nodes=it.max_nodes, gap_tol=gap_tol, seed=BNB_SEED))
             for it in w.build(sb, w.corpus_seed)}
     runs["x^7-x/1000"] = (sb.parse_instance(json.dumps(EDGE_CASES["x^7-x/1000"])),
-                          sb.PipelineOptions(), dict(max_nodes=BNB_EDGE_NODES, seed=seed))
+                          sb.PipelineOptions(), dict(max_nodes=BNB_EDGE_NODES, seed=BNB_SEED))
     return runs
 
 
-def collect(tree: Path, bnb_seed: int) -> dict:
+def collect(tree: Path) -> dict:
     """Every result of tree's solver on the corpora, as plain JSON data."""
     sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
     import soncbound as sb
@@ -116,7 +119,7 @@ def collect(tree: Path, bnb_seed: int) -> dict:
                                 newton=solve.iterations if solve else 0,
                                 kkt=solve.kkt_residual if solve else None,
                                 warnings=len(caught))
-    for key, (inst, options, kwargs) in _bnb_runs(sb, workloads, bnb_seed).items():
+    for key, (inst, options, kwargs) in _bnb_runs(sb, workloads).items():
         res = sb.solve_bnb(inst, options, **kwargs)
         out["bnb"][key] = dict(
             {f: getattr(res, f) for f in BNB_FIELDS}, lower_bound=res.lower_bound,
@@ -150,7 +153,8 @@ def compare_solves(parent: dict, change: dict) -> list[str]:
         for key, p in prec.items():
             c = crec[key]
             if p["status"] != c["status"]:
-                details.append(f"  {corpus} {key}: {p['status']} -> {c['status']} {c['message']}")
+                details.append(f"  {corpus} {key}: {p['status']} -> {c['status']} "
+                               f"{c['message']}")
                 if p["status"] == OPTIMAL:
                     left.append(f"{corpus} {key}")
             elif p["message"] != c["message"]:
@@ -201,28 +205,22 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="source tree of the parent")
     parser.add_argument("change", type=Path, nargs="?", help="source tree of the change")
-    parser.add_argument("--bnb-seed", type=int, default=1)
     parser.add_argument("--collect", action="store_true",
                         help="print the JSON results of the one tree given, and exit")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="write both trees' results to this file")
     args = parser.parse_args()
     if args.collect:
-        print(json.dumps(collect(args.parent, args.bnb_seed)))
+        print(json.dumps(collect(args.parent)))
         return 0
     if args.change is None:
         parser.error("two trees are needed unless --collect is given")
 
     results = {}
     for side in ("parent", "change"):
-        cmd = [sys.executable, __file__, str(getattr(args, side).resolve()), "--collect",
-               "--bnb-seed", str(args.bnb_seed)]
+        cmd = [sys.executable, __file__, str(getattr(args, side).resolve()), "--collect"]
         out = subprocess.run(cmd, capture_output=True, text=True)
         if out.returncode != 0:
             raise RuntimeError(f"{side}: exit {out.returncode}\n{out.stderr[-2000:]}")
         results[side] = json.loads(out.stdout)
-    if args.out is not None:
-        args.out.write_text(json.dumps(results, indent=1))
     left = compare_solves(results["parent"]["solves"], results["change"]["solves"])
     left += compare_bnb(results["parent"]["bnb"], results["change"]["bnb"])
     if left:

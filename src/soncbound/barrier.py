@@ -21,8 +21,10 @@ Phase 1 is the same barrier on another problem: min w, with w added to
 each general row free of gamma (the canned start already satisfies the
 circuits strictly), plus the row PHASE1_RADIUS - sum of the
 sign-bounded variables >= 0, so that the minimum of w exists and the
-infeasibility verdict can read it.  Phase 2 has no such bound: its
-multipliers grow like 1/M_i**a_i on a box of half-width M_i.
+infeasibility verdict can read it; where that row binds, the verdict is
+a numerical error.  Phase 2 has no such bound: its multipliers grow
+like 1/M_i**a_i on a box of half-width M_i, and a stalled centering
+names a multiplier past GAMMA_DIVERGENCE.
 
 -log(theta(c) - t) - sum_j log c_j is self-concordant (Nesterov &
 Nemirovskii 1994), and the sign bounds supply the -log c_j terms.  So
@@ -61,7 +63,7 @@ from .relaxation import RelaxationModel, geometric_mean, required_magnitude
 CANNED_EPS = 1e-3  # canned-start value for mu, nu and the c variables
 START_CONSTRUCTIVE = "constructive"
 START_PHASE1 = "phase-1"
-GAMMA_DIVERGENCE = 1e10  # |gamma| beyond this: the relaxation looks unbounded
+GAMMA_DIVERGENCE = 1e10  # |gamma| or a multiplier beyond this has diverged
 
 PHASE1_RADIUS = 1e8  # phase 1 keeps the sign-bounded variables' sum below this
 
@@ -443,8 +445,7 @@ def _phase1(model: RelaxationModel,
     z = np.append(np.delete(_canned_start(model), g), 0.0)
     z[w] = 1.0 - min(0.0, _feasible_margin(prob, z))
 
-    total_steps = 0
-    tau = 1.0
+    total_steps, tau = 0, 1.0
     found = lambda zz: zz[w] <= -1e-3
     for _ in range(opts.max_outer):
         z, converged, steps, _ = _center(prob, tau, z, stop_early=found)
@@ -461,6 +462,9 @@ def _phase1(model: RelaxationModel,
         return None, st.NUMERICAL_ERROR, "phase-1 iteration cap exceeded", total_steps
 
     if z[w] > -1e-8:
+        # Binding, the radius row's slack is ~1/tau, not ~PHASE1_RADIUS / (free vars + 1).
+        if prob.rows[-1] @ z + prob.rhs[-1] < 1e-3 * PHASE1_RADIUS:
+            return None, st.NUMERICAL_ERROR, "phase-1 bound row active", total_steps
         return (None, st.INFEASIBLE,
                 f"no strictly feasible start exists (best violation {z[w]:.3e})", total_steps)
 
@@ -548,6 +552,9 @@ def _path_follow(model: RelaxationModel, prob: _Barrier, z: np.ndarray, total_st
         failure = ""
         if not converged:
             failure = "inner Newton stalled"
+            mult = z[list(model.mu_indices + model.nu_indices)]
+            if mult.max(initial=0.0) > GAMMA_DIVERGENCE:
+                failure += f"; a multiplier past {GAMMA_DIVERGENCE:g}, bound may be unattained"
         elif abs(gamma) > GAMMA_DIVERGENCE:
             failure = ("gamma diverged; the relaxation appears unbounded "
                        "(the problem is likely infeasible)")

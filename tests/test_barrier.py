@@ -116,6 +116,28 @@ class TestStatuses:
         assert res.status == st.OPTIMAL, res.message
         assert res.gamma_certified == pytest.approx(1.0, abs=1e-5)
 
+    def test_phase1_bound_row_is_not_infeasibility(self):
+        # min x^4 - 1e12 x^2 on [-1,1]: feasible only with nu >= 1e12, past
+        # PHASE1_RADIUS, and the constructive start does not reach it
+        inst = make_inst(lower=(-1,), upper=(1,), objective=(((4,), 1.0), ((2,), -1e12)))
+        res = solve_instance(inst)
+        z = barrier._constructive_start(res.model)
+        prob = barrier._phase2_problem(res.model)
+        assert z is None or not barrier._strictly_feasible(prob, z)
+        assert res.status == st.NUMERICAL_ERROR
+        assert res.message == "phase-1 bound row active"
+        assert res.solve.start == barrier.START_PHASE1
+
+    def test_stall_names_a_diverging_multiplier(self):
+        # min -x s.t. -x^2 >= 0: -x + mu x^2 >= -1/(4 mu), so gamma nears 0
+        # only as mu grows without limit
+        inst = make_inst(constraints=((((2,), -1.0),),))
+        res = solve_instance(inst)
+        assert res.status == st.NUMERICAL_ERROR
+        assert res.message == ("inner Newton stalled; "
+                               "a multiplier past 1e+10, bound may be unattained")
+        assert res.solve.mu.max() > barrier.GAMMA_DIVERGENCE
+
     def test_liftable_negative_vertex_solved(self):
         # min -x^4 s.t. 1 - x^4 >= 0 on [-1,1]: optimum -1 via mu = 1
         inst = make_inst(lower=(-1,), upper=(1,), objective=(((4,), -1.0),),
