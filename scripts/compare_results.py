@@ -20,10 +20,11 @@ tree is changed.  Per corpus the report gives the optimal counts, each
 status change, each message change (grouped), the largest certified-
 gamma drift where both sides are optimal (as |d gamma| / |gamma| and as
 |d gamma| / (1 + |gamma|), the scale of the solver's gap test), the
-largest stationarity residual of an optimal solve, Newton steps and
-RuntimeWarnings.  For each B&B run it says whether nodes, status, error
-nodes, relaxations_solved, incumbents and every record's id, depth and
-status are equal, and how far the bounds moved.
+largest stationarity residual of an optimal solve, Newton steps,
+`simplex.lp_solve` calls and RuntimeWarnings.  For each B&B run it says
+whether nodes, status, error nodes, relaxations_solved, incumbents and
+every record's id, depth and status are equal, how far the bounds moved
+and how many LPs each side solved.
 
     python scripts/compare_results.py PARENT_TREE CHANGE_TREE
 
@@ -102,14 +103,24 @@ def collect(tree: Path) -> dict:
     """Every result of tree's solver on the corpora, as plain JSON data."""
     sys.path[:0] = [str(tree / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
     import soncbound as sb
+    import soncbound.simplex
     import test_stress
     import workloads
 
     assert Path(sb.__file__).resolve().is_relative_to(tree.resolve()), sb.__file__
+    lp_calls = [0]
+    lp_solve = sb.simplex.lp_solve
+
+    def counted_lp_solve(*args, **kwargs):
+        lp_calls[0] += 1
+        return lp_solve(*args, **kwargs)
+
+    sb.simplex.lp_solve = counted_lp_solve
     out = {"solves": {}, "bnb": {}}
     for corpus, items in _corpora(sb, workloads, test_stress).items():
         records = out["solves"][corpus] = {}
         for key, inst, options in items:
+            lp_calls[0] = 0
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
                 res = sb.solve_instance(inst, options)
@@ -118,11 +129,13 @@ def collect(tree: Path) -> dict:
                                 gamma=res.gamma_certified,
                                 newton=solve.iterations if solve else 0,
                                 kkt=solve.kkt_residual if solve else None,
-                                warnings=len(caught))
+                                lps=lp_calls[0], warnings=len(caught))
     for key, (inst, options, kwargs) in _bnb_runs(sb, workloads).items():
+        lp_calls[0] = 0
         res = sb.solve_bnb(inst, options, **kwargs)
         out["bnb"][key] = dict(
             {f: getattr(res, f) for f in BNB_FIELDS}, lower_bound=res.lower_bound,
+            lps=lp_calls[0],
             records=[[r.node_id, r.depth, r.status, r.parent_bound, r.computed_bound,
                       r.effective_bound] for r in res.records])
     return out
@@ -143,7 +156,8 @@ def compare_solves(parent: dict, change: dict) -> list[str]:
     """Print the per-corpus comparison; return the keys that leave optimal."""
     left = []
     print(f"{'corpus':11s} {'solves':>6s} {'optimal P -> C':>15s} {'rel dgamma':>11s} "
-          f"{'dgamma/(1+|g|)':>14s} {'max kkt P -> C':>20s} {'newton P -> C':>16s} warnings")
+          f"{'dgamma/(1+|g|)':>14s} {'max kkt P -> C':>20s} {'newton P -> C':>16s} "
+          f"{'LPs P -> C':>14s} warnings")
     details = []
     for corpus, prec in parent.items():
         crec = change[corpus]
@@ -172,10 +186,12 @@ def compare_solves(parent: dict, change: dict) -> list[str]:
         kkt = [max((r["kkt"] for r in side.values() if r["status"] == OPTIMAL), default=0.0)
                for side in (prec, crec)]
         steps = [sum(r["newton"] for r in side.values()) for side in (prec, crec)]
+        lps = [sum(r["lps"] for r in side.values()) for side in (prec, crec)]
         warned = [sum(r["warnings"] for r in side.values()) for side in (prec, crec)]
         print(f"{corpus:11s} {len(prec):6d} {f'{opt[0]} -> {opt[1]}':>15s} {rel:11.2e} "
               f"{scaled:14.2e} {f'{kkt[0]:.1e} -> {kkt[1]:.1e}':>20s} "
-              f"{f'{steps[0]:,} -> {steps[1]:,}':>16s} {warned[0]} -> {warned[1]}")
+              f"{f'{steps[0]:,} -> {steps[1]:,}':>16s} {f'{lps[0]:,} -> {lps[1]:,}':>14s} "
+              f"{warned[0]} -> {warned[1]}")
     print("drifts, status and message changes:" if details else "no changes")
     print("\n".join(details))
     return left
@@ -197,7 +213,7 @@ def compare_bnb(parent: dict, change: dict) -> list[str]:
         print(f"bnb {key}: {'all fields equal' if not differ else '; '.join(differ)}; "
               f"records (id, depth, status) {'equal' if same_records else 'DIFFER'}; "
               f"nodes {p['nodes']}, lower bound {p['lower_bound']!r} -> {c['lower_bound']!r}, "
-              f"largest relative bound drift {drift:.2e}")
+              f"largest relative bound drift {drift:.2e}, LPs {p['lps']} -> {c['lps']}")
     return left
 
 

@@ -14,8 +14,13 @@ in three families of terms evaluated for all of their members at once:
 * the general rows A z + b >= 0, dense;
 * the sign bounds z_v >= 0 of the sign-bounded variables, diagonal;
 * the circuits theta_b(c) - t_b > 0.  All theta_b come from one
-  np.add.reduceat over the concatenated c entries; the Hessian terms
-  are V^T V - W^T W plus a diagonal, V and W being (circuits x nvar).
+  np.add.reduceat over the concatenated c entries; each circuit's
+  Hessian terms, u u^T - w w^T plus a diagonal, pair only its own t and
+  c variables.
+
+The Hessian is one np.bincount over a scatter plan that _Barrier fixes
+once per problem; it adds the same products in the same order as the
+dense assembly it replaced, so the iterates are the same floats.
 
 Phase 1 is the same barrier on another problem: min w, with w added to
 each general row free of gamma (the canned start already satisfies the
@@ -105,13 +110,32 @@ class SolveResult:
     start: str = ""  # START_CONSTRUCTIVE or START_PHASE1; "" for a model infeasible as built
 
 
+def _group_pairs(group: np.ndarray, ngroups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (i, j) of positions of the sorted labels group
+    with group[i] == group[j], i-major and j ascending."""
+    sizes = np.bincount(group, minlength=ngroups)
+    reps = sizes[group]
+    left = np.repeat(np.arange(len(group)), reps)
+    first = np.repeat(np.cumsum(reps) - reps, reps)
+    right = (np.cumsum(sizes) - sizes)[group[left]] + np.arange(len(left)) - first
+    return left, right
+
+
 class _Barrier:
     """min tau * obj.z over general rows, sign bounds and circuits.
 
     lower holds the sign-bounded variables, each distinct.  circuits
     holds (t_index, c_indices, lambdas) per geometric-mean block; every
     c index must be in lower, so a nonpositive c_j shows as a
-    nonpositive sign slack.
+    nonpositive sign slack.  No variable belongs to two circuits.
+
+    The Hessian is scattered from a plan fixed here.  A row-product entry
+    (p, q) with p or q in a single general row is the one product
+    (a_kp d_k) a_kq of that row k; the columns in several rows form one
+    small dense block; the circuit terms pair only the variables of one
+    circuit.  np.bincount adds each entry's parts in the order of the
+    flat position array: row product, sign diagonal, circuit pairs, c
+    diagonal, the order in which the dense assembly summed them.
     """
 
     def __init__(self, obj, rows, rhs, lower, circuits):
@@ -128,11 +152,29 @@ class _Barrier:
         self.loglam = np.log(self.lam)
         self.starts = np.cumsum([0] + sizes)[:-1].astype(np.intp)
         self.blk = np.repeat(np.arange(nb), sizes)
-        # Flat positions of the c and t entries in the (nb, nvar) arrays V
-        # and W, and of the c diagonal in the Hessian.
-        self.v_c = self.blk * nvar + self.c_idx
-        self.v_t = np.arange(nb) * nvar + self.t_idx
-        self.h_cc = self.c_idx * (nvar + 1)
+        # Row nonzeros, row-major; columns in several rows form the block.
+        self.nz_row, nz_col = np.nonzero(rows)
+        self.nz_val = rows[self.nz_row, nz_col]
+        in_rows = np.bincount(nz_col, minlength=nvar)
+        multi = np.flatnonzero(in_rows > 1)
+        self.rows_m = np.ascontiguousarray(rows[:, multi])
+        left, right = _group_pairs(self.nz_row, len(rhs))
+        single = (in_rows == 1)[nz_col]
+        keep = single[left] | single[right]
+        self.pair_l, self.pair_r = left[keep], right[keep]
+        # Circuit variables (c entries, then t entries) grouped by circuit.
+        owner = np.concatenate([self.blk, np.arange(nb)])
+        order = np.argsort(owner, kind="stable")
+        left, right = _group_pairs(owner[order], nb)
+        self.circ_l, self.circ_r = order[left], order[right]
+        circ_var = np.concatenate([self.c_idx, self.t_idx])
+        self.flat = np.concatenate([
+            (multi[:, None] * nvar + multi).ravel(),
+            nz_col[self.pair_l] * nvar + nz_col[self.pair_r],
+            self.lower * (nvar + 1),
+            circ_var[self.circ_l] * nvar + circ_var[self.circ_r],
+            self.c_idx * (nvar + 1),
+        ])
 
 
 def _slacks(prob: _Barrier, z: np.ndarray):
@@ -164,24 +206,28 @@ def _grad_hess(prob: _Barrier, tau: float, z: np.ndarray, slacks=None):
     given, are _slacks(prob, z)."""
     nvar = len(z)
     rho, sign, theta, geo = _slacks(prob, z) if slacks is None else slacks
+    d = 1.0 / rho**2
     grad = tau * prob.obj - prob.rows.T @ (1.0 / rho)
     grad[prob.lower] -= 1.0 / sign
-    hess = (prob.rows * (1.0 / rho**2)[:, None]).T @ prob.rows
-    hess.flat[prob.lower * (nvar + 1)] += 1.0 / sign**2
-    # Circuit slack gradients u_b = (theta_b psi on c, -1 on t),
-    # psi = lambda / c = d(log theta)/dc; V holds u_b / slack_b.
+    # u: each circuit slack's gradient (theta psi on c, -1 on t) over the
+    # slack, psi = lambda / c = d(log theta)/dc.  -hess(slack)/slack =
+    # theta (diag(lambda/c^2) - psi psi^T) / slack, a diagonal minus w w^T.
     c = z[prob.c_idx]
     psi = prob.lam / c
     th, sl = theta[prob.blk], geo[prob.blk]
-    V = np.zeros((len(geo), nvar))
-    V.flat[prob.v_c] = th * psi / sl
-    V.flat[prob.v_t] = -1.0 / geo
-    # -hess(slack)/slack = theta * (diag(lambda/c^2) - psi psi^T) / slack
-    W = np.zeros_like(V)
-    W.flat[prob.v_c] = np.sqrt(th / sl) * psi
-    grad -= V.sum(axis=0)
-    hess += V.T @ V - W.T @ W
-    hess.flat[prob.h_cc] += th * prob.lam / (c**2 * sl)
+    u = np.concatenate([th * psi / sl, -1.0 / geo])
+    w = np.concatenate([np.sqrt(th / sl) * psi, np.zeros(len(geo))])
+    grad[prob.c_idx] -= u[:len(c)]
+    grad[prob.t_idx] -= u[len(c):]
+    ad = prob.nz_val * d[prob.nz_row]
+    weights = np.concatenate([
+        ((prob.rows_m * d[:, None]).T @ prob.rows_m).ravel(),
+        ad[prob.pair_l] * prob.nz_val[prob.pair_r],
+        1.0 / sign**2,
+        u[prob.circ_l] * u[prob.circ_r] - w[prob.circ_l] * w[prob.circ_r],
+        th * prob.lam / (c**2 * sl),
+    ])
+    hess = np.bincount(prob.flat, weights, nvar * nvar).reshape(nvar, nvar)
     return grad, hess, rho, sign
 
 
@@ -202,12 +248,10 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
 def _max_step(prob: _Barrier, rho: np.ndarray, sign: np.ndarray, d: np.ndarray) -> float:
     """Largest step along d keeping the row and sign slacks rho and sign
     (as _grad_hess returns them) strictly positive."""
-    step = 1.0
-    for slack, rate in ((rho, prob.rows @ d), (sign, d[prob.lower])):
-        shrink = rate < -1e-300
-        if shrink.any():
-            step = min(step, 0.99 * float(np.min(slack[shrink] / -rate[shrink])))
-    return step
+    slack = np.concatenate([rho, sign])
+    rate = np.concatenate([prob.rows @ d, d[prob.lower]])
+    shrink = rate < -1e-300
+    return min(1.0, 0.99 * float(np.min(slack[shrink] / -rate[shrink], initial=np.inf)))
 
 
 def _decrement_floor(tau: float) -> float:
@@ -232,12 +276,14 @@ def _center(
 
     Each point's slacks are computed once: the start point's and each
     trial point's serve the feasibility check, phi and the accepted
-    point's gradient and Hessian.
+    point's gradient and Hessian.  phi at a point the line search
+    accepted is the next step's phi0.
     """
     steps = 0
     decrement = np.inf
     stop = max(tol, _decrement_floor(tau))
     slacks = _slacks(prob, z)
+    phi0 = None  # phi at z, where known
     for _ in range(MAX_INNER):
         grad, hess, rho, sign = _grad_hess(prob, tau, z, slacks)
         d = _newton_direction(hess, grad)
@@ -247,12 +293,16 @@ def _center(
         alpha = _max_step(prob, rho, sign, d)
         cand = z + alpha * d
         cand_slacks = _slacks(prob, cand)
-        if not (0.0 < decrement <= FULL_STEP_DECREMENT
+        if (0.0 < decrement <= FULL_STEP_DECREMENT
                 and _feasible_margin(prob, cand, cand_slacks) > 0.0):
-            phi0 = _phi(prob, tau, z, slacks)
+            phi0 = None
+        else:
+            if phi0 is None:
+                phi0 = _phi(prob, tau, z, slacks)
             gd = float(grad @ d)
             while alpha > 1e-16:
-                if _phi(prob, tau, cand, cand_slacks) <= phi0 + 0.01 * alpha * gd:
+                phi = _phi(prob, tau, cand, cand_slacks)
+                if phi <= phi0 + 0.01 * alpha * gd:
                     break
                 alpha *= 0.5
                 cand = z + alpha * d
@@ -260,6 +310,7 @@ def _center(
             else:
                 # Progress is below float resolution; fine if nearly centered.
                 return z, abs(decrement) <= _stall_tolerance(tau), steps, decrement
+            phi0 = phi
         z, slacks = cand, cand_slacks
         steps += 1
         if stop_early is not None and stop_early(z):

@@ -295,6 +295,75 @@ class TestBarrierDerivatives:
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
 
 
+def _dense_grad_hess(prob, tau, z):
+    """Gradient and Hessian assembled densely: the row product over all
+    columns and the circuit terms as V^T V - W^T W, V and W being
+    (circuits x nvar)."""
+    nvar = len(z)
+    rho, sign, theta, geo = barrier._slacks(prob, z)
+    grad = tau * prob.obj - prob.rows.T @ (1.0 / rho)
+    grad[prob.lower] -= 1.0 / sign
+    hess = (prob.rows * (1.0 / rho**2)[:, None]).T @ prob.rows
+    hess.flat[prob.lower * (nvar + 1)] += 1.0 / sign**2
+    c = z[prob.c_idx]
+    psi = prob.lam / c
+    th, sl = theta[prob.blk], geo[prob.blk]
+    v_c = prob.blk * nvar + prob.c_idx
+    V = np.zeros((len(geo), nvar))
+    V.flat[v_c] = th * psi / sl
+    V.flat[np.arange(len(geo)) * nvar + prob.t_idx] = -1.0 / geo
+    W = np.zeros_like(V)
+    W.flat[v_c] = np.sqrt(th / sl) * psi
+    grad -= V.sum(axis=0)
+    hess += V.T @ V - W.T @ W
+    hess.flat[prob.c_idx * (nvar + 1)] += th * prob.lam / (c**2 * sl)
+    return grad, hess
+
+
+def _constructive_point(model):
+    prob = barrier._phase2_problem(model)
+    z = barrier._constructive_start(model)
+    assert z is not None and barrier._strictly_feasible(prob, z)
+    return prob, _off_center(prob, z)
+
+
+class TestScatterPlan:
+    """_grad_hess's scattered assembly equals the dense assembly bit for bit."""
+
+    @staticmethod
+    def _assert_same(prob, z):
+        for tau in (1.0, 1e4):
+            grad, hess, _, _ = barrier._grad_hess(prob, tau, z)
+            dense_grad, dense_hess = _dense_grad_hess(prob, tau, z)
+            assert np.array_equal(grad, dense_grad)
+            assert np.array_equal(hess, dense_hess)
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    @pytest.mark.parametrize("k", range(3))
+    def test_circuit_models(self, circuit_models, phase, k):
+        model = circuit_models[k]
+        if phase == 1:
+            prob, z = barrier._phase1_problem(model), _phase1_point(model)
+        else:
+            prob, z = barrier._phase2_problem(model), _phase2_point(model)
+        assert len(prob.rows) and len(prob.c_idx)
+        self._assert_same(prob, z)
+
+    def test_no_sign_bounds(self):
+        inst = make_inst(lower=(-1,), upper=(1,), objective=(((0,), 1.0), ((2,), 1.0)))
+        model = solve_instance(inst, PipelineOptions(use_bound_constraints=False)).model
+        prob, z = _constructive_point(model)
+        assert len(prob.lower) == 0
+        self._assert_same(prob, z)
+
+    def test_no_circuits(self):
+        # min x^2 with the bound x^2 <= 1: only the origin and (2,), no inner term
+        model = build_for(make_inst(lower=(-1,), upper=(1,), objective=(((2,), 1.0),)), a=(2,))
+        prob, z = _constructive_point(model)
+        assert len(prob.t_idx) == 0 and len(prob.lower) > 0
+        self._assert_same(prob, z)
+
+
 def _max_step_from_z(prob, z, d):
     """The maximum step with the row and sign slacks recomputed at z."""
     rho = prob.rows @ z + prob.rhs
