@@ -3,7 +3,8 @@
 Splits a Lagrangian support into cover candidates (even exponents that
 may serve as simplex vertices of circuits) and inner terms (everything
 else), and computes barycentric coordinates of inner terms over the
-candidate set by linear programming.
+candidate set: by exact elimination where the candidates are the n + 1
+vertices of a simplex, by linear programming otherwise.
 
 The vertices of a support's hull are found with LPs only where two
 exact integer steps leave the answer open:
@@ -223,10 +224,25 @@ def barycentric_coordinates(beta: Exponent, cands: CandidateSet) -> Cover:
 
     Returns a basic solution (at most n+1 nonzero weights) that
     maximizes the origin weight; raises CoverUnavailable when beta lies
-    outside the convex hull of the candidates.
+    outside the convex hull of the candidates.  n + 1 affinely
+    independent candidates determine the weights: they are solved
+    exactly, the same system Cover.exact_weights solves, and no LP runs.
     """
     if beta in cands.points:
         raise ValueError(f"{beta} is itself a candidate, not an inner term")
+    n = len(beta)
+    if len(cands.points) == n + 1:
+        rows = [[p[i] for p in cands.points] for i in range(n)]
+        lam = _exact_solve(rows + [[1] * (n + 1)], [*beta, 1])
+        if lam is not None:
+            if min(lam) < 0:
+                raise CoverUnavailable(beta)
+            exact = {j: w for j, w in enumerate(lam) if w}
+            cover = Cover(beta=beta, weights={j: float(w) for j, w in exact.items()},
+                          points=cands.points)
+            _validate_cover(cover, cands)
+            cover.__dict__["exact_weights"] = exact  # what the cached property would solve
+            return cover
     objective = np.zeros(len(cands.points))
     objective[0] = 1.0  # prefer origin mass: the certificate repair needs it
     res = _combination_lp(beta, list(cands.points), objective)

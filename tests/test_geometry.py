@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -265,6 +266,47 @@ class TestBarycentric:
             assert len(cover.weights) <= dim + 1
         assert checked_available >= 50
         assert checked_unavailable >= 50
+
+
+class TestSimplexCovers:
+    """n + 1 affinely independent candidates: the weights are solved
+    exactly, with no LP."""
+
+    @pytest.fixture
+    def no_lp(self, monkeypatch):
+        def refuse(problem):
+            raise AssertionError("an LP ran")
+
+        monkeypatch.setattr(simplex, "lp_solve", refuse)
+
+    @pytest.mark.parametrize("beta,a,want", [
+        ((1,), 6, {0: Fraction(5, 6), 1: Fraction(1, 6)}),
+        ((1, 1), 6, {0: Fraction(2, 3), 1: Fraction(1, 6), 2: Fraction(1, 6)}),
+        ((1, 2, 0), 10, {0: Fraction(7, 10), 1: Fraction(1, 10), 2: Fraction(1, 5)}),
+    ])
+    def test_axis_simplex_weights_are_exact(self, no_lp, beta, a, want):
+        n = len(beta)
+        points = [(0,) * n] + [tuple(a if j == i else 0 for j in range(n)) for i in range(n)]
+        cover = barycentric_coordinates(beta, cand_set(points))
+        assert cover.weights == {j: float(w) for j, w in want.items()}
+        assert cover.exact_weights == want
+
+    def test_outside_the_simplex(self, no_lp):
+        with pytest.raises(CoverUnavailable):
+            barycentric_coordinates((3, 3), cand_set([(0, 0), (4, 0), (0, 4)]))
+
+    def test_affinely_dependent_set_takes_the_lp(self, monkeypatch):
+        calls = []
+        lp_solve = simplex.lp_solve
+
+        def counted(problem):
+            calls.append(problem)
+            return lp_solve(problem)
+
+        monkeypatch.setattr(simplex, "lp_solve", counted)
+        cover = barycentric_coordinates((1, 0), cand_set([(0, 0), (2, 0), (4, 0)]))
+        assert len(calls) == 1
+        assert cover.origin_weight == pytest.approx(0.75, abs=1e-12)  # 3/4 * 0 + 1/4 * (4, 0)
 
 
 class TestGuaranteedCovers:
