@@ -19,8 +19,10 @@ in three families of terms evaluated for all of their members at once:
   c variables.
 
 The Hessian is one np.bincount over a scatter plan that _Barrier fixes
-once per problem; it adds the same products in the same order as the
-dense assembly it replaced, so the iterates are the same floats.
+once per problem.  It adds the same products in the same order as the
+dense rows^T diag(1/rho^2) rows plus V^T V - W^T W (V and W being
+circuits x nvar) would, so it is the same floats at a fraction of the
+cost.
 
 Phase 1 is the same barrier on another problem: min w, with w added to
 each general row free of gamma (the canned start already satisfies the
@@ -110,10 +112,10 @@ class SolveResult:
     start: str = ""  # START_CONSTRUCTIVE or START_PHASE1; "" for a model infeasible as built
 
 
-def _group_pairs(group: np.ndarray, ngroups: int) -> tuple[np.ndarray, np.ndarray]:
+def _group_pairs(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every ordered pair (i, j) of positions of the sorted labels group
     with group[i] == group[j], i-major and j ascending."""
-    sizes = np.bincount(group, minlength=ngroups)
+    sizes = np.bincount(group)
     reps = sizes[group]
     left = np.repeat(np.arange(len(group)), reps)
     first = np.repeat(np.cumsum(reps) - reps, reps)
@@ -135,7 +137,7 @@ class _Barrier:
     small dense block; the circuit terms pair only the variables of one
     circuit.  np.bincount adds each entry's parts in the order of the
     flat position array: row product, sign diagonal, circuit pairs, c
-    diagonal, the order in which the dense assembly summed them.
+    diagonal, the order in which a dense assembly sums them.
     """
 
     def __init__(self, obj, rows, rhs, lower, circuits):
@@ -158,14 +160,14 @@ class _Barrier:
         in_rows = np.bincount(nz_col, minlength=nvar)
         multi = np.flatnonzero(in_rows > 1)
         self.rows_m = np.ascontiguousarray(rows[:, multi])
-        left, right = _group_pairs(self.nz_row, len(rhs))
+        left, right = _group_pairs(self.nz_row)
         single = (in_rows == 1)[nz_col]
         keep = single[left] | single[right]
         self.pair_l, self.pair_r = left[keep], right[keep]
         # Circuit variables (c entries, then t entries) grouped by circuit.
         owner = np.concatenate([self.blk, np.arange(nb)])
         order = np.argsort(owner, kind="stable")
-        left, right = _group_pairs(owner[order], nb)
+        left, right = _group_pairs(owner[order])
         self.circ_l, self.circ_r = order[left], order[right]
         circ_var = np.concatenate([self.c_idx, self.t_idx])
         self.flat = np.concatenate([
