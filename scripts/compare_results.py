@@ -10,9 +10,12 @@ subprocess with only its own `src/` imported:
   seed 1;
 * the seeded stress families of `tests/test_stress.py`;
 * the edge cases of ROADMAP.md (point box, the box ±1e-4, x^7 - x on
-  ±1000, the infeasible constraint -1 - x^2 >= 0) and constraints with
-  a vanishing constant term, whose multipliers may have a recession
-  direction; x^7 - x on ±1000 also runs through `solve_bnb`.
+  ±1000, the infeasible constraint -1 - x^2 >= 0), two large
+  coefficients on [-1, 1] (1e11 + x^4 - x, whose gamma is near -1e11,
+  and x^4 - 1e16 x^2, whose phase-1 start violation is past 2^53) and
+  constraints with a vanishing constant term, whose multipliers may
+  have a recession direction; x^7 - x on ±1000 also runs through
+  `solve_bnb`.
 
 The corpora are read from this script's tree and built with each tree's
 generator, so both sides solve the same instances.  Nothing in either
@@ -62,6 +65,8 @@ EDGE_CASES = {
     "box-1e-4/x^3": _box(X3, lo=(-1e-4,), hi=(1e-4,)),
     "x^7-x/1000": _box([[[7], 1.0], [[1], -1.0]], lo=(-1000,), hi=(1000,)),
     "infeasible/-1-x^2": _box([[[1], 1.0]], [[[[0], -1.0], [[2], -1.0]]]),
+    "1e11+x^4-x": _box([[[0], 1e11], [[4], 1.0], [[1], -1.0]]),
+    "x^4-1e16x^2": _box([[[4], 1.0], [[2], -1e16]]),
 }
 VANISHING_CONSTANT = {
     f"{on}/s.t.{cn}>=0": _box(o, [c], hi=(2,))

@@ -24,14 +24,17 @@ dense rows^T diag(1/rho^2) rows plus V^T V - W^T W (V and W being
 circuits x nvar) would, so it is the same floats at a fraction of the
 cost.
 
-Phase 1 is the same barrier on another problem: min w, with w added to
-each general row free of gamma (the canned start already satisfies the
-circuits strictly), plus the row PHASE1_RADIUS - sum of the
-sign-bounded variables >= 0, so that the minimum of w exists and the
-infeasibility verdict can read it; where that row binds, the verdict is
-a numerical error.  Phase 2 has no such bound: its multipliers grow
-like 1/M_i**a_i on a box of half-width M_i, and a stalled centering
-names a multiplier past GAMMA_DIVERGENCE.
+Phase 1 is the same barrier over the same variables, with gamma's
+column read as a violation w to minimize: gamma's one row, the origin
+budget, is dropped (gamma always has feasible room), every other
+general row gets +1 in that column, and the row PHASE1_RADIUS - sum of
+the sign-bounded variables >= 0 keeps the minimum of w finite, so that
+the infeasibility verdict can read it; where that row binds, the
+verdict is a numerical error.  Phase 2 has no such bound: its
+multipliers grow like 1/M_i**a_i on a box of half-width M_i, and a
+stalled centering names a multiplier past GAMMA_DIVERGENCE.  One
+relative-slack rule, _set_start_slack, sets gamma at the phase-2 start
+and w at the phase-1 start.
 
 -log(theta(c) - t) - sum_j log c_j is self-concordant (Nesterov &
 Nemirovskii 1994), and the sign bounds supply the -log c_j terms.  So
@@ -67,10 +70,10 @@ from . import status as st
 from .poly import Exponent
 from .relaxation import RelaxationModel, geometric_mean, required_magnitude
 
-CANNED_EPS = 1e-3  # canned-start value for mu, nu and the c variables
+CANNED_EPS = 1e-3  # start value of mu and nu, and of phase 1's c variables
 START_CONSTRUCTIVE = "constructive"
 START_PHASE1 = "phase-1"
-GAMMA_DIVERGENCE = 1e10  # |gamma| or a multiplier beyond this has diverged
+GAMMA_DIVERGENCE = 1e10  # a multiplier beyond this has diverged
 
 PHASE1_RADIUS = 1e8  # phase 1 keeps the sign-bounded variables' sum below this
 
@@ -84,14 +87,14 @@ LONG_STEP_DECREMENT = 0.1  # phase-2 centering tolerance between barrier weights
 TAU_FACTOR = 100.0  # barrier-weight growth per outer step
 
 MAX_INNER = 50  # Newton steps per centering
+MAX_OUTER = 200  # barrier weights per phase
+TOL_FEAS = 1e-7  # posterior feasibility tolerance
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     tol_gap: float = 1e-6  # relative duality-gap target
-    tol_feas: float = 1e-7  # posterior feasibility tolerance
     tol_kkt: float = 1e-7  # scaled stationarity residual
-    max_outer: int = 200
 
 
 @dataclass(frozen=True)
@@ -329,30 +332,21 @@ def _kkt_residual(prob: _Barrier, tau: float, z: np.ndarray) -> float:
     return grad_inf / (tau * (1.0 + max_dual))
 
 
-def _canned_start(model: RelaxationModel) -> np.ndarray:
-    """Phase 1's seed point: mu = nu = c = 1e-3, t = geo(c)/2, gamma = 0."""
-    z = np.zeros(model.nvar)
-    for v in model.nonneg_indices:
-        z[v] = CANNED_EPS
-    for blk in model.blocks:
-        z[blk.t_index] = 0.5 * geometric_mean(z[list(blk.c_indices)], np.asarray(blk.lambdas))
-    return z
+def _set_start_slack(z: np.ndarray, col: int, rows: np.ndarray, rhs: np.ndarray) -> None:
+    """Set z[col] in place so that every row it enters has slack at least
+    max(1, 1e-9 * scale), the tightest exactly that; scale is the sum of
+    the row's term magnitudes at z[col] = 0.  Against a row constant
+    near 1e20 a unit slack is below float64 resolution.
 
-
-def _set_gamma(model: RelaxationModel, z: np.ndarray) -> None:
-    """Set gamma in place so the origin row has slack max(1, 1e-9 * scale),
-    scale being the sum of the row's term magnitudes: against an origin
-    constant near 1e20 a unit slack is below float64 resolution.
-
-    gamma appears only in the origin row, with coefficient -1.
+    Column col has the same coefficient in every row it enters: -1 for
+    gamma, which enters only the origin budget, and +1 for phase 1's w.
     """
-    g = model.gamma_index
-    z[g] = 0.0
-    for row, const in zip(model.rows, model.rhs):
-        if row[g]:
-            scale = float(np.abs(row * z).sum()) + abs(const)
-            z[g] = float(row @ z + const) - max(1.0, 1e-9 * scale)
-            return
+    z[col] = 0.0
+    enters = rows[:, col] != 0.0
+    rows, rhs = rows[enters], rhs[enters]
+    need = max(max(1.0, 1e-9 * (float(np.abs(row * z).sum()) + abs(const)))
+               - float(row @ z + const) for row, const in zip(rows, rhs))
+    z[col] = rows[0, col] * need
 
 
 def _strictly_feasible(prob: _Barrier, z: np.ndarray) -> bool:
@@ -451,56 +445,66 @@ def _constructive_start(model: RelaxationModel) -> np.ndarray | None:
         )
         z[model.nu_indices[nu_pos]] = max(CANNED_EPS, total + 1.0 - fixed_part[j])
 
-    _set_gamma(model, z)
+    _set_start_slack(z, model.gamma_index, model.rows, model.rhs)
     return z
 
 
-def _phase2_problem(model: RelaxationModel) -> _Barrier:
+def _problem(model: RelaxationModel, sense: float, rows: np.ndarray,
+             rhs: np.ndarray) -> _Barrier:
+    """min sense * z[gamma] over rows z + rhs >= 0 and the model's sign
+    bounds and circuits."""
     obj = np.zeros(model.nvar)
-    obj[model.gamma_index] = -1.0  # maximize gamma
+    obj[model.gamma_index] = sense
     circuits = [(blk.t_index, blk.c_indices, blk.lambdas) for blk in model.blocks]
-    return _Barrier(obj, model.rows, model.rhs, model.nonneg_indices, circuits)
+    return _Barrier(obj, rows, rhs, model.nonneg_indices, circuits)
+
+
+def _phase2_problem(model: RelaxationModel) -> _Barrier:
+    return _problem(model, -1.0, model.rows, model.rhs)  # maximize gamma
 
 
 def _phase1_problem(model: RelaxationModel) -> _Barrier:
-    """min w over the model without gamma; w is the last variable.
+    """min w, gamma's column read as w.
 
-    Rows containing gamma are dropped (gamma always has feasible room);
-    the other rows are shifted by w; sign bounds and circuits stay hard.
-    The last row, PHASE1_RADIUS - sum of the sign-bounded variables >= 0,
-    is not shifted: it keeps the problem bounded.
+    gamma's row, the origin budget, is dropped (gamma always has
+    feasible room); the other rows are shifted by w; sign bounds and
+    circuits stay hard.  The last row, PHASE1_RADIUS - sum of the
+    sign-bounded variables >= 0, is not shifted: it keeps the problem
+    bounded.
     """
-    g, w = model.gamma_index, model.nvar - 1
+    g = model.gamma_index
     free = model.rows[:, g] == 0.0
-    rows1 = np.hstack([np.delete(model.rows[free], g, axis=1), np.ones((int(free.sum()), 1))])
-    new = np.arange(model.nvar) - (np.arange(model.nvar) > g)  # old index -> new
-    lower = new[list(model.nonneg_indices)]
+    rows = model.rows[free]
+    rows[:, g] = 1.0
     radius = np.zeros(model.nvar)
-    radius[lower] = -1.0
-    circuits = [(new[blk.t_index], new[list(blk.c_indices)], blk.lambdas)
-                for blk in model.blocks]
-    obj = np.zeros(model.nvar)
-    obj[w] = 1.0
-    return _Barrier(obj, np.vstack([rows1, radius]), np.append(model.rhs[free], PHASE1_RADIUS),
-                    lower, circuits)
+    radius[list(model.nonneg_indices)] = -1.0
+    return _problem(model, 1.0, np.vstack([rows, radius]),
+                    np.append(model.rhs[free], PHASE1_RADIUS))
 
 
-def _phase1(model: RelaxationModel,
-            opts: SolverOptions) -> tuple[np.ndarray | None, str, str, int]:
-    """Minimize the uniform violation w from the canned start.
+def _phase1_start(prob: _Barrier, w: int) -> np.ndarray:
+    """mu = nu = c = CANNED_EPS, t = theta(c) / 2 and w by _set_start_slack."""
+    z = np.zeros(len(prob.obj))
+    z[prob.lower] = CANNED_EPS
+    z[prob.t_idx] = 0.5 * _slacks(prob, z)[2]
+    _set_start_slack(z, w, prob.rows, prob.rhs)
+    return z
 
-    Returns (z, status, message, steps).  z is the full phase-2 point
-    with gamma set by _set_gamma and status optimal, or None with status
+
+def _phase1(model: RelaxationModel) -> tuple[np.ndarray | None, str, str, int]:
+    """Minimize the uniform violation w from _phase1_start.
+
+    Returns (z, status, message, steps).  z is the phase-2 point, gamma
+    set by _set_start_slack, with status optimal, or None with status
     infeasible (no strictly feasible point exists) or numerical-error.
     """
-    g, w = model.gamma_index, model.nvar - 1
+    w = model.gamma_index
     prob = _phase1_problem(model)
-    z = np.append(np.delete(_canned_start(model), g), 0.0)
-    z[w] = 1.0 - min(0.0, _feasible_margin(prob, z))
+    z = _phase1_start(prob, w)
 
     total_steps, tau = 0, 1.0
     found = lambda zz: zz[w] <= -1e-3
-    for _ in range(opts.max_outer):
+    for _ in range(MAX_OUTER):
         z, converged, steps, _ = _center(prob, tau, z, stop_early=found)
         total_steps += steps
         if found(z):
@@ -521,9 +525,8 @@ def _phase1(model: RelaxationModel,
         return (None, st.INFEASIBLE,
                 f"no strictly feasible start exists (best violation {z[w]:.3e})", total_steps)
 
-    z_full = np.insert(z[:w], g, 0.0)
-    _set_gamma(model, z_full)
-    return z_full, st.OPTIMAL, "", total_steps
+    _set_start_slack(z, w, model.rows, model.rhs)
+    return z, st.OPTIMAL, "", total_steps
 
 
 def _extract(model: RelaxationModel, z: np.ndarray, stat: str, gap: float, kkt: float,
@@ -575,7 +578,7 @@ def solve_relaxation(model: RelaxationModel, opts: SolverOptions | None = None) 
     try:
         if z is None or not _strictly_feasible(prob, z):
             start = START_PHASE1
-            z, stat, message, steps = _phase1(model, opts)
+            z, stat, message, steps = _phase1(model)
             if z is None:
                 return SolveResult(status=stat, message=message, start=start)
             if not _strictly_feasible(prob, z):
@@ -592,7 +595,7 @@ def _path_follow(model: RelaxationModel, prob: _Barrier, z: np.ndarray, total_st
     tau = 1.0
     trace: list[float] = []
     outers = 0
-    for _ in range(opts.max_outer):
+    for _ in range(MAX_OUTER):
         gap = prob.num_terms / tau
         z, converged, steps, _ = _center(prob, tau, z, LONG_STEP_DECREMENT)
         total_steps += steps
@@ -602,16 +605,11 @@ def _path_follow(model: RelaxationModel, prob: _Barrier, z: np.ndarray, total_st
             total_steps += steps
         gamma = float(z[model.gamma_index])
         trace.append(gamma)
-        failure = ""
         if not converged:
             failure = "inner Newton stalled"
             mult = z[list(model.mu_indices + model.nu_indices)]
             if mult.max(initial=0.0) > GAMMA_DIVERGENCE:
                 failure += f"; a multiplier past {GAMMA_DIVERGENCE:g}, bound may be unattained"
-        elif abs(gamma) > GAMMA_DIVERGENCE:
-            failure = ("gamma diverged; the relaxation appears unbounded "
-                       "(the problem is likely infeasible)")
-        if failure:
             return _extract(model, z, st.NUMERICAL_ERROR, gap,
                             _kkt_residual(prob, tau, z), trace, total_steps, outers, failure)
         if gap <= opts.tol_gap * (1.0 + abs(gamma)):
@@ -621,7 +619,7 @@ def _path_follow(model: RelaxationModel, prob: _Barrier, z: np.ndarray, total_st
                                 total_steps, outers,
                                 f"stationarity residual {kkt:.2e} above tolerance")
             result = _extract(model, z, st.OPTIMAL, gap, kkt, trace, total_steps, outers)
-            if result.max_residual > opts.tol_feas:
+            if result.max_residual > TOL_FEAS:
                 return _extract(model, z, st.NUMERICAL_ERROR, gap, kkt, trace,
                                 total_steps, outers,
                                 f"constraint residual {result.max_residual:.2e} "

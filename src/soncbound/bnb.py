@@ -153,7 +153,7 @@ def solve_bnb(
     nodes_solved = 0
     error_nodes = 0
     records: list[NodeRecord] = []
-    closed_bounds: list[float] = []
+    closed_min = math.inf  # smallest bound of a closed leaf
 
     heap: list[tuple[float, int, int, BnbNode]] = []
 
@@ -167,8 +167,7 @@ def solve_bnb(
     limit_hit = False
 
     while heap:
-        open_min = heap[0][0]
-        global_bound = min([open_min] + closed_bounds) if closed_bounds else open_min
+        global_bound = min(heap[0][0], closed_min)
         if incumbent_value - global_bound <= gap_tol:
             break
         if nodes_solved >= max_nodes:
@@ -201,27 +200,21 @@ def solve_bnb(
             )
 
         if effective >= incumbent_value - gap_tol:
-            closed_bounds.append(effective)
+            closed_min = min(closed_min, effective)
             continue
         if computed is None and node.depth >= ERROR_DEPTH_CAP:
-            closed_bounds.append(effective)
+            closed_min = min(closed_min, effective)
             continue
         children = branch(
             BnbNode(node.node_id, node.lower, node.upper, node.depth, effective)
         )
         if children is None:
-            closed_bounds.append(effective)
+            closed_min = min(closed_min, effective)
             continue
         for child in children:
             push(child)
-
-    if heap:
-        open_min = heap[0][0]
-        global_bound = min([open_min] + closed_bounds) if closed_bounds else open_min
-    elif closed_bounds:
-        global_bound = min(closed_bounds)
     else:
-        global_bound = -math.inf
+        global_bound = closed_min  # the last node popped closed
 
     if incumbent_value - global_bound <= gap_tol:
         outcome = GAP_REACHED

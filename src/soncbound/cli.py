@@ -7,7 +7,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import status as st
@@ -66,15 +66,8 @@ class StatusTable:
         return "\n".join(lines)
 
 
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(
-        tol_gap=args.tol_gap,
-        tol_feas=args.tol_feas,
-        max_outer=args.max_iters,
-    )
-
-
-def _pipeline_options(args, use_bcs: bool) -> PipelineOptions:
+def _pipeline_options(args, use_bcs: bool,
+                      solver: SolverOptions | None = None) -> PipelineOptions:
     exponents = None
     if getattr(args, "bound_exponents", None):
         exponents = tuple(int(v) for v in args.bound_exponents.split(","))
@@ -82,21 +75,23 @@ def _pipeline_options(args, use_bcs: bool) -> PipelineOptions:
         use_bound_constraints=use_bcs,
         exponent_strategy=args.exponent_strategy,
         exponents=exponents,
-        solver=_solver_options(args),
+        solver=solver or SolverOptions(tol_gap=args.tol_gap),
     )
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--no-bound-constraints", action="store_true",
-                   help="vanilla relaxation without box-derived cover vertices")
+    """The relaxation flags of solve, batch and bnb."""
     p.add_argument("--exponent-strategy", choices=STRATEGIES, default=UNIFORM)
     p.add_argument("--bound-exponents", default=None, metavar="A1,A2,...",
                    help="explicit even bound exponents, overriding the strategy")
-    p.add_argument("--tol-feas", type=float, default=1e-7)
     p.add_argument("--tol-gap", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _add_bcs_flag(p: argparse.ArgumentParser) -> None:
+    """solve and bnb; batch runs both configurations."""
+    p.add_argument("--no-bound-constraints", action="store_true",
+                   help="vanilla relaxation without box-derived cover vertices")
 
 
 def _load_instance(path: str):
@@ -243,12 +238,8 @@ def cmd_bnb(args) -> int:
     inst = _load_instance(args.instance)
     if inst is None:
         return 1
-    options = replace(_pipeline_options(args, use_bcs=True), solver=SolverOptions(
-        tol_gap=min(args.tol_gap, 1e-8),
-        tol_kkt=1e-5,
-        tol_feas=args.tol_feas,
-        max_outer=args.max_iters,
-    ))
+    solver = SolverOptions(tol_gap=min(args.tol_gap, 1e-8), tol_kkt=1e-5)
+    options = _pipeline_options(args, use_bcs=not args.no_bound_constraints, solver=solver)
     result = solve_bnb(
         inst,
         options,
@@ -276,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="bound a single instance file")
     p_solve.add_argument("instance")
     _add_common_flags(p_solve)
+    _add_bcs_flag(p_solve)
+    p_solve.add_argument("--format", choices=("text", "json"), default="text")
     p_solve.add_argument("--emit-certificate", default=None, metavar="PATH")
     p_solve.add_argument("--dump-model", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
@@ -303,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bnb = sub.add_parser("bnb", help="branch-and-bound over the variable box")
     p_bnb.add_argument("instance")
     _add_common_flags(p_bnb)
+    _add_bcs_flag(p_bnb)
     p_bnb.add_argument("--max-nodes", type=int, default=1000)
     p_bnb.add_argument("--gap-tol", type=float, default=1e-6)
     p_bnb.set_defaults(func=cmd_bnb)

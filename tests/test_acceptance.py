@@ -5,7 +5,6 @@ The corpus (100 seeded instances, n in {1,2,3}, degree caps 3..6) is
 generated and solved once per session and shared across criteria.
 """
 
-import json
 import math
 import random
 import time
@@ -23,8 +22,9 @@ from soncbound.cli import main
 from soncbound.generator import generate_instance
 from soncbound.geometry import CandidateSet, CoverUnavailable, barycentric_coordinates
 from soncbound.pipeline import PipelineOptions, PipelineResult, solve_instance
-from soncbound.poly import PopInstance, parse_instance, serialize_instance
+from soncbound.poly import PopInstance, serialize_instance
 
+from builders import inst_from
 from oracle import in_hull_exact
 
 CORPUS_SIZE = 100
@@ -64,10 +64,6 @@ def corpus():
         )
     elapsed = time.perf_counter() - start
     return entries, elapsed
-
-
-def inst_from(d):
-    return parse_instance(json.dumps(d))
 
 
 MIN_X = {"n": 1, "objective": [[[1], -1.0]], "constraints": [], "lower": [-1], "upper": [2]}

@@ -1,6 +1,6 @@
 import dataclasses
-import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -8,40 +8,13 @@ import pytest
 from soncbound import barrier
 from soncbound import status as st
 from soncbound.barrier import SolverOptions, solve_relaxation
-from soncbound.certify import strict_gamma_float
-from soncbound.covers import build_candidates_and_covers, make_bound_constraints
+from soncbound.certify import sample_soundness_check, strict_gamma_float
 from soncbound.generator import generate_instance
 from soncbound.pipeline import PipelineOptions, prepare_root, solve_instance
-from soncbound.poly import evaluate, parse_instance
-from soncbound.relaxation import assemble_lagrangian, build_model, geometric_mean
+from soncbound.poly import evaluate
+from soncbound.relaxation import geometric_mean
 
-
-def make_inst(n=1, lower=(-1,), upper=(2,), objective=(((1,), -1.0),), constraints=()):
-    return parse_instance(
-        json.dumps(
-            {
-                "n": n,
-                "objective": [[list(e), c] for e, c in objective],
-                "constraints": [[[list(e), c] for e, c in g] for g in constraints],
-                "lower": list(lower),
-                "upper": list(upper),
-            }
-        )
-    )
-
-
-def build_for(inst, a=None):
-    lag_plain = assemble_lagrangian(inst, [], False)
-    if a is None:
-        bcs = []
-        lag = lag_plain
-    else:
-        bcs = make_bound_constraints(inst, a)
-        lag = assemble_lagrangian(inst, bcs, True)
-    cands, covers = build_candidates_and_covers(
-        lag.support, bcs, inst.n, genuine_support=lag_plain.support
-    )
-    return build_model(lag, cands, covers, bcs)
+from builders import acceptance_instance, build_for, make_inst
 
 
 MOTZKIN = make_inst(
@@ -103,9 +76,10 @@ class TestStatuses:
         res = solve_relaxation(model)
         assert res.status == st.INFEASIBLE
 
-    def test_iteration_cap_is_numerical_error(self):
+    def test_iteration_cap_is_numerical_error(self, monkeypatch):
         model = build_for(make_inst(), a=(2,))
-        res = solve_relaxation(model, SolverOptions(max_outer=2))
+        monkeypatch.setattr(barrier, "MAX_OUTER", 2)
+        res = solve_relaxation(model)
         assert res.status == st.NUMERICAL_ERROR
 
     def test_no_sign_bounds(self):
@@ -137,6 +111,18 @@ class TestStatuses:
         assert res.message == ("inner Newton stalled; "
                                "a multiplier past 1e+10, bound may be unattained")
         assert res.solve.mu.max() > barrier.GAMMA_DIVERGENCE
+
+    def test_large_gamma_is_a_bound(self):
+        # min 1e11 + x^4 - x on [-1,1]: a gamma near 1e11 is no sign of an
+        # unbounded relaxation
+        inst = make_inst(lower=(-1,), upper=(1,),
+                         objective=(((0,), 1e11), ((4,), 1.0), ((1,), -1.0)))
+        res = solve_instance(inst)
+        assert res.status == st.OPTIMAL, res.message
+        assert res.gamma_certified == pytest.approx(99999999992.87, abs=0.01)
+        strict = strict_gamma_float(res.model, res.certificate)
+        assert strict <= res.gamma_certified <= res.gamma_solver
+        assert sample_soundness_check(inst, res.gamma_certified).ok()
 
     def test_liftable_negative_vertex_solved(self):
         # min -x^4 s.t. 1 - x^4 >= 0 on [-1,1]: optimum -1 via mu = 1
@@ -212,11 +198,6 @@ class TestSoundnessOnSamples:
             assert larger <= smaller + 1e-7
 
 
-def _acceptance_instance(i):
-    """Instance i of the acceptance corpus (seed 1000 + i)."""
-    return generate_instance(1000 + i, n=1 + i % 3, m=i % 3, max_degree=3 + i % 4, density=0.5)
-
-
 def _off_center(prob, z):
     """z moved along a seeded direction, at most a quarter of the way to
     the linear boundary.
@@ -232,7 +213,7 @@ def _off_center(prob, z):
 
 
 def _phase2_point(model):
-    z, stat, message, _ = barrier._phase1(model, SolverOptions())
+    z, stat, message, _ = barrier._phase1(model)
     assert stat == st.OPTIMAL and z is not None, message
     prob = barrier._phase2_problem(model)
     z, _, _, _ = barrier._center(prob, 1.0, z)
@@ -240,18 +221,15 @@ def _phase2_point(model):
 
 
 def _phase1_point(model):
-    """Near the phase-1 start point: the canned start with w, its last
-    variable, shifting the rows."""
+    """Near the phase-1 start point."""
     prob = barrier._phase1_problem(model)
-    z = np.append(np.delete(barrier._canned_start(model), model.gamma_index), 0.0)
-    z[-1] = 1.0 - min(0.0, barrier._feasible_margin(prob, z))
-    return _off_center(prob, z)
+    return _off_center(prob, barrier._phase1_start(prob, model.gamma_index))
 
 
 @pytest.fixture(scope="module")
 def circuit_models():
     """Acceptance seeds 1001, 1002 and 1004: 3, 9 and 4 circuits."""
-    insts = [_acceptance_instance(i) for i in (1, 2, 4)]
+    insts = [acceptance_instance(i) for i in (1, 2, 4)]
     return [build_for(inst, prepare_root(inst, PipelineOptions()).exponents) for inst in insts]
 
 
@@ -266,7 +244,8 @@ class TestBarrierDerivatives:
         assert len(model.blocks) >= 3
         if phase == 1:
             prob, z = barrier._phase1_problem(model), _phase1_point(model)
-            assert prob.obj[-1] == 1.0 and prob.rhs[-1] == barrier.PHASE1_RADIUS
+            assert prob.obj[model.gamma_index] == 1.0
+            assert prob.rhs[-1] == barrier.PHASE1_RADIUS
         else:
             prob, z = barrier._phase2_problem(model), _phase2_point(model)
         tau = 1.0
@@ -479,7 +458,7 @@ NEWLY_OPTIMAL_HIGHDEG = [
 class TestPinnedResults:
     @pytest.mark.parametrize("seed,status,gamma", PINNED_ACCEPTANCE)
     def test_acceptance(self, seed, status, gamma):
-        _check_pinned(_acceptance_instance(seed - 1000), status, gamma)
+        _check_pinned(acceptance_instance(seed - 1000), status, gamma)
 
     @pytest.mark.parametrize("seed,status,gamma", PINNED_HIGHDEG)
     def test_highdeg(self, seed, status, gamma):
@@ -528,7 +507,7 @@ class TestLongStep:
             return out
 
         monkeypatch.setattr(barrier, "_center", spy)
-        res = solve_instance(_acceptance_instance(0))
+        res = solve_instance(acceptance_instance(0))
         assert res.status == st.OPTIMAL
         phase2 = [c for c in calls if c[0]]
         *earlier, (_, tau, converged, last) = phase2
@@ -538,7 +517,7 @@ class TestLongStep:
 
     def test_acceptance_step_count(self):
         # 1,473 steps with every barrier weight centered to the float floor
-        steps = sum(solve_instance(_acceptance_instance(i)).solve.iterations for i in range(20))
+        steps = sum(solve_instance(acceptance_instance(i)).solve.iterations for i in range(20))
         assert steps <= 770
 
     def test_highdeg_solved_by_long_steps(self):
@@ -550,7 +529,7 @@ class TestLongStep:
 
     def test_tau_growth_is_not_an_option(self):
         names = {f.name for f in dataclasses.fields(SolverOptions)}
-        assert names == {"tol_gap", "tol_feas", "tol_kkt", "max_outer"}
+        assert names == {"tol_gap", "tol_kkt"}
 
 
 class TestSlackReuse:
@@ -573,7 +552,7 @@ class TestSlackReuse:
 
         monkeypatch.setattr(barrier, "_slacks", slacks)
         monkeypatch.setattr(barrier, "_center", center)
-        steps = sum(solve_instance(_acceptance_instance(i)).solve.iterations for i in range(20))
+        steps = sum(solve_instance(acceptance_instance(i)).solve.iterations for i in range(20))
         assert steps == 770  # as when every trial point's slacks were recomputed
         calls = sum(c for c, _ in per_center)
         trial_points = sum(d - 1 for _, d in per_center)  # a centering's start is no trial
@@ -590,10 +569,23 @@ class TestStartPoint:
         assert model.rows[origin] @ z + model.rhs[origin] > 0.0
         assert barrier._strictly_feasible(barrier._phase2_problem(model), z)
 
+    def test_phase1_start_past_float_resolution(self):
+        # min x^4 - 1e16 x^2 on [-1,1]: the start violates a row by more than
+        # 2^53, where a unit slack on top of the violation rounds to 0
+        inst = make_inst(lower=(-1,), upper=(1,), objective=(((4,), 1.0), ((2,), -1e16)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = solve_instance(inst)
+        assert res.solve.start == barrier.START_PHASE1
+        prob = barrier._phase1_problem(res.model)
+        z = barrier._phase1_start(prob, res.model.gamma_index)
+        assert z[res.model.gamma_index] > 2.0**53
+        assert barrier._strictly_feasible(prob, z)
+
     def test_infeasible_phase1_point_is_numerical_error(self, monkeypatch):
         model = solve_instance(generate_instance(9, n=1, m=0, max_degree=12)).model
         monkeypatch.setattr(barrier, "_phase1",
-                            lambda m, opts: (np.zeros(m.nvar), st.OPTIMAL, "", 0))
+                            lambda m: (np.zeros(m.nvar), st.OPTIMAL, "", 0))
         res = solve_relaxation(model)
         assert res.status == st.NUMERICAL_ERROR
         assert res.message == "the phase-1 point is not strictly feasible"
@@ -602,7 +594,7 @@ class TestStartPoint:
 
 class TestStartPath:
     def test_constructive(self):
-        res = solve_instance(_acceptance_instance(0))
+        res = solve_instance(acceptance_instance(0))
         assert res.status == st.OPTIMAL
         assert res.solve.start == barrier.START_CONSTRUCTIVE == "constructive"
 

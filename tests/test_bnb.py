@@ -1,4 +1,3 @@
-import json
 import math
 import random
 import warnings
@@ -12,13 +11,11 @@ from soncbound.barrier import SolverOptions
 from soncbound.bnb import EXHAUSTED, GAP_REACHED, NODE_LIMIT, BnbNode, branch, solve_bnb
 from soncbound.generator import generate_instance
 from soncbound.pipeline import PipelineOptions, prepare_root
-from soncbound.poly import evaluate, parse_instance
+from soncbound.poly import evaluate
+
+from builders import inst_from
 
 TIGHT = PipelineOptions(solver=SolverOptions(tol_gap=1e-8, tol_kkt=1e-5))
-
-
-def inst_from(d):
-    return parse_instance(json.dumps(d))
 
 
 MIN_X = inst_from({"n": 1, "objective": [[[1], -1.0]], "constraints": [],

@@ -17,39 +17,10 @@ from soncbound.certify import (
     strict_gamma,
     strict_gamma_float,
 )
-from soncbound.covers import build_candidates_and_covers, make_bound_constraints
 from soncbound.generator import generate_instance
 from soncbound.pipeline import solve_instance
-from soncbound.poly import parse_instance
-from soncbound.relaxation import assemble_lagrangian, build_model
 
-
-def make_inst(n=1, lower=(-1,), upper=(2,), objective=(((1,), -1.0),), constraints=()):
-    return parse_instance(
-        json.dumps(
-            {
-                "n": n,
-                "objective": [[list(e), c] for e, c in objective],
-                "constraints": [[[list(e), c] for e, c in g] for g in constraints],
-                "lower": list(lower),
-                "upper": list(upper),
-            }
-        )
-    )
-
-
-def build_for(inst, a=None):
-    lag_plain = assemble_lagrangian(inst, [], False)
-    if a is None:
-        bcs = []
-        lag = lag_plain
-    else:
-        bcs = make_bound_constraints(inst, a)
-        lag = assemble_lagrangian(inst, bcs, True)
-    cands, covers = build_candidates_and_covers(
-        lag.support, bcs, inst.n, genuine_support=lag_plain.support
-    )
-    return build_model(lag, cands, covers, bcs)
+from builders import build_for, make_inst
 
 
 MIN_X_MODEL = build_for(make_inst(), a=(2,))

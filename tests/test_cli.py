@@ -86,6 +86,12 @@ class TestSolveCommand:
             main(["solve"])  # missing path
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("flag", [["--tol-feas", "1e-7"], ["--max-iters", "5"]])
+    def test_removed_solver_flags_rejected(self, minx_file, flag):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", minx_file, *flag])
+        assert err.value.code == 1
+
 
 class TestGenerateCommand:
     def test_stdout_single(self, capsys):
@@ -152,6 +158,13 @@ class TestBatchCommand:
     def test_missing_directory_exit_one(self, tmp_path):
         assert main(["batch", str(tmp_path / "nope")]) == 1
 
+    @pytest.mark.parametrize("flag", [["--format", "json"], ["--no-bound-constraints"]])
+    def test_ignored_flags_rejected(self, corpus, flag):
+        # batch writes its table and CSV, in both configurations
+        with pytest.raises(SystemExit) as err:
+            main(["batch", str(corpus), *flag])
+        assert err.value.code == 1
+
     def test_parallel_jobs_match_serial(self, corpus, tmp_path):
         c1, c2 = tmp_path / "serial.csv", tmp_path / "par.csv"
         main(["batch", str(corpus), "--csv", str(c1)])
@@ -182,3 +195,15 @@ class TestBnbCommand:
         assert code == 0
         assert "node 0 depth 0" in out
         assert "status: gap-reached" in out
+
+    def test_no_bound_constraints(self, minx_file, capsys):
+        code = main(["bnb", minx_file, "--no-bound-constraints", "--max-nodes", "10"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "node 0 depth 0 bound -inf incumbent inf status cover-unavailable" in out
+        assert "lower bound: -inf" in out
+
+    def test_format_rejected(self, minx_file):
+        with pytest.raises(SystemExit) as err:
+            main(["bnb", minx_file, "--format", "json"])
+        assert err.value.code == 1

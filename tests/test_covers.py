@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from soncbound.covers import (
@@ -12,23 +10,10 @@ from soncbound.covers import (
 )
 from soncbound.generator import generate_instance
 from soncbound.geometry import BOUND_CONSTRAINT, SUPPORT_EVEN, CoverUnavailable
-from soncbound.poly import parse_instance
 from soncbound.relaxation import assemble_lagrangian
 from soncbound.status import NumericalError
 
-
-def make_inst(n=1, lower=(-1,), upper=(2,), objective=(((1,), -1.0),), constraints=()):
-    return parse_instance(
-        json.dumps(
-            {
-                "n": n,
-                "objective": [[list(e), c] for e, c in objective],
-                "constraints": [[[list(e), c] for e, c in g] for g in constraints],
-                "lower": list(lower),
-                "upper": list(upper),
-            }
-        )
-    )
+from builders import make_inst
 
 
 class TestSelectExponents:

@@ -6,7 +6,6 @@ import pytest
 
 from soncbound import covers, geometry, simplex
 from soncbound.covers import build_candidate_set
-from soncbound.generator import generate_instance
 from soncbound.geometry import (
     ONE_SIDED,
     TWO_SIDED,
@@ -20,6 +19,7 @@ from soncbound.geometry import (
 )
 from soncbound.pipeline import PREPARE_ERRORS, PipelineOptions, prepare_root
 
+from builders import acceptance_instance
 from oracle import in_hull_exact, vertices_exact
 
 MOTZKIN_SUPPORT = [(4, 2), (2, 4), (2, 2), (0, 0)]
@@ -165,22 +165,18 @@ def _vertex_lps(monkeypatch, supports):
     return len(lps)
 
 
-def _acceptance_instance(i):
-    return generate_instance(1000 + i, n=1 + i % 3, m=i % 3, max_degree=3 + i % 4, density=0.5)
-
-
 class TestVertexLpCount:
     def test_with_bounds_hull_takes_no_lp(self, monkeypatch):
         # Default options take the hull without bound exponents (to choose
         # them), then the one with them: conv(0, a_i e_i), decided exactly.
-        supports = _hulls(monkeypatch, [(_acceptance_instance(i), PipelineOptions())
+        supports = _hulls(monkeypatch, [(acceptance_instance(i), PipelineOptions())
                                         for i in range(100)])
         assert len(supports) == 200
         assert _vertex_lps(monkeypatch, supports[1::2]) == 0  # 795 with one LP per point
 
     def test_acceptance_corpus(self, monkeypatch):
         vanilla = PipelineOptions(use_bound_constraints=False)
-        runs = [(_acceptance_instance(i), options)
+        runs = [(acceptance_instance(i), options)
                 for i in range(100) for options in (PipelineOptions(), vanilla)]
         assert _vertex_lps(monkeypatch, _hulls(monkeypatch, runs)) <= 450  # 1,987 before
 

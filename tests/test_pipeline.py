@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -15,11 +14,8 @@ from soncbound.pipeline import (
     solve_instance,
     solve_on_box,
 )
-from soncbound.poly import parse_instance
 
-
-def inst_from(d):
-    return parse_instance(json.dumps(d))
+from builders import inst_from
 
 
 MIN_X = inst_from({"n": 1, "objective": [[[1], -1.0]], "constraints": [],

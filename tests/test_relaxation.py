@@ -1,31 +1,15 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as hst
 
-from soncbound.covers import build_candidates_and_covers, make_bound_constraints
-from soncbound.poly import parse_instance
+from soncbound.covers import make_bound_constraints
 from soncbound.relaxation import (
     assemble_lagrangian,
-    build_model,
     dump_model,
     geometric_mean,
 )
 
-
-def make_inst(n=1, lower=(-1,), upper=(2,), objective=(((1,), -1.0),), constraints=()):
-    return parse_instance(
-        json.dumps(
-            {
-                "n": n,
-                "objective": [[list(e), c] for e, c in objective],
-                "constraints": [[[list(e), c] for e, c in g] for g in constraints],
-                "lower": list(lower),
-                "upper": list(upper),
-            }
-        )
-    )
+from builders import build_for, make_inst
 
 
 class TestAssembleLagrangian:
@@ -60,20 +44,6 @@ class TestAssembleLagrangian:
         assert lag.coeffs[(0,)].constant == 1.5
         assert lag.coeffs[(0,)].gamma_coeff == -1.0
         assert not lag.coeffs[(2,)].mu and not lag.coeffs[(2,)].nu
-
-
-def build_for(inst, a=None):
-    lag_plain = assemble_lagrangian(inst, [], False)
-    if a is None:
-        bcs = []
-        lag = lag_plain
-    else:
-        bcs = make_bound_constraints(inst, a)
-        lag = assemble_lagrangian(inst, bcs, True)
-    cands, covers = build_candidates_and_covers(
-        lag.support, bcs, inst.n, genuine_support=lag_plain.support
-    )
-    return build_model(lag, cands, covers, bcs)
 
 
 class TestBuildModel:
