@@ -11,7 +11,7 @@ is used as it is.
 The barrier carries the model's own constraints, each at unit weight,
 in three families of terms evaluated for all of their members at once:
 
-* the general rows A z + b >= 0, dense;
+* the general rows A z + b >= 0;
 * the sign bounds z_v >= 0 of the sign-bounded variables, diagonal;
 * the circuits theta_b(c) - t_b > 0.  All theta_b come from one
   np.add.reduceat over the concatenated c entries; each circuit's
@@ -19,10 +19,12 @@ in three families of terms evaluated for all of their members at once:
   c variables.
 
 The Hessian is one np.bincount over a scatter plan that _Barrier fixes
-once per problem.  It adds the same products in the same order as the
-dense rows^T diag(1/rho^2) rows plus V^T V - W^T W (V and W being
-circuits x nvar) would, so it is the same floats at a fraction of the
-cost.
+once per problem.  One rule covers the rows: every ordered pair of
+nonzeros a_kp, a_kq of a general row k adds (a_kp d_k) a_kq at (p, q),
+with d_k = 1/rho_k^2, rows in ascending order.  The sign diagonal, the
+same-circuit pairs and the c diagonal follow.  Summed row by row,
+rows^T diag(d) rows plus V^T V - W^T W (V and W being circuits x nvar)
+gives the same floats; the plan touches only the nonzeros.
 
 Phase 1 is the same barrier over the same variables, with gamma's
 column read as a violation w to minimize: gamma's one row, the origin
@@ -44,18 +46,16 @@ below float resolution.
 
 Path following is long-step (Nesterov & Nemirovskii 1994; Renegar
 2001): tau grows TAU_FACTOR-fold per outer step and phase 2 centers only
-to lambda^2 <= LONG_STEP_DECREMENT in between, which took the acceptance
-corpus from 7,479 to 3,837 Newton steps (tight centers, tenfold steps).
-The weight that meets the gap target is re-centered to the float floor,
-so the gap, KKT and feasibility checks read an exact center; phase 1
-centers tightly, so its infeasibility verdict does too.
+to lambda^2 <= LONG_STEP_DECREMENT in between, which needs about half
+the Newton steps of tight centering at every weight.  The weight that
+meets the gap target is re-centered to the float floor, so the gap, KKT
+and feasibility checks read an exact center; phase 1 centers tightly,
+so its infeasibility verdict does too.
 
 All arithmetic is float64.  Where the path ends, at tau = num_terms /
 (tol_gap (1 + |gamma|)), the largest stationarity residual over the 138
 optimal solves of the benchmark's acceptance, wide and high-degree
-corpora is 2.6e-8 against tol_kkt 1e-7.  On the tenfold tight path,
-long-double slacks gave 1.5e-8 against 3.4e-8 in float64, the same
-statuses, and certified gammas within 4e-14 relative.
+corpora is 2.6e-8 against tol_kkt 1e-7.
 
 Everything is deterministic: fixed iteration order, no randomness.
 """
@@ -127,46 +127,41 @@ def _group_pairs(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Barrier:
-    """min tau * obj.z over general rows, sign bounds and circuits.
+    """min sense * z[gamma] over rows z + rhs >= 0 and the model's sign
+    bounds and circuits.
 
-    lower holds the sign-bounded variables, each distinct.  circuits
-    holds (t_index, c_indices, lambdas) per geometric-mean block; every
-    c index must be in lower, so a nonpositive c_j shows as a
-    nonpositive sign slack.  No variable belongs to two circuits.
+    Every c variable of a circuit is sign-bounded, so a nonpositive c_j
+    shows as a nonpositive sign slack; no variable belongs to two
+    circuits.
 
-    The Hessian is scattered from a plan fixed here.  A row-product entry
-    (p, q) with p or q in a single general row is the one product
-    (a_kp d_k) a_kq of that row k; the columns in several rows form one
-    small dense block; the circuit terms pair only the variables of one
-    circuit.  np.bincount adds each entry's parts in the order of the
-    flat position array: row product, sign diagonal, circuit pairs, c
-    diagonal, the order in which a dense assembly sums them.
+    flat is the Hessian's scatter plan: every ordered pair of nonzeros
+    sharing a general row, rows ascending, then the sign diagonal, the
+    same-circuit pairs and the c diagonal.  np.bincount adds each
+    entry's parts in that order, as a row-by-row dense assembly does.
     """
 
-    def __init__(self, obj, rows, rhs, lower, circuits):
-        nvar = len(obj)
-        self.obj, self.rows, self.rhs = obj, rows, rhs
-        self.lower = np.asarray(lower, dtype=np.intp)
-        self.num_terms = float(len(rhs) + len(self.lower) + len(circuits))
+    def __init__(self, model: RelaxationModel, sense: float, rows: np.ndarray,
+                 rhs: np.ndarray):
+        nvar = model.nvar
+        self.obj = np.zeros(nvar)
+        self.obj[model.gamma_index] = sense
+        self.rows, self.rhs = rows, rhs
+        self.lower = np.asarray(model.nonneg_indices, dtype=np.intp)
+        blocks = model.blocks
+        nb = len(blocks)
+        self.num_terms = float(len(rhs) + len(self.lower) + nb)
         # Circuits, flattened: entry k belongs to circuit blk[k].
-        sizes = [len(c) for _, c, _ in circuits]
-        nb = len(circuits)
-        self.t_idx = np.array([t for t, _, _ in circuits], dtype=np.intp)
-        self.c_idx = np.array([v for _, c, _ in circuits for v in c], dtype=np.intp)
-        self.lam = np.array([x for _, _, lams in circuits for x in lams], dtype=float)
+        sizes = [len(blk.c_indices) for blk in blocks]
+        self.t_idx = np.array([blk.t_index for blk in blocks], dtype=np.intp)
+        self.c_idx = np.array([v for blk in blocks for v in blk.c_indices], dtype=np.intp)
+        self.lam = np.array([x for blk in blocks for x in blk.lambdas], dtype=float)
         self.loglam = np.log(self.lam)
         self.starts = np.cumsum([0] + sizes)[:-1].astype(np.intp)
         self.blk = np.repeat(np.arange(nb), sizes)
-        # Row nonzeros, row-major; columns in several rows form the block.
+        # Row nonzeros, row-major, and every ordered pair within a row.
         self.nz_row, nz_col = np.nonzero(rows)
         self.nz_val = rows[self.nz_row, nz_col]
-        in_rows = np.bincount(nz_col, minlength=nvar)
-        multi = np.flatnonzero(in_rows > 1)
-        self.rows_m = np.ascontiguousarray(rows[:, multi])
-        left, right = _group_pairs(self.nz_row)
-        single = (in_rows == 1)[nz_col]
-        keep = single[left] | single[right]
-        self.pair_l, self.pair_r = left[keep], right[keep]
+        self.pair_l, self.pair_r = _group_pairs(self.nz_row)
         # Circuit variables (c entries, then t entries) grouped by circuit.
         owner = np.concatenate([self.blk, np.arange(nb)])
         order = np.argsort(owner, kind="stable")
@@ -174,7 +169,6 @@ class _Barrier:
         self.circ_l, self.circ_r = order[left], order[right]
         circ_var = np.concatenate([self.c_idx, self.t_idx])
         self.flat = np.concatenate([
-            (multi[:, None] * nvar + multi).ravel(),
             nz_col[self.pair_l] * nvar + nz_col[self.pair_r],
             self.lower * (nvar + 1),
             circ_var[self.circ_l] * nvar + circ_var[self.circ_r],
@@ -226,7 +220,6 @@ def _grad_hess(prob: _Barrier, tau: float, z: np.ndarray, slacks=None):
     grad[prob.t_idx] -= u[len(c):]
     ad = prob.nz_val * d[prob.nz_row]
     weights = np.concatenate([
-        ((prob.rows_m * d[:, None]).T @ prob.rows_m).ravel(),
         ad[prob.pair_l] * prob.nz_val[prob.pair_r],
         1.0 / sign**2,
         u[prob.circ_l] * u[prob.circ_r] - w[prob.circ_l] * w[prob.circ_r],
@@ -449,18 +442,8 @@ def _constructive_start(model: RelaxationModel) -> np.ndarray | None:
     return z
 
 
-def _problem(model: RelaxationModel, sense: float, rows: np.ndarray,
-             rhs: np.ndarray) -> _Barrier:
-    """min sense * z[gamma] over rows z + rhs >= 0 and the model's sign
-    bounds and circuits."""
-    obj = np.zeros(model.nvar)
-    obj[model.gamma_index] = sense
-    circuits = [(blk.t_index, blk.c_indices, blk.lambdas) for blk in model.blocks]
-    return _Barrier(obj, rows, rhs, model.nonneg_indices, circuits)
-
-
 def _phase2_problem(model: RelaxationModel) -> _Barrier:
-    return _problem(model, -1.0, model.rows, model.rhs)  # maximize gamma
+    return _Barrier(model, -1.0, model.rows, model.rhs)  # maximize gamma
 
 
 def _phase1_problem(model: RelaxationModel) -> _Barrier:
@@ -478,7 +461,7 @@ def _phase1_problem(model: RelaxationModel) -> _Barrier:
     rows[:, g] = 1.0
     radius = np.zeros(model.nvar)
     radius[list(model.nonneg_indices)] = -1.0
-    return _problem(model, 1.0, np.vstack([rows, radius]),
+    return _Barrier(model, 1.0, np.vstack([rows, radius]),
                     np.append(model.rhs[free], PHASE1_RADIUS))
 
 
@@ -580,7 +563,8 @@ def solve_relaxation(model: RelaxationModel, opts: SolverOptions | None = None) 
             start = START_PHASE1
             z, stat, message, steps = _phase1(model)
             if z is None:
-                return SolveResult(status=stat, message=message, start=start)
+                return SolveResult(status=stat, iterations=steps, message=message,
+                                   start=start)
             if not _strictly_feasible(prob, z):
                 raise st.NumericalError("the phase-1 point is not strictly feasible")
         result = _path_follow(model, prob, z, steps, opts)

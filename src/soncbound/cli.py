@@ -85,7 +85,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bound-exponents", default=None, metavar="A1,A2,...",
                    help="explicit even bound exponents, overriding the strategy")
     p.add_argument("--tol-gap", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_bcs_flag(p: argparse.ArgumentParser) -> None:
@@ -297,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bnb.add_argument("instance")
     _add_common_flags(p_bnb)
     _add_bcs_flag(p_bnb)
+    p_bnb.add_argument("--seed", type=int, default=0, help="incumbent sampling")
     p_bnb.add_argument("--max-nodes", type=int, default=1000)
     p_bnb.add_argument("--gap-tol", type=float, default=1e-6)
     p_bnb.set_defaults(func=cmd_bnb)

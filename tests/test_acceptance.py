@@ -273,8 +273,8 @@ def test_criterion_7_batch_determinism(tmp_path):
         inst = generate_instance(**p)
         (directory / f"inst{i:02d}.json").write_text(serialize_instance(inst))
     csv1, csv2 = tmp_path / "run1.csv", tmp_path / "run2.csv"
-    code1 = main(["batch", str(directory), "--csv", str(csv1), "--seed", "0"])
-    code2 = main(["batch", str(directory), "--csv", str(csv2), "--seed", "0"])
+    code1 = main(["batch", str(directory), "--csv", str(csv1)])
+    code2 = main(["batch", str(directory), "--csv", str(csv2)])
     ok = code1 == 0 and code2 == 0 and csv1.read_bytes() == csv2.read_bytes()
     report(7, ok, f"two batch runs over 10 instances byte-identical ({len(csv1.read_bytes())} bytes)")
     assert ok

@@ -1,6 +1,7 @@
 import dataclasses
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from soncbound.barrier import SolverOptions, solve_relaxation
 from soncbound.certify import sample_soundness_check, strict_gamma_float
 from soncbound.generator import generate_instance
 from soncbound.pipeline import PipelineOptions, prepare_root, solve_instance
-from soncbound.poly import evaluate
+from soncbound.poly import evaluate, parse_instance
 from soncbound.relaxation import geometric_mean
 
 from builders import acceptance_instance, build_for, make_inst
 
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 MOTZKIN = make_inst(
     n=2, lower=(-2, -2), upper=(2, 2),
@@ -111,6 +113,23 @@ class TestStatuses:
         assert res.message == ("inner Newton stalled; "
                                "a multiplier past 1e+10, bound may be unattained")
         assert res.solve.mu.max() > barrier.GAMMA_DIVERGENCE
+
+    def test_phase1_failure_reports_its_steps(self):
+        # min x^4 - 1e16 x^2 on [-1,1]: the first phase-1 centering runs out
+        inst = make_inst(lower=(-1,), upper=(1,), objective=(((4,), 1.0), ((2,), -1e16)))
+        res = solve_instance(inst)
+        assert res.status == st.NUMERICAL_ERROR
+        assert res.message == "phase-1 centering did not converge"
+        assert res.solve.iterations >= barrier.MAX_INNER
+
+    def test_stationarity_residual_above_tolerance(self):
+        inst = parse_instance((INSTANCES / "minx.json").read_text())
+        res = solve_instance(inst, PipelineOptions(solver=SolverOptions(tol_kkt=1e-30)))
+        assert res.status == st.NUMERICAL_ERROR
+        assert res.message.startswith("stationarity residual ")
+        assert res.message.endswith(" above tolerance")
+        assert res.solve.iterations > 0
+        assert res.certificate is None and res.gamma_certified is None
 
     def test_large_gamma_is_a_bound(self):
         # min 1e11 + x^4 - x on [-1,1]: a gamma near 1e11 is no sign of an
@@ -275,14 +294,16 @@ class TestBarrierDerivatives:
 
 
 def _dense_grad_hess(prob, tau, z):
-    """Gradient and Hessian assembled densely: the row product over all
-    columns and the circuit terms as V^T V - W^T W, V and W being
-    (circuits x nvar)."""
+    """Gradient and Hessian assembled densely: the row products summed
+    row by row over all columns and the circuit terms as V^T V - W^T W,
+    V and W being (circuits x nvar)."""
     nvar = len(z)
     rho, sign, theta, geo = barrier._slacks(prob, z)
     grad = tau * prob.obj - prob.rows.T @ (1.0 / rho)
     grad[prob.lower] -= 1.0 / sign
-    hess = (prob.rows * (1.0 / rho**2)[:, None]).T @ prob.rows
+    hess = np.zeros((nvar, nvar))
+    for row, d_k in zip(prob.rows, 1.0 / rho**2):
+        hess += np.outer(row * d_k, row)
     hess.flat[prob.lower * (nvar + 1)] += 1.0 / sign**2
     c = z[prob.c_idx]
     psi = prob.lam / c

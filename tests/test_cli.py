@@ -86,7 +86,8 @@ class TestSolveCommand:
             main(["solve"])  # missing path
         assert err.value.code == 1
 
-    @pytest.mark.parametrize("flag", [["--tol-feas", "1e-7"], ["--max-iters", "5"]])
+    @pytest.mark.parametrize("flag", [["--tol-feas", "1e-7"], ["--max-iters", "5"],
+                                      ["--seed", "1"]])
     def test_removed_solver_flags_rejected(self, minx_file, flag):
         with pytest.raises(SystemExit) as err:
             main(["solve", minx_file, *flag])
@@ -158,7 +159,8 @@ class TestBatchCommand:
     def test_missing_directory_exit_one(self, tmp_path):
         assert main(["batch", str(tmp_path / "nope")]) == 1
 
-    @pytest.mark.parametrize("flag", [["--format", "json"], ["--no-bound-constraints"]])
+    @pytest.mark.parametrize("flag", [["--format", "json"], ["--no-bound-constraints"],
+                                      ["--seed", "0"]])
     def test_ignored_flags_rejected(self, corpus, flag):
         # batch writes its table and CSV, in both configurations
         with pytest.raises(SystemExit) as err:
