@@ -12,10 +12,12 @@ subprocess with only its own `src/` imported:
 * the edge cases of ROADMAP.md (point box, the box ±1e-4, x^7 - x on
   ±1000, the infeasible constraint -1 - x^2 >= 0), two large
   coefficients on [-1, 1] (1e11 + x^4 - x, whose gamma is near -1e11,
-  and x^4 - 1e16 x^2, whose phase-1 start violation is past 2^53) and
-  constraints with a vanishing constant term, whose multipliers may
-  have a recession direction; x^7 - x on ±1000 also runs through
-  `solve_bnb`.
+  and x^4 - 1e16 x^2, whose phase-1 start violation is past 2^53), two
+  with a negative square term on the unit box (x^2 - x^4, whose hull
+  vertex (4,) has coefficient -1, and x^4 + y^4 - x^2 y^2 + xy, whose
+  (2, 2) lies on a face of conv(0, 4e_1, 4e_2)) and constraints with a
+  vanishing constant term, whose multipliers may have a recession
+  direction; x^7 - x on ±1000 also runs through `solve_bnb`.
 
 The corpora are read from this script's tree and built with each tree's
 generator, so both sides solve the same instances.  Nothing in either
@@ -67,6 +69,9 @@ EDGE_CASES = {
     "infeasible/-1-x^2": _box([[[1], 1.0]], [[[[0], -1.0], [[2], -1.0]]]),
     "1e11+x^4-x": _box([[[0], 1e11], [[4], 1.0], [[1], -1.0]]),
     "x^4-1e16x^2": _box([[[4], 1.0], [[2], -1e16]]),
+    "x^2-x^4": _box([[[2], 1.0], [[4], -1.0]]),
+    "x^4+y^4-x^2y^2+xy": _box([[[4, 0], 1.0], [[0, 4], 1.0], [[2, 2], -1.0], [[1, 1], 1.0]],
+                              lo=(-1, -1), hi=(1, 1)),
 }
 VANISHING_CONSTANT = {
     f"{on}/s.t.{cn}>=0": _box(o, [c], hi=(2,))

@@ -258,7 +258,8 @@ def _decrement_floor(tau: float) -> float:
 
 
 def _stall_tolerance(tau: float) -> float:
-    """A stalled line search at this decrement still counts as centered."""
+    """A stalled line search, or a decrement that stops falling, at this
+    decrement still counts as centered."""
     return max(1e-8, 1e-15 * tau)
 
 
@@ -271,6 +272,8 @@ def _center(
 ) -> tuple[np.ndarray, bool, int, float]:
     """Damped Newton until the decrement is at most tol, or at the float
     floor when tol is below it; returns (z, converged, steps, decrement).
+    A decrement within _stall_tolerance that no longer falls also ends
+    it as converged: rounding, not the center, holds it there.
 
     Each point's slacks are computed once: the start point's and each
     trial point's serve the feasibility check, phi and the accepted
@@ -285,8 +288,8 @@ def _center(
     for _ in range(MAX_INNER):
         grad, hess, rho, sign = _grad_hess(prob, tau, z, slacks)
         d = _newton_direction(hess, grad)
-        decrement = float(-grad @ d)
-        if abs(decrement) <= stop:
+        previous, decrement = decrement, float(-grad @ d)
+        if abs(decrement) <= stop or abs(previous) <= abs(decrement) <= _stall_tolerance(tau):
             return z, True, steps, decrement
         alpha = _max_step(prob, rho, sign, d)
         cand = z + alpha * d

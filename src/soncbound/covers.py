@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import BOUND_CONSTRAINT, ORIGIN, SUPPORT_EVEN, CandidateSet, Cover
-from .geometry import barycentric_coordinates, is_even, polytope_vertices
+from .geometry import barycentric_coordinates, polytope_vertices
 from .poly import Exponent, PopInstance, zero_exponent
 from .status import NumericalError
 
@@ -107,7 +107,8 @@ def build_candidate_set(
 
     Even support points that are not vertices of the support's convex
     hull are left out: they become one-sided inner terms instead, so a
-    negative coefficient there does not wreck feasibility.
+    negative coefficient there does not wreck feasibility.  Only even
+    points are decided; odd points shape the hull but take no LP.
 
     genuine_support marks exponents carried by the instance polynomials
     themselves (used for provenance tags); defaults to the full support.
@@ -116,8 +117,7 @@ def build_candidate_set(
     if genuine_support is None:
         genuine_support = support
     origin = zero_exponent(n)
-    vertices = polytope_vertices(support | {origin})
-    points = {p for p in vertices if is_even(p) and p != origin}
+    points = polytope_vertices(support | {origin}, even_only=True) - {origin}
     points.update(bc.point(n) for bc in bcs)
     ordered = [origin] + sorted(points)
     tags = [ORIGIN] + [

@@ -22,7 +22,10 @@ exact integer steps leave the answer open:
 
 Each remaining point takes one LP against the points not yet shown to
 be non-vertices.  That is enough: the dropped points are combinations
-of vertices, and no vertex is ever dropped.
+of vertices, and no vertex is ever dropped.  The candidate set needs
+only the even vertices: then odd points still shape the hull every LP
+compares against, since an even point may be a combination of odd
+ones, but are never tested themselves.
 """
 
 from __future__ import annotations
@@ -169,31 +172,35 @@ def _axis_simplex_interior(points: list[Exponent]) -> set[Exponent]:
             and sum(Fraction(v, top[i]) for i, v in enumerate(p) if v) <= 1}
 
 
-def polytope_vertices(support: set[Exponent] | list[Exponent]) -> set[Exponent]:
+def polytope_vertices(
+    support: set[Exponent] | list[Exponent], even_only: bool = False
+) -> set[Exponent]:
     """Vertices of conv(support): points not expressible as a convex
-    combination of the remaining support points.
+    combination of the remaining support points.  With even_only, just
+    the even vertices; odd points are never decided.
 
     Exact integer steps decide most points without an LP.  Points in
     conv(0, m_i e_i), other than its corners, are dropped (see the
     module docstring); the largest and smallest point under the key
-    (p_i, p), for each coordinate i, are vertices.  Every other point is
-    a vertex iff its LP against the surviving points is infeasible;
-    points found inside drop out of later LPs.  Dropped points are
-    convex combinations of vertices, none of which is ever dropped, so
-    each LP sees the same hull as one against the whole support.
+    (p_i, p), for each coordinate i, are vertices.  Every other point
+    to decide is a vertex iff its LP against the surviving points is
+    infeasible; points found inside drop out of later LPs.  Dropped
+    points are convex combinations of vertices, none of which is ever
+    dropped, and undecided points stay, so each LP sees the same hull as
+    one against the whole support.
     """
     points = sorted(set(support))
     if not points:
         raise ValueError("empty support")
-    if len(points) == 1:
-        return set(points)
     inside = _axis_simplex_interior(points)
     alive = [p for p in points if p not in inside]
     vertices: set[Exponent] = set()
     for i in range(len(points[0])):
         vertices.add(max(alive, key=lambda p: (p[i], p)))
         vertices.add(min(alive, key=lambda p: (p[i], p)))
-    for p in [p for p in alive if p not in vertices]:
+    if even_only:
+        vertices = {p for p in vertices if is_even(p)}
+    for p in [p for p in alive if p not in vertices and (is_even(p) or not even_only)]:
         others = [q for q in alive if q != p]
         res = _combination_lp(p, others, np.zeros(len(others)))
         if res.status == simplex.INFEASIBLE:

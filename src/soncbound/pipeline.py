@@ -120,11 +120,8 @@ def prepare_root(inst: PopInstance, options: PipelineOptions) -> RootStructure:
         if options.exponents is not None:
             a = tuple(options.exponents)
         else:
-            cands_plain = build_candidate_set(lag_plain.support, [], inst.n)
-            _, inner_plain = classify_support(lag_plain.support, cands_plain)
-            a = select_bound_exponents(
-                inst, [e for e, _ in inner_plain], options.exponent_strategy
-            )
+            a = select_bound_exponents(inst, _terms_to_cover(lag_plain),
+                                       options.exponent_strategy)
         bcs = make_bound_constraints(inst, a)
         lag = assemble_lagrangian(inst, bcs, True)
     cands, covers = build_candidates_and_covers(
@@ -132,6 +129,18 @@ def prepare_root(inst: PopInstance, options: PipelineOptions) -> RootStructure:
     )
     return RootStructure(inst=inst, options=options, exponents=a, cands=cands, covers=covers,
                          bcs=tuple(bcs), lag=lag)
+
+
+def _terms_to_cover(lag_plain: LagrangianSupport) -> list[Exponent]:
+    """The terms the bound exponents must cover: the inner terms of the
+    plain Lagrangian, and its even hull vertices whose coefficient is a
+    negative constant, which no multiplier can lift while they stay
+    candidates."""
+    cands = build_candidate_set(lag_plain.support, [], lag_plain.n)
+    _, inner = classify_support(lag_plain.support, cands)
+    negative = [p for p in cands.points
+                if lag_plain.coeffs[p].is_constant() and lag_plain.coeffs[p].constant < 0]
+    return [e for e, _ in inner] + negative
 
 
 def solve_on_box(

@@ -142,11 +142,11 @@ class TestExactVertexSteps:
 
 
 def _hulls(monkeypatch, runs):
-    """The supports whose hulls prepare_root takes for each (instance,
-    options) in runs, in call order."""
+    """The hulls prepare_root takes for each (instance, options) in runs,
+    in call order, as (support, keyword arguments) pairs."""
     supports = []
     monkeypatch.setattr(covers, "polytope_vertices",
-                        lambda s: supports.append(set(s)) or polytope_vertices(s))
+                        lambda s, **kw: supports.append((set(s), kw)) or polytope_vertices(s, **kw))
     for inst, options in runs:
         try:
             prepare_root(inst, options)
@@ -160,8 +160,8 @@ def _vertex_lps(monkeypatch, supports):
     real_lp = geometry._combination_lp
     monkeypatch.setattr(geometry, "_combination_lp",
                         lambda *args: lps.append(args[0]) or real_lp(*args))
-    for support in supports:
-        polytope_vertices(support)
+    for support, kw in supports:
+        polytope_vertices(support, **kw)
     return len(lps)
 
 
@@ -178,7 +178,45 @@ class TestVertexLpCount:
         vanilla = PipelineOptions(use_bound_constraints=False)
         runs = [(acceptance_instance(i), options)
                 for i in range(100) for options in (PipelineOptions(), vanilla)]
-        assert _vertex_lps(monkeypatch, _hulls(monkeypatch, runs)) <= 450  # 1,987 before
+        # 428 deciding odd points too, 1,987 before the exact steps
+        assert _vertex_lps(monkeypatch, _hulls(monkeypatch, runs)) <= 76
+
+
+class TestEvenVerticesOnly:
+    """build_candidate_set decides only even points: odd points shape the
+    hull but take no LP, and the candidates stay those of the full hull."""
+
+    def test_candidates_match_full_hull(self):
+        rng = random.Random(5)
+        odd = negative = 0
+        for _ in range(200):
+            dim = rng.randint(1, 4)
+            support = _random_support(rng, dim, rng.randint(1, 17))
+            odd += any(v % 2 for p in support for v in p)
+            negative += any(min(p) < 0 for p in support)
+            origin = (0,) * dim
+            full = polytope_vertices(support | {origin})
+            expected = sorted(p for p in full if geometry.is_even(p) and p != origin)
+            assert build_candidate_set(support, [], dim).points == (origin, *expected)
+        assert odd > 150 and negative > 30
+
+    def test_no_lp_for_an_odd_point(self, monkeypatch):
+        targets = []
+        real_lp = geometry._combination_lp
+        monkeypatch.setattr(geometry, "_combination_lp",
+                            lambda *args: targets.append(args[0]) or real_lp(*args))
+        rng = random.Random(11)
+        for _ in range(100):
+            dim = rng.randint(1, 4)
+            build_candidate_set(_random_support(rng, dim, rng.randint(1, 17)), [], dim)
+        assert targets and all(geometry.is_even(t) for t in targets)
+
+    def test_even_point_inside_odd_points(self):
+        # (2, 2) lies between (0, 0) and (3, 3): only an odd point shows
+        # that it is no vertex
+        support = {(0, 0), (3, 3), (2, 2), (6, 0)}
+        assert polytope_vertices(support, even_only=True) == {(0, 0), (6, 0)}
+        assert build_candidate_set(support, [], 2).points == ((0, 0), (6, 0))
 
 
 class TestClassifySupport:

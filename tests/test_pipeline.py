@@ -5,6 +5,8 @@ import pytest
 
 from soncbound import barrier, pipeline
 from soncbound import status as st
+from soncbound.certify import sample_soundness_check, strict_gamma_float
+from soncbound.covers import PER_VARIABLE, UNIFORM
 from soncbound.generator import generate_instance
 from soncbound.pipeline import (
     PREPARE_ERRORS,
@@ -136,6 +138,32 @@ class TestOnePipeline:
 
 HARD = inst_from({"n": 1, "objective": [[[2], 1.0], [[4], -1.0]], "constraints": [],
                   "lower": [-1], "upper": [1]})
+# x^2 + y^2 - x^4 + 0.5 x y: (4, 0) is a hull vertex with coefficient -1
+SADDLE = inst_from({"n": 2, "objective": [[[2, 0], 1.0], [[0, 2], 1.0], [[4, 0], -1.0],
+                                          [[1, 1], 0.5]],
+                    "constraints": [], "lower": [-1, -1], "upper": [1, 1]})
+
+
+class TestDefaultExponents:
+    """An even hull vertex with a negative constant coefficient is a term
+    the bound exponents must cover: as a candidate no multiplier lifts it."""
+
+    @pytest.mark.parametrize("inst, strategy, expected", [
+        (HARD, UNIFORM, (4,)),
+        (HARD, PER_VARIABLE, (4,)),
+        (SADDLE, UNIFORM, (4, 4)),
+        (SADDLE, PER_VARIABLE, (4, 2)),
+    ], ids=["hard-uniform", "hard-per-variable", "saddle-uniform", "saddle-per-variable"])
+    def test_negative_square_vertex_is_covered(self, inst, strategy, expected):
+        res = solve_instance(inst, PipelineOptions(exponent_strategy=strategy))
+        assert res.status == st.OPTIMAL, res.message
+        assert res.bound_exponents == expected
+        assert strict_gamma_float(res.model, res.certificate) <= res.gamma_certified
+        assert sample_soundness_check(inst, res.gamma_certified).ok()
+
+    def test_hard_bound(self):
+        res = solve_instance(HARD)
+        assert res.gamma_certified == pytest.approx(-1.0, abs=1e-5)
 
 
 def count_calls(monkeypatch, module, name):

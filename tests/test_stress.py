@@ -15,6 +15,7 @@ import dataclasses
 
 import pytest
 
+from soncbound import barrier
 from soncbound import status as st
 from soncbound.certify import sample_soundness_check, strict_gamma_float
 from soncbound.generator import generate_instance
@@ -79,3 +80,22 @@ def test_box_multipliers_beyond_1e8():
     strict = strict_gamma_float(res.model, res.certificate)
     assert strict <= res.gamma_certified <= res.gamma_solver
     assert sample_soundness_check(inst, res.gamma_certified).ok()
+
+
+def test_final_centering_stops_once_the_decrement_stalls(monkeypatch):
+    # The last centering reaches a decrement within the stall tolerance
+    # that stops falling: it must end there, not after MAX_INNER steps.
+    calls = []
+    center = barrier._center
+
+    def spy(prob, tau, z, tol=0.0, stop_early=None):
+        out = center(prob, tau, z, tol, stop_early)
+        calls.append((tol, out[1], out[2]))
+        return out
+
+    monkeypatch.setattr(barrier, "_center", spy)
+    res = solve_instance(_degree_family(9)[13])
+    assert res.status == st.OPTIMAL, res.message
+    tol, converged, steps = calls[-1]
+    assert tol == 0.0 and converged
+    assert steps < 10  # 4; MAX_INNER is 50
