@@ -33,6 +33,13 @@ and how many LPs each side solved.
 
     python scripts/compare_results.py PARENT_TREE CHANGE_TREE
 
+Each subprocess runs with one BLAS thread (`OPENBLAS_NUM_THREADS`,
+`OMP_NUM_THREADS` and `MKL_NUM_THREADS` set to 1), as
+`perfbench/run.py` does: the thread count changes the barrier's
+iterate path, not only its speed.  Unpinned on a 2-core host, `wide`
+read max KKT 1.3e-8 in 95 Newton steps where one thread, the
+benchmark's arithmetic, gives 2.4e-8 in 97.
+
 Exits 1 when some solve or B&B node that is optimal from PARENT_TREE is
 not optimal from CHANGE_TREE.
 """
@@ -42,6 +49,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -82,6 +90,7 @@ VANISHING_CONSTANT = {
 }
 BNB_EDGE_NODES = 30
 BNB_SEED = 1
+ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def _corpora(sb, workloads, stress):
@@ -243,7 +252,7 @@ def main() -> int:
     results = {}
     for side in ("parent", "change"):
         cmd = [sys.executable, __file__, str(getattr(args, side).resolve()), "--collect"]
-        out = subprocess.run(cmd, capture_output=True, text=True)
+        out = subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, **ONE_THREAD})
         if out.returncode != 0:
             raise RuntimeError(f"{side}: exit {out.returncode}\n{out.stderr[-2000:]}")
         results[side] = json.loads(out.stdout)

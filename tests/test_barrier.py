@@ -294,30 +294,35 @@ class TestBarrierDerivatives:
 
 
 def _dense_grad_hess(prob, tau, z):
-    """Gradient and Hessian assembled densely: the row products summed
-    row by row over all columns and the circuit terms as V^T V - W^T W,
-    V and W being (circuits x nvar)."""
+    """Gradient and Hessian assembled densely from recomputed values:
+    the row terms added row by row over all columns, each Hessian part
+    as (1/rho_k)^2 a_kp a_kq, then the sign diagonal, the circuit terms
+    as (circuits x nvar) matrix products and the c diagonal."""
     nvar = len(z)
     rho, sign, theta, geo = barrier._slacks(prob, z)
-    grad = tau * prob.obj - prob.rows.T @ (1.0 / rho)
-    grad[prob.lower] -= 1.0 / sign
+    terms = np.zeros(nvar)
     hess = np.zeros((nvar, nvar))
-    for row, d_k in zip(prob.rows, 1.0 / rho**2):
-        hess += np.outer(row * d_k, row)
-    hess.flat[prob.lower * (nvar + 1)] += 1.0 / sign**2
+    for row, inv in zip(prob.rows, 1.0 / rho):
+        terms += inv * row
+        hess += (inv * inv) * np.outer(row, row)
+    terms[prob.lower] += 1.0 / sign
+    hess.flat[prob.lower * (nvar + 1)] += (1.0 / sign) ** 2
     c = z[prob.c_idx]
     psi = prob.lam / c
-    th, sl = theta[prob.blk], geo[prob.blk]
-    v_c = prob.blk * nvar + prob.c_idx
-    V = np.zeros((len(geo), nvar))
-    V.flat[v_c] = th * psi / sl
-    V.flat[np.arange(len(geo)) * nvar + prob.t_idx] = -1.0 / geo
-    W = np.zeros_like(V)
-    W.flat[v_c] = np.sqrt(th / sl) * psi
-    grad -= V.sum(axis=0)
-    hess += V.T @ V - W.T @ W
-    hess.flat[prob.c_idx * (nvar + 1)] += th * prob.lam / (c**2 * sl)
-    return grad, hess
+    r = theta / geo
+    nb = len(geo)
+    at_c = prob.blk * nvar + prob.c_idx
+    at_t = np.arange(nb) * nvar + prob.t_idx
+    U_c, U_t, Q, P = (np.zeros((nb, nvar)) for _ in range(4))
+    U_c.flat[at_c] = r[prob.blk] * psi  # u on c
+    U_t.flat[at_t] = -1.0 / geo  # u on t
+    Q.flat[at_c] = (r * (r - 1.0))[prob.blk] * psi
+    P.flat[at_c] = psi
+    terms += U_c.sum(axis=0) + U_t.sum(axis=0)
+    # u u^T on every pair touching a t; u_l u_r - w_l w_r = r(r-1) psi_l psi_r on c pairs
+    hess += U_c.T @ U_t + U_t.T @ U_c + U_t.T @ U_t + Q.T @ P
+    hess.flat[prob.c_idx * (nvar + 1)] += r[prob.blk] * psi / c
+    return tau * prob.obj - terms, hess
 
 
 def _constructive_point(model):
@@ -365,14 +370,13 @@ class TestScatterPlan:
 
 
 def _max_step_from_z(prob, z, d):
-    """The maximum step with the row and sign slacks recomputed at z."""
-    rho = prob.rows @ z + prob.rhs
-    step = 1.0
-    for slack, rate in ((rho, prob.rows @ d), (z[prob.lower], d[prob.lower])):
-        shrink = rate < -1e-300
-        if shrink.any():
-            step = min(step, 0.99 * float(np.min(slack[shrink] / -rate[shrink])))
-    return step
+    """The maximum step with the row and sign slacks recomputed at z:
+    0.99 over the fastest relative shrink rate of any slack, capped at 1."""
+    rates = [0.0]
+    for slack, rate in ((prob.rows @ z + prob.rhs, prob.rows @ d), (z[prob.lower], d[prob.lower])):
+        rates += [-float(x) / float(s) for x, s in zip(rate, slack)]
+    fastest = max(rates)
+    return 1.0 if fastest == 0.0 else min(1.0, 0.99 / fastest)
 
 
 class TestMaxStep:
@@ -395,6 +399,33 @@ class TestMaxStep:
             steps.append(barrier._max_step(prob, rho, diag, d))
             assert steps[-1] == _max_step_from_z(prob, z, d)
         assert min(steps) < 1.0  # some direction meets a boundary
+
+    @staticmethod
+    def _one_row():
+        """The barrier of -gamma - nu >= 0, nu >= 0, at gamma = -3, nu = 1."""
+        model = build_for(make_inst(lower=(-1,), upper=(1,), objective=(((2,), 1.0),)), a=(2,))
+        assert (model.gamma_index, model.nonneg_indices) == (0, (1,))
+        prob = barrier._Barrier(model, -1.0, model.rows[:1], model.rhs[:1])
+        assert prob.rows.tolist() == [[-1.0, -1.0]] and prob.rhs.tolist() == [0.0]
+        z = np.array([-3.0, 1.0])
+        rho, sign = barrier._slacks(prob, z)[:2]
+        assert rho.tolist() == [2.0] and sign.tolist() == [1.0]
+        return prob, z, rho, sign
+
+    def test_full_step_and_exact_bound(self):
+        prob, z, rho, sign = self._one_row()
+        for d in ([0.0, 0.0], [-1.0, 0.0], [-3.0, 2.0], [1.0, 0.0]):
+            # no move, slacks that only grow, and a row shrinking by half per unit step
+            assert barrier._max_step(prob, rho, sign, np.array(d)) == 1.0
+        assert barrier._max_step(prob, rho, sign, np.array([4.0, 0.0])) == 0.495  # row 0 at 1/2
+        assert barrier._max_step(prob, rho, sign, np.array([4.0, -4.0])) == 0.2475  # sign at 1/4
+
+    def test_phi_infinite_at_zero_row_slack(self):
+        prob, z, _, _ = self._one_row()
+        assert np.isfinite(barrier._phi(prob, 1.0, z))
+        edge = np.array([-1.0, 1.0])
+        assert barrier._slacks(prob, edge)[0].tolist() == [0.0]
+        assert barrier._phi(prob, 1.0, edge) == np.inf
 
 
 def _loop_reference(model, tau, z):
