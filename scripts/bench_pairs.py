@@ -11,10 +11,13 @@ A gain is claimed when the change wins at least 90% of the pairs (9 of
 10) and its median lies beyond the parent's interquartile range.
 
     python scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload wide
-        [--pairs 10] [--seconds 25] [--trace 0] [--seed0 0] [--out pairs.json]
+        [--pairs 10] [--seconds 25] [--trace 0] [--seed0 0] [--corpus-seed N]
+        [--out pairs.json]
 
 Each tree is a source checkout (with `src/` and `perfbench/`); nothing
-in either tree is changed.
+in either tree is changed.  --corpus-seed passes through to
+`perfbench/run.py`, so that a claim can be checked again on instances
+not used while writing the change (default: the workload's own corpus).
 """
 
 from __future__ import annotations
@@ -31,10 +34,13 @@ ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9  # share of pairs the change must win
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int,
+             corpus_seed: int | None = None) -> dict:
     """The JSON summary (last output line) of one benchmark run in tree."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    if corpus_seed is not None:
+        cmd += ["--corpus-seed", str(corpus_seed)]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
@@ -95,6 +101,8 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--seed0", type=int, default=0, help="seed of the first pair")
+    parser.add_argument("--corpus-seed", type=int, default=None,
+                        help="corpus seed for perfbench/run.py (default: the workload's)")
     parser.add_argument("--out", type=Path, default=None,
                         help="write every run's JSON summary to this file")
     args = parser.parse_args()
@@ -106,7 +114,7 @@ def main() -> int:
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             pair[side] = run_once(getattr(args, side).resolve(), args.workload, seed,
-                                  args.seconds, args.trace)
+                                  args.seconds, args.trace, args.corpus_seed)
         runs.append(pair)
         correct = pair["parent"]["correct"] and pair["change"]["correct"]
         print(f"pair {i + 1}/{args.pairs}: seed {seed}, {order[0]} first, "

@@ -8,6 +8,9 @@ subprocess with only its own `src/` imported:
   both configurations, `wide`, `highdeg`), and its `bnb` workload with
   `solve_bnb` at the benchmark's node budget and gap tolerance, B&B
   seed 1;
+* `wide-seeds`: the `wide` builder at corpus seeds 1-8, 16 models of
+  154-250 variables, so that changes to the large-model path show beyond
+  the benchmark's two models;
 * the seeded stress families of `tests/test_stress.py`;
 * the edge cases of ROADMAP.md (point box, the box ±1e-4, x^7 - x on
   ±1000, the infeasible constraint -1 - x^2 >= 0), two large
@@ -25,8 +28,10 @@ tree is changed.  Per corpus the report gives the optimal counts, each
 status change, each message change (grouped), the largest certified-
 gamma drift where both sides are optimal (as |d gamma| / |gamma| and as
 |d gamma| / (1 + |gamma|), the scale of the solver's gap test), the
-largest stationarity residual of an optimal solve, Newton steps,
-`simplex.lp_solve` calls and RuntimeWarnings.  For each B&B run it says
+largest stationarity residual of an optimal solve as the solver reports
+it and as recomputed in long double (`ld_residual`), Newton steps,
+`simplex.lp_solve` calls and RuntimeWarnings.  A status change lists
+both residuals of each side.  For each B&B run it says
 whether nodes, status, error nodes, relaxations_solved, incumbents and
 every record's id, depth and status are equal, how far the bounds moved
 and how many LPs each side solved.
@@ -55,6 +60,8 @@ import sys
 import warnings
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 OPTIMAL = "optimal"
@@ -90,6 +97,7 @@ VANISHING_CONSTANT = {
 }
 BNB_EDGE_NODES = 30
 BNB_SEED = 1
+WIDE_SEEDS = range(1, 9)
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -99,6 +107,9 @@ def _corpora(sb, workloads, stress):
     for name in ("acceptance", "wide", "highdeg"):
         w = workloads.WORKLOADS[name]
         out[name] = [(it.key, it.inst, it.options) for it in w.build(sb, w.corpus_seed)]
+    w = workloads.WORKLOADS["wide"]
+    out["wide-seeds"] = [(it.key, it.inst, it.options) for seed in WIDE_SEEDS
+                         for it in w.build(sb, seed)]
     out["stress"] = [(f"{family}/s{s}", inst, sb.PipelineOptions())
                      for family, build, _ in stress.FAMILIES for s, inst in enumerate(build())]
     out["edge"] = [(key, sb.parse_instance(json.dumps(spec)), sb.PipelineOptions())
@@ -148,6 +159,7 @@ def collect(tree: Path) -> dict:
                                 gamma=res.gamma_certified,
                                 newton=solve.iterations if solve else 0,
                                 kkt=solve.kkt_residual if solve else None,
+                                kkt_ld=ld_residual(res.model, solve),
                                 lps=lp_calls[0], warnings=len(caught))
     for key, (inst, options, kwargs) in _bnb_runs(sb, workloads).items():
         lp_calls[0] = 0
@@ -158,6 +170,45 @@ def collect(tree: Path) -> dict:
             records=[[r.node_id, r.depth, r.status, r.parent_bound, r.computed_bound,
                       r.effective_bound] for r in res.records])
     return out
+
+
+def ld_residual(model, solve) -> float | None:
+    """The solver's scaled stationarity residual at the point solve
+    reports, with every slack and gradient term in long double.
+
+    z is rebuilt from solve's gamma, mu, nu, t and c on model's
+    variables, and tau = num_terms / duality_gap, as the solver's gap
+    estimate reads it.  None where solve carries no point.
+    """
+    if solve is None or solve.gamma is None or not math.isfinite(solve.duality_gap):
+        return None
+    ld = np.longdouble
+    z = np.zeros(model.nvar, dtype=ld)
+    z[model.gamma_index] = solve.gamma
+    z[list(model.mu_indices)] = solve.mu
+    z[list(model.nu_indices)] = solve.nu
+    for blk in model.blocks:
+        z[blk.t_index] = solve.t[blk.beta]
+        z[list(blk.c_indices)] = [solve.c[blk.beta][j] for j in blk.cand_indices]
+    lower = list(model.nonneg_indices)
+    tau = ld(len(model.rhs) + len(lower) + len(model.blocks)) / ld(solve.duality_gap)
+    rows = model.rows.astype(ld)
+    rho = rows @ z + model.rhs.astype(ld)
+    grad = -(rows.T @ (1 / rho))
+    grad[model.gamma_index] -= tau  # tau * obj, maximizing gamma
+    grad[lower] -= 1 / z[lower]
+    slacks = [rho, z[lower]]
+    for blk in model.blocks:
+        c, lam = z[list(blk.c_indices)], np.array(blk.lambdas, dtype=ld)
+        theta = np.exp(np.sum(lam * np.log(c / lam)))
+        geo = theta - z[blk.t_index]
+        grad[blk.t_index] += 1 / geo
+        grad[list(blk.c_indices)] -= (theta / geo) * lam / c
+        slacks.append(np.array([geo]))
+    margin = min(s.min(initial=np.inf) for s in slacks)
+    if not margin > 0:
+        return math.inf
+    return float(np.abs(grad).max() / (tau * (1 + 1 / (margin * tau))))
 
 
 def _drift(p, c):
@@ -171,12 +222,17 @@ def _drift(p, c):
     return (d / abs(p) if p else math.inf), d / (1.0 + abs(p))
 
 
+def _pair(record: dict) -> str:
+    """A record's float64 and long-double residuals."""
+    return ", ".join("-" if x is None else f"{x:.2e}" for x in (record["kkt"], record["kkt_ld"]))
+
+
 def compare_solves(parent: dict, change: dict) -> list[str]:
     """Print the per-corpus comparison; return the keys that leave optimal."""
     left = []
     print(f"{'corpus':11s} {'solves':>6s} {'optimal P -> C':>15s} {'rel dgamma':>11s} "
-          f"{'dgamma/(1+|g|)':>14s} {'max kkt P -> C':>20s} {'newton P -> C':>16s} "
-          f"{'LPs P -> C':>14s} warnings")
+          f"{'dgamma/(1+|g|)':>14s} {'max kkt P -> C':>20s} {'max ld kkt P -> C':>20s} "
+          f"{'newton P -> C':>16s} {'LPs P -> C':>14s} warnings")
     details = []
     for corpus, prec in parent.items():
         crec = change[corpus]
@@ -187,7 +243,8 @@ def compare_solves(parent: dict, change: dict) -> list[str]:
             c = crec[key]
             if p["status"] != c["status"]:
                 details.append(f"  {corpus} {key}: {p['status']} -> {c['status']} "
-                               f"{c['message']}")
+                               f"{c['message']}; residual (float64, long double) "
+                               f"{_pair(p)} -> {_pair(c)}")
                 if p["status"] == OPTIMAL:
                     left.append(f"{corpus} {key}")
             elif p["message"] != c["message"]:
@@ -202,13 +259,14 @@ def compare_solves(parent: dict, change: dict) -> list[str]:
         for (pm, cm), n in sorted(msgs.items()):
             details.append(f"  {corpus} {n} x message {pm!r} -> {cm!r}")
         opt = [sum(r["status"] == OPTIMAL for r in side.values()) for side in (prec, crec)]
-        kkt = [max((r["kkt"] for r in side.values() if r["status"] == OPTIMAL), default=0.0)
-               for side in (prec, crec)]
+        kkt, kkt_ld = ([max((r[f] for r in side.values() if r["status"] == OPTIMAL), default=0.0)
+                        for side in (prec, crec)] for f in ("kkt", "kkt_ld"))
         steps = [sum(r["newton"] for r in side.values()) for side in (prec, crec)]
         lps = [sum(r["lps"] for r in side.values()) for side in (prec, crec)]
         warned = [sum(r["warnings"] for r in side.values()) for side in (prec, crec)]
         print(f"{corpus:11s} {len(prec):6d} {f'{opt[0]} -> {opt[1]}':>15s} {rel:11.2e} "
               f"{scaled:14.2e} {f'{kkt[0]:.1e} -> {kkt[1]:.1e}':>20s} "
+              f"{f'{kkt_ld[0]:.1e} -> {kkt_ld[1]:.1e}':>20s} "
               f"{f'{steps[0]:,} -> {steps[1]:,}':>16s} {f'{lps[0]:,} -> {lps[1]:,}':>14s} "
               f"{warned[0]} -> {warned[1]}")
     print("drifts, status and message changes:" if details else "no changes")

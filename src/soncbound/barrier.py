@@ -33,6 +33,16 @@ row by row in that order gives the same floats; the plan touches only
 the nonzeros.  The step bound reads the row and sign slacks: 0.99 over
 the fastest relative shrink rate, capped at 1.
 
+The Newton system is one dense LU, except on models of at least
+T_ELIMINATION_MIN_NVAR variables where no general row holds two t's
+(phase 2 always; never phase 1, whose radius row holds every t).  There
+the t's form a diagonal block of the SPD Hessian: the plan puts them
+last, and the step eliminates them (a Cholesky step under a symmetric
+permutation, backward stable; Higham 2002, ch. 10) before one dense LU
+of size nvar - #circuits.  Each t couples only to its circuit's c
+entries and to the multipliers of its magnitude rows, so the Schur
+update is a few hundred products over index arrays fixed per problem.
+
 Phase 1 is the same barrier over the same variables, with gamma's
 column read as a violation w to minimize: gamma's one row, the origin
 budget, is dropped (gamma always has feasible room), every other
@@ -62,9 +72,10 @@ so its infeasibility verdict does too.
 All arithmetic is float64.  Where the path ends, at tau = num_terms /
 (tol_gap (1 + |gamma|)), the largest stationarity residual over the 138
 optimal solves of the benchmark's acceptance, wide and high-degree
-corpora, with one BLAS thread, is 5.7e-8 (wide, n = 6, degree 5)
-against tol_kkt 1e-7; rounding in the gradient, not the centering,
-sets it.
+corpora, with one BLAS thread, is 3.6e-8 (high degree, n = 4, degree 8)
+against tol_kkt 1e-7.  On the wide models rounding in the gradient, not
+the centering, sets it: n = 6, degree 5 reads 1.2e-8, and 1.0e-7 with
+the same point's gradient accumulated in long double.
 
 Everything is deterministic: fixed iteration order, no randomness.
 """
@@ -85,6 +96,13 @@ START_PHASE1 = "phase-1"
 GAMMA_DIVERGENCE = 1e10  # a multiplier beyond this has diverged
 
 PHASE1_RADIUS = 1e8  # phase 1 keeps the sign-bounded variables' sum below this
+
+# Models of at least this many variables eliminate the t block before the
+# dense solve (_reduced_direction), where no general row holds two t's.
+# Measured per Newton step (Hessian and direction, one BLAS thread, 2-core
+# x86-64): the reduced step costs 8-13% more at 47-56 variables, 2-3% more
+# at 59-67, and 4-5% less at 73, 10% less at 81, 15-24% less from 102 up.
+T_ELIMINATION_MIN_NVAR = 73
 
 # Newton decrement lambda^2 = -grad.d below which the full step needs no
 # line search.  With unit weights phi is standard self-concordant (M = 1):
@@ -153,7 +171,9 @@ class _Barrier:
     (1/sign twice), the same-circuit pairs (u_l u_r, or r(r-1) psi_l
     times psi_r where both are c entries) and the c diagonal (h_c
     times 1).  np.bincount adds each entry's parts in that order, as a
-    row-by-row dense assembly does.
+    row-by-row dense assembly does.  Where the t's are eliminated, rest
+    holds the other variables and the plan lays out P H P^T, rest first;
+    the link and upd arrays then locate the Schur update.
     """
 
     def __init__(self, model: RelaxationModel, sense: float, rows: np.ndarray,
@@ -193,11 +213,23 @@ class _Barrier:
         self.g_sel = np.concatenate([nz_row, np.arange(o_sign, o_rr)])
         self.g_to = np.concatenate([nz_col, self.lower, circ_var])
         self.g_coef = np.concatenate([nz_val, np.ones(o_rr - o_sign)])
+        # pos[v]: variable v's place in the Newton system.  Where the t's
+        # are eliminated (_reduced_direction) they come last, in circuit
+        # order, and the others keep their order: flat is then P H P^T.
+        pos = np.arange(nvar)
+        self.rest = None  # the variables kept in the reduced system, or None
+        if nb and nvar >= T_ELIMINATION_MIN_NVAR:
+            t_of = np.full(nvar, -1)
+            t_of[self.t_idx] = np.arange(nb)
+            on_t = t_of[nz_col] >= 0  # the row nonzeros in a t column
+            if np.bincount(nz_row[on_t], minlength=nr).max(initial=0) <= 1:
+                self._plan_t_elimination(t_of, pos, nz_row, nz_col, on_t)
+        nz_pos, circ_pos = pos[nz_col], pos[circ_var]
         self.flat = np.concatenate([
-            nz_col[pair_l] * nvar + nz_col[pair_r],
-            self.lower * (nvar + 1),
-            circ_var[circ_l] * nvar + circ_var[circ_r],
-            self.c_idx * (nvar + 1),
+            nz_pos[pair_l] * nvar + nz_pos[pair_r],
+            pos[self.lower] * (nvar + 1),
+            circ_pos[circ_l] * nvar + circ_pos[circ_r],
+            pos[self.c_idx] * (nvar + 1),
         ])
         squares = np.concatenate([nz_row[pair_l], np.arange(o_sign, o_u)])  # 1/rho_k, 1/sign
         both_c = (circ_l < nc) & (circ_r < nc)
@@ -207,6 +239,36 @@ class _Barrier:
                                    np.full(nc, o_hc + nc)])
         self.h_coef = np.concatenate([nz_val[pair_l] * nz_val[pair_r],
                                       np.ones(len(self.flat) - len(pair_l))])
+
+    def _plan_t_elimination(self, t_of, pos, nz_row, nz_col, on_t) -> None:
+        """Put the t's last in pos, in circuit order, and fix the index
+        arrays of the Schur update; no general row holds two t's.
+
+        t_of[v] is the circuit whose t v is (-1 for the others), and on_t
+        marks the row nonzeros (nz_row, nz_col) in a t column.  The t
+        block is diagonal, and H[t, p] is nonzero only for t's c entries
+        and the other variables of t's rows: link_t the circuit, link_p
+        p's place, t-major, and link_at the entry in flat P H P^T.
+        """
+        nvar, nb = len(pos), len(self.t_idx)
+        m = nvar - nb
+        self.rest = np.flatnonzero(t_of < 0)
+        pos[self.rest] = np.arange(m)
+        pos[self.t_idx] = np.arange(m, nvar)
+        row_t = np.full(len(self.rhs), -1)  # the circuit whose t a row holds
+        row_t[nz_row[on_t]] = t_of[nz_col[on_t]]
+        in_t_row = (row_t[nz_row] >= 0) & ~on_t
+        linked = np.zeros(nb * nvar, dtype=bool)  # (circuit, place) pairs
+        linked[self.blk * nvar + pos[self.c_idx]] = True
+        linked[row_t[nz_row[in_t_row]] * nvar + pos[nz_col[in_t_row]]] = True
+        self.link_t, self.link_p = np.divmod(np.flatnonzero(linked), nvar)
+        self.link_at = (m + self.link_t) * nvar + self.link_p
+        self.tt_at = np.arange(m, nvar) * (nvar + 1)
+        # Every ordered pair of one t's neighbours: the entries of the
+        # Schur update H_pt H_qt / H_tt, summed by slot into upd_at.
+        self.upd_l, self.upd_r = _group_pairs(self.link_t)
+        self.upd_at, self.upd_slot = np.unique(
+            self.link_p[self.upd_l] * nvar + self.link_p[self.upd_r], return_inverse=True)
 
 
 def _slacks(prob: _Barrier, z: np.ndarray):
@@ -262,7 +324,8 @@ def _gradient(prob: _Barrier, tau: float, values: np.ndarray) -> np.ndarray:
 
 def _grad_hess(prob: _Barrier, tau: float, z: np.ndarray, slacks=None):
     """(gradient, Hessian, row slacks, sign slacks) at z; slacks, when
-    given, are _slacks(prob, z)."""
+    given, are _slacks(prob, z).  The Hessian is in the plan's order:
+    P H P^T where prob.rest is set."""
     nvar = len(z)
     slacks = _slacks(prob, z) if slacks is None else slacks
     values = _values(prob, z, slacks)
@@ -283,6 +346,29 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
             return np.linalg.solve(hess + 1e-10 * np.eye(len(grad)), -grad)
         except np.linalg.LinAlgError:
             raise st.NumericalError("singular Newton system") from None
+
+
+def _reduced_direction(prob: _Barrier, hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Newton step with the diagonal t block of hess = P H P^T eliminated.
+
+    The kept block takes the Schur update S = H_RR - sum_t h_t h_t^T / H_tt
+    in place, each t touching only its few neighbours; S d_R = -(g_R -
+    sum_t h_t g_t / H_tt) is one dense solve of size nvar - #circuits, and
+    d_t = -(g_t + h_t^T d_R) / H_tt.  hess is overwritten.
+    """
+    m, nb = len(prob.rest), len(prob.t_idx)
+    flat = hess.reshape(-1)
+    h, h_tt = flat[prob.link_at], flat[prob.tt_at]
+    g_t = grad[prob.t_idx]
+    scaled = h / h_tt[prob.link_t]
+    flat[prob.upd_at] -= np.bincount(prob.upd_slot, h[prob.upd_l] * scaled[prob.upd_r],
+                                     len(prob.upd_at))
+    g_r = grad[prob.rest] - np.bincount(prob.link_p, scaled * g_t[prob.link_t], m)
+    d_r = _newton_direction(hess[:m, :m], g_r)
+    d = np.empty(len(grad))
+    d[prob.rest] = d_r
+    d[prob.t_idx] = -(g_t + np.bincount(prob.link_t, h * d_r[prob.link_p], nb)) / h_tt
+    return d
 
 
 def _max_step(prob: _Barrier, rho: np.ndarray, sign: np.ndarray, d: np.ndarray) -> float:
@@ -329,7 +415,8 @@ def _center(
     phi0 = None  # phi at z, where known
     for _ in range(MAX_INNER):
         grad, hess, rho, sign = _grad_hess(prob, tau, z, slacks)
-        d = _newton_direction(hess, grad)
+        d = (_newton_direction(hess, grad) if prob.rest is None
+             else _reduced_direction(prob, hess, grad))
         previous, decrement = decrement, -float(grad @ d)
         if abs(decrement) <= stop or abs(previous) <= abs(decrement) <= _stall_tolerance(tau):
             return z, True, steps, decrement

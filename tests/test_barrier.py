@@ -369,6 +369,103 @@ class TestScatterPlan:
         self._assert_same(prob, z)
 
 
+def _eliminating(monkeypatch, build, model):
+    """build(model) with the t elimination allowed at every model size."""
+    monkeypatch.setattr(barrier, "T_ELIMINATION_MIN_NVAR", 0)
+    prob = build(model)
+    monkeypatch.undo()
+    return prob
+
+
+@pytest.fixture(scope="module")
+def wide_models():
+    """The benchmark's two wide models (175 and 235 variables)."""
+    insts = [generate_instance(0, n=6, m=1, max_degree=d, density=2.0) for d in (4, 5)]
+    return [build_for(inst, prepare_root(inst, PipelineOptions()).exponents) for inst in insts]
+
+
+def _path_points(prob, model, taus):
+    """(tau, z) loosely centered at each tau in turn from the constructive start."""
+    z = barrier._constructive_start(model)
+    for tau in taus:
+        z = barrier._center(prob, tau, z, barrier.LONG_STEP_DECREMENT)[0]
+        yield tau, z
+
+
+def _ld_residual(hess, grad, d):
+    """||H d + g||_inf / ||g||_inf accumulated in long double."""
+    ld = np.longdouble
+    return float(np.abs(hess.astype(ld) @ d.astype(ld) + grad).max() / np.abs(grad).max())
+
+
+class TestTElimination:
+    """Large phase-2 models eliminate the diagonal t block before the
+    dense solve; everything else solves the full Newton system."""
+
+    @staticmethod
+    def _assert_permuted(full, reduced, z):
+        assert full.rest is None and reduced.rest is not None
+        perm = np.concatenate([reduced.rest, reduced.t_idx])
+        for tau in (1.0, 1e4):
+            grad, hess, _, _ = barrier._grad_hess(full, tau, z)
+            grad_t, hess_t, _, _ = barrier._grad_hess(reduced, tau, z)
+            assert np.array_equal(grad_t, grad)
+            assert np.array_equal(hess_t, hess[np.ix_(perm, perm)])
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_t_last_plan_is_permuted_hessian(self, circuit_models, monkeypatch, k):
+        model = circuit_models[k]
+        reduced = _eliminating(monkeypatch, barrier._phase2_problem, model)
+        self._assert_permuted(barrier._phase2_problem(model), reduced, _phase2_point(model))
+
+    def test_which_path(self, circuit_models, wide_models, monkeypatch):
+        for model in circuit_models:
+            assert model.nvar < barrier.T_ELIMINATION_MIN_NVAR
+            assert barrier._phase2_problem(model).rest is None
+            # phase 1's radius row holds every t
+            assert _eliminating(monkeypatch, barrier._phase1_problem, model).rest is None
+        for model in wide_models:
+            assert model.nvar >= barrier.T_ELIMINATION_MIN_NVAR
+            prob = barrier._phase2_problem(model)
+            assert len(prob.rest) == model.nvar - len(model.blocks)
+            assert barrier._phase1_problem(model).rest is None
+        calls = []
+        reduced = barrier._reduced_direction
+        monkeypatch.setattr(barrier, "_reduced_direction",
+                            lambda *args: calls.append(1) or reduced(*args))
+        _, _, steps, _ = barrier._center(prob, 1.0, barrier._constructive_start(model), 0.1)
+        assert len(calls) == steps + 1 > 1
+
+    @pytest.mark.parametrize("k", range(2))
+    def test_matches_full_solve(self, wide_models, k):
+        model = wide_models[k]
+        prob = barrier._phase2_problem(model)
+        perm = np.concatenate([prob.rest, prob.t_idx])
+        for tau, z in _path_points(prob, model, (1.0, 1e2, 1e4, 1e6, 1e8)):
+            grad, hess, _, _ = barrier._grad_hess(prob, tau, z)  # P H P^T
+            d_full = np.linalg.solve(hess, -grad[perm])
+            d = barrier._reduced_direction(prob, hess.copy(), grad)[perm]
+            if tau <= 1e4:  # beyond, the condition number sets the difference
+                assert np.linalg.norm(d - d_full) <= 1e-9 * np.linalg.norm(d_full)
+            full_residual = max(_ld_residual(hess, grad[perm], d_full), 1e-16)
+            assert _ld_residual(hess, grad[perm], d) <= 10.0 * full_residual
+
+    def test_singular_reduced_system_is_shifted(self, wide_models):
+        model = wide_models[0]
+        prob = barrier._phase2_problem(model)
+        z = barrier._constructive_start(model)
+        grad, hess, _, _ = barrier._grad_hess(prob, 1.0, z)
+        g = model.gamma_index  # kept, and no t's neighbour: its place is its index
+        assert prob.rest[g] == g and g not in prob.link_p
+        hess[g, :] = hess[:, g] = 0.0
+        m = len(prob.rest)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(hess[:m, :m], -grad[prob.rest])
+        d = barrier._reduced_direction(prob, hess, grad)
+        assert np.isfinite(d).all()
+        assert d[g] == pytest.approx(-grad[g] / 1e-10, rel=1e-9)
+
+
 def _max_step_from_z(prob, z, d):
     """The maximum step with the row and sign slacks recomputed at z:
     0.99 over the fastest relative shrink rate of any slack, capped at 1."""
