@@ -18,20 +18,24 @@ in three families of terms evaluated for all of their members at once:
   sum lambda log lambda fixed once; each circuit's Hessian terms,
   u u^T - w w^T plus a diagonal, pair only its own t and c variables.
 
-Each point is evaluated into one value vector V = [1/rho, 1/sign, u_c,
-u_t, r(r-1) psi, psi, h_c, 1], with r = theta/slack per circuit,
-psi = lambda/c, u_c = r psi, u_t = -1/slack and h_c = u_c/c.  Index and
-coefficient arrays that _Barrier fixes once per problem turn V into the
-gradient (one np.bincount over V[g_sel] g_coef) and the Hessian (one
-np.bincount over V[h_a] V[h_b] h_coef).  A row pair a_kp, a_kq adds
-(1/rho_k)(1/rho_k)(a_kp a_kq) at (p, q); two c entries of a circuit
-add u_l u_r - w_l w_r, written as the single product
-r(r-1) psi_l psi_r, since w = sqrt(r) psi.  The Hessian parts come in
-a fixed order: the row pairs, rows ascending, then the sign diagonal,
-the same-circuit pairs and the c diagonal, so a dense assembly summed
-row by row in that order gives the same floats; the plan touches only
-the nonzeros.  The step bound reads the row and sign slacks: 0.99 over
-the fastest relative shrink rate, capped at 1.
+Each point is evaluated once, as a _Point: its slacks and their
+minimum, the margin, when it is made; phi's log sum and one value vector
+V = [1/rho, 1/sign, u_c, u_t, r(r-1) psi, psi, h_c, 1] when first asked
+for.  The feasibility test, the line search, the Newton step, the step
+bound, the KKT test and the reported residual all read that one
+evaluation.  In V, r = theta/slack per circuit, psi = lambda/c,
+u_c = r psi, u_t = -1/slack and h_c = u_c/c.  Index and coefficient
+arrays that _Barrier fixes once per problem turn V into the gradient
+(one np.bincount over V[g_sel] g_coef) and the Hessian (one np.bincount
+over V[h_a] V[h_b] h_coef).  A row pair a_kp, a_kq adds
+(1/rho_k)(1/rho_k)(a_kp a_kq) at (p, q); two c entries of a circuit add
+u_l u_r - w_l w_r, written as the single product r(r-1) psi_l psi_r,
+since w = sqrt(r) psi.  The Hessian parts come in a fixed order: the
+row pairs, rows ascending, then the sign diagonal, the same-circuit
+pairs and the c diagonal, so a dense assembly summed row by row in that
+order gives the same floats; the plan touches only the nonzeros.  The
+step bound reads the row and sign slacks: 0.99 over the fastest
+relative shrink rate, capped at 1.
 
 The Newton system is one dense LU, except on models of at least
 T_ELIMINATION_MIN_NVAR variables where no general row holds two t's
@@ -50,10 +54,10 @@ general row gets +1 in that column, and the row PHASE1_RADIUS - sum of
 the sign-bounded variables >= 0 keeps the minimum of w finite, so that
 the infeasibility verdict can read it; where that row binds, the
 verdict is a numerical error.  Phase 2 has no such bound: its
-multipliers grow like 1/M_i**a_i on a box of half-width M_i, and a
-stalled centering names a multiplier past GAMMA_DIVERGENCE.  One
-relative-slack rule, _set_start_slack, sets gamma at the phase-2 start
-and w at the phase-1 start.
+multipliers grow like 1/M_i**a_i on a box of half-width M_i, and where
+they grow without limit a centering stalls.  One relative-slack rule,
+_set_start_slack, sets gamma at the phase-2 start and w at the phase-1
+start.
 
 -log(theta(c) - t) - sum_j log c_j is self-concordant (Nesterov &
 Nemirovskii 1994), and the sign bounds supply the -log c_j terms.  So
@@ -65,9 +69,9 @@ Path following is long-step (Nesterov & Nemirovskii 1994; Renegar
 2001): tau grows TAU_FACTOR-fold per outer step and phase 2 centers only
 to lambda^2 <= LONG_STEP_DECREMENT in between, which needs about half
 the Newton steps of tight centering at every weight.  The weight that
-meets the gap target is re-centered to the float floor, so the gap, KKT
-and feasibility checks read an exact center; phase 1 centers tightly,
-so its infeasibility verdict does too.
+meets the gap target is re-centered to the float floor, so the gap and
+KKT checks read an exact center; phase 1 centers tightly, so its
+infeasibility verdict does too.
 
 All arithmetic is float64.  Where the path ends, at tau = num_terms /
 (tol_gap (1 + |gamma|)), the largest stationarity residual over the 138
@@ -83,6 +87,7 @@ Everything is deterministic: fixed iteration order, no randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -93,7 +98,6 @@ from .relaxation import RelaxationModel, geometric_mean, required_magnitude
 CANNED_EPS = 1e-3  # start value of mu and nu, and of phase 1's c variables
 START_CONSTRUCTIVE = "constructive"
 START_PHASE1 = "phase-1"
-GAMMA_DIVERGENCE = 1e10  # a multiplier beyond this has diverged
 
 PHASE1_RADIUS = 1e8  # phase 1 keeps the sign-bounded variables' sum below this
 
@@ -115,7 +119,6 @@ TAU_FACTOR = 100.0  # barrier-weight growth per outer step
 
 MAX_INNER = 50  # Newton steps per centering
 MAX_OUTER = 200  # barrier weights per phase
-TOL_FEAS = 1e-7  # posterior feasibility tolerance
 
 
 @dataclass(frozen=True)
@@ -161,10 +164,10 @@ class _Barrier:
     shows as a nonpositive sign slack; no variable belongs to two
     circuits.
 
-    The arrays fixed here say which entries of a point's value vector
-    V (_values), times which constant, make each term: the gradient is
-    tau obj - np.bincount(g_to, V[g_sel] g_coef), over the row nonzeros
-    row-major and then the sign, c and t terms; the Hessian is
+    The arrays fixed here say which entries of a point's value vector V
+    (_Point.values), times which constant, make each term: the gradient
+    is tau obj - np.bincount(g_to, V[g_sel] g_coef), over the row
+    nonzeros row-major and then the sign, c and t terms; the Hessian is
     np.bincount(flat, V[h_a] V[h_b] h_coef).  flat is the scatter plan:
     every ordered pair of nonzeros sharing a general row (1/rho_k twice,
     coefficient a_kp a_kq), rows ascending, then the sign diagonal
@@ -271,67 +274,70 @@ class _Barrier:
             self.link_p[self.upd_l] * nvar + self.link_p[self.upd_r], return_inverse=True)
 
 
-def _slacks(prob: _Barrier, z: np.ndarray):
-    """(rows, sign, theta, circuit) slacks at z.
+class _Point:
+    """A point z of prob, evaluated once.
 
-    theta and the circuit slacks are None where some sign slack is
-    nonpositive: some c_j may then lie outside the domain of log.
+    rho, sign and geo are z's row, sign and circuit slacks (theta - t),
+    and margin is the smallest of them.  theta and geo are None, and
+    margin -inf, where some sign slack is nonpositive: some c_j may then
+    lie outside the domain of log.  The barrier value's log sum and the
+    value vector V are computed the first time they are asked for.
     """
-    rho = prob.rows @ z + prob.rhs
-    sign = z[prob.lower]
-    if not sign.min(initial=np.inf) > 0.0:
-        return rho, sign, None, None
-    logs = np.add.reduceat(prob.lam * np.log(z[prob.c_idx]), prob.starts) - prob.lam_log_lam
-    theta = np.exp(logs)
-    return rho, sign, theta, theta - z[prob.t_idx]
+
+    def __init__(self, prob: _Barrier, z: np.ndarray):
+        self.prob, self.z = prob, z
+        self.rho = prob.rows @ z + prob.rhs
+        self.sign = z[prob.lower]
+        self.theta = self.geo = None
+        self.margin = -np.inf
+        if self.sign.min(initial=np.inf) > 0.0:
+            logs = np.add.reduceat(prob.lam * np.log(z[prob.c_idx]), prob.starts)
+            self.theta = np.exp(logs - prob.lam_log_lam)
+            self.geo = self.theta - z[prob.t_idx]
+            self.joined = np.concatenate([self.rho, self.sign, self.geo])
+            self.margin = float(self.joined.min(initial=np.inf))
+
+    def phi(self, tau: float) -> float:
+        """Barrier value at weight tau; inf outside the domain."""
+        if not self.margin > 0.0:
+            return np.inf
+        return tau * float(self.prob.obj @ self.z) - self.log_sum
+
+    @cached_property
+    def log_sum(self) -> float:
+        return float(np.log(self.joined).sum())
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The value vector V = [1/rho, 1/sign, u_c, u_t, r(r-1) psi, psi,
+        h_c, 1].  A circuit term -log(slack) has gradient -u and Hessian
+        u u^T - w w^T + diag(h_c), w = sqrt(r) psi on its c entries and 0
+        on its t."""
+        prob, geo = self.prob, self.geo
+        c = self.z[prob.c_idx]
+        ratio = self.theta / geo
+        r = ratio[prob.blk]
+        psi = prob.lam / c
+        u_c = r * psi
+        return np.concatenate([1.0 / self.rho, 1.0 / self.sign, u_c, -1.0 / geo,
+                               (ratio * (ratio - 1.0))[prob.blk] * psi, psi, u_c / c, [1.0]])
 
 
-def _joined(slacks) -> np.ndarray | None:
-    """All of _slacks' barrier slacks in one vector; None where the
-    circuit slacks are undefined."""
-    rho, sign, _, geo = slacks
-    return None if geo is None else np.concatenate([rho, sign, geo])
-
-
-def _phi(prob: _Barrier, tau: float, z: np.ndarray, slacks=None) -> float:
-    """Barrier value at z; slacks, when given, are _slacks(prob, z)."""
-    joined = _joined(_slacks(prob, z) if slacks is None else slacks)
-    if joined is None or not joined.min(initial=np.inf) > 0.0:
-        return np.inf
-    return tau * float(prob.obj @ z) - float(np.log(joined).sum())
-
-
-def _values(prob: _Barrier, z: np.ndarray, slacks) -> np.ndarray:
-    """The value vector V = [1/rho, 1/sign, u_c, u_t, r(r-1) psi, psi,
-    h_c, 1] at z, slacks being _slacks(prob, z).  A circuit term
-    -log(slack) has gradient -u and Hessian u u^T - w w^T + diag(h_c),
-    w = sqrt(r) psi on its c entries and 0 on its t."""
-    rho, sign, theta, geo = slacks
-    c = z[prob.c_idx]
-    ratio = theta / geo
-    r = ratio[prob.blk]
-    psi = prob.lam / c
-    u_c = r * psi
-    return np.concatenate([1.0 / rho, 1.0 / sign, u_c, -1.0 / geo,
-                           (ratio * (ratio - 1.0))[prob.blk] * psi, psi, u_c / c, [1.0]])
-
-
-def _gradient(prob: _Barrier, tau: float, values: np.ndarray) -> np.ndarray:
-    """The barrier's gradient from the value vector values."""
+def _gradient(point: _Point, tau: float) -> np.ndarray:
+    """The barrier's gradient at point."""
+    prob, values = point.prob, point.values
     terms = np.bincount(prob.g_to, values[prob.g_sel] * prob.g_coef, len(prob.obj))
     return tau * prob.obj - terms
 
 
-def _grad_hess(prob: _Barrier, tau: float, z: np.ndarray, slacks=None):
-    """(gradient, Hessian, row slacks, sign slacks) at z; slacks, when
-    given, are _slacks(prob, z).  The Hessian is in the plan's order:
+def _grad_hess(point: _Point, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """(gradient, Hessian) at point.  The Hessian is in the plan's order:
     P H P^T where prob.rest is set."""
-    nvar = len(z)
-    slacks = _slacks(prob, z) if slacks is None else slacks
-    values = _values(prob, z, slacks)
+    prob, values = point.prob, point.values
+    nvar = len(point.z)
     weights = values[prob.h_a] * values[prob.h_b] * prob.h_coef
     hess = np.bincount(prob.flat, weights, nvar * nvar).reshape(nvar, nvar)
-    return _gradient(prob, tau, values), hess, slacks[0], slacks[1]
+    return _gradient(point, tau), hess
 
 
 def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -371,12 +377,13 @@ def _reduced_direction(prob: _Barrier, hess: np.ndarray, grad: np.ndarray) -> np
     return d
 
 
-def _max_step(prob: _Barrier, rho: np.ndarray, sign: np.ndarray, d: np.ndarray) -> float:
-    """Largest step along d, capped at 1, keeping the row and sign slacks
-    rho and sign (as _grad_hess returns them) strictly positive: 0.99
-    over the fastest relative shrink rate."""
-    rate = -min(float(((prob.rows @ d) / rho).min(initial=0.0)),
-                float((d[prob.lower] / sign).min(initial=0.0)))
+def _max_step(point: _Point, d: np.ndarray) -> float:
+    """Largest step from point along d, capped at 1, keeping the row and
+    sign slacks strictly positive: 0.99 over the fastest relative shrink
+    rate."""
+    prob = point.prob
+    rate = -min(float(((prob.rows @ d) / point.rho).min(initial=0.0)),
+                float((d[prob.lower] / point.sign).min(initial=0.0)))
     return 0.99 / rate if rate > 0.99 else 1.0
 
 
@@ -392,66 +399,51 @@ def _stall_tolerance(tau: float) -> float:
 
 
 def _center(
-    prob: _Barrier,
+    point: _Point,
     tau: float,
-    z: np.ndarray,
     tol: float = 0.0,
     stop_early=None,
-) -> tuple[np.ndarray, bool, int, float]:
-    """Damped Newton until the decrement is at most tol, or at the float
-    floor when tol is below it; returns (z, converged, steps, decrement).
-    A decrement within _stall_tolerance that no longer falls also ends
-    it as converged: rounding, not the center, holds it there.
-
-    Each point's slacks are computed once: the start point's and each
-    trial point's serve the feasibility check, phi and the accepted
-    point's gradient and Hessian.  phi at a point the line search
-    accepted is the next step's phi0.
+) -> tuple[_Point, bool, int, float]:
+    """Damped Newton from point until the decrement is at most tol, or at
+    the float floor when tol is below it; returns (point, converged,
+    steps, decrement).  A decrement within _stall_tolerance that no
+    longer falls also ends it as converged: rounding, not the center,
+    holds it there.
     """
+    prob = point.prob
     steps = 0
     decrement = np.inf
     stop = max(tol, _decrement_floor(tau))
-    slacks = _slacks(prob, z)
-    phi0 = None  # phi at z, where known
     for _ in range(MAX_INNER):
-        grad, hess, rho, sign = _grad_hess(prob, tau, z, slacks)
+        grad, hess = _grad_hess(point, tau)
         d = (_newton_direction(hess, grad) if prob.rest is None
              else _reduced_direction(prob, hess, grad))
         previous, decrement = decrement, -float(grad @ d)
         if abs(decrement) <= stop or abs(previous) <= abs(decrement) <= _stall_tolerance(tau):
-            return z, True, steps, decrement
-        alpha = _max_step(prob, rho, sign, d)
-        cand = z + alpha * d
-        cand_slacks = _slacks(prob, cand)
-        if (0.0 < decrement <= FULL_STEP_DECREMENT
-                and _feasible_margin(prob, cand, cand_slacks) > 0.0):
-            phi0 = None
-        else:
-            if phi0 is None:
-                phi0 = _phi(prob, tau, z, slacks)
+            return point, True, steps, decrement
+        alpha = _max_step(point, d)
+        cand = _Point(prob, point.z + alpha * d)
+        if not (0.0 < decrement <= FULL_STEP_DECREMENT and cand.margin > 0.0):
+            phi0 = point.phi(tau)
             while alpha > 1e-16:
-                phi = _phi(prob, tau, cand, cand_slacks)
-                if phi <= phi0 - 0.01 * alpha * decrement:
+                if cand.phi(tau) <= phi0 - 0.01 * alpha * decrement:
                     break
                 alpha *= 0.5
-                cand = z + alpha * d
-                cand_slacks = _slacks(prob, cand)
+                cand = _Point(prob, point.z + alpha * d)
             else:
                 # Progress is below float resolution; fine if nearly centered.
-                return z, abs(decrement) <= _stall_tolerance(tau), steps, decrement
-            phi0 = phi
-        z, slacks = cand, cand_slacks
+                return point, abs(decrement) <= _stall_tolerance(tau), steps, decrement
+        point = cand
         steps += 1
-        if stop_early is not None and stop_early(z):
-            return z, True, steps, decrement
-    return z, abs(decrement) <= _stall_tolerance(tau), steps, decrement
+        if stop_early is not None and stop_early(point):
+            return point, True, steps, decrement
+    return point, abs(decrement) <= _stall_tolerance(tau), steps, decrement
 
 
-def _kkt_residual(prob: _Barrier, tau: float, z: np.ndarray) -> float:
+def _kkt_residual(point: _Point, tau: float) -> float:
     """Relative stationarity residual with implicit barrier duals 1/(tau*slack)."""
-    slacks = _slacks(prob, z)
-    grad_inf = float(np.max(np.abs(_gradient(prob, tau, _values(prob, z, slacks)))))
-    max_dual = 1.0 / _feasible_margin(prob, z, slacks) / tau
+    grad_inf = float(np.max(np.abs(_gradient(point, tau))))
+    max_dual = 1.0 / point.margin / tau
     return grad_inf / (tau * (1.0 + max_dual))
 
 
@@ -470,17 +462,6 @@ def _set_start_slack(z: np.ndarray, col: int, rows: np.ndarray, rhs: np.ndarray)
     need = max(max(1.0, 1e-9 * (float(np.abs(row * z).sum()) + abs(const)))
                - float(row @ z + const) for row, const in zip(rows, rhs))
     z[col] = rows[0, col] * need
-
-
-def _strictly_feasible(prob: _Barrier, z: np.ndarray) -> bool:
-    return _feasible_margin(prob, z) > 0.0
-
-
-def _feasible_margin(prob: _Barrier, z: np.ndarray, slacks=None) -> float:
-    """Smallest slack; -inf where some sign slack is nonpositive.
-    slacks, when given, are _slacks(prob, z)."""
-    joined = _joined(_slacks(prob, z) if slacks is None else slacks)
-    return -np.inf if joined is None else float(joined.min(initial=np.inf))
 
 
 def _constructive_start(model: RelaxationModel) -> np.ndarray | None:
@@ -502,12 +483,9 @@ def _constructive_start(model: RelaxationModel) -> np.ndarray | None:
 
     boostable: dict[int, int] = {}  # candidate index -> nu variable position
     fixed_part: dict[int, float] = {}
-    blocks_at: dict[int, list[int]] = {}
-    for bi, blk in enumerate(model.blocks):
-        for j in blk.cand_indices:
-            if j != 0:
-                blocks_at.setdefault(j, []).append(bi)
-    for j in sorted(blocks_at):
+    for j in range(1, len(model.circuits_at)):
+        if not model.circuits_at[j]:
+            continue
         coeff = model.lag.coeffs.get(model.cands.points[j])
         if coeff is None:
             return None
@@ -523,22 +501,20 @@ def _constructive_start(model: RelaxationModel) -> np.ndarray | None:
         required = required_magnitude(blk.kind, s)
         target = 2.0 * (required + 1.0)
         prov = np.zeros(len(blk.cand_indices))
-        lam0 = 0.0
+        origin_k = None
         for k, j in enumerate(blk.cand_indices):
             if j == 0:
-                lam0 = lams[k]
-                continue
-            if j in boostable:
+                origin_k = k
+            elif j in boostable:
                 prov[k] = 1.0
             else:
                 avail = fixed_part[j]
                 if avail <= 1e-9:
                     return None
-                prov[k] = min(1.0, 0.9 * avail / len(blocks_at[j]))
-        if lam0 > 0.0:
+                prov[k] = min(1.0, 0.9 * avail / len(model.circuits_at[j]))
+        if origin_k is not None:
             others = [k for k, j in enumerate(blk.cand_indices) if j != 0]
             log_prod = sum(lams[k] * (np.log(prov[k]) - np.log(lams[k])) for k in others)
-            origin_k = list(blk.cand_indices).index(0)
             c0 = lams[origin_k] * (target / np.exp(log_prod)) ** (1.0 / lams[origin_k])
             if not np.isfinite(c0) or c0 > 1e7:
                 return None
@@ -560,9 +536,7 @@ def _constructive_start(model: RelaxationModel) -> np.ndarray | None:
 
     # Back the bound points with enough nu to leave unit slack.
     for j, nu_pos in boostable.items():
-        total = sum(
-            c_vals[bi][list(model.blocks[bi].cand_indices).index(j)] for bi in blocks_at[j]
-        )
+        total = sum(c_vals[bi][k] for bi, k in model.circuits_at[j])
         z[model.nu_indices[nu_pos]] = max(CANNED_EPS, total + 1.0 - fixed_part[j])
 
     _set_start_slack(z, model.gamma_index, model.rows, model.rhs)
@@ -596,7 +570,7 @@ def _phase1_start(prob: _Barrier, w: int) -> np.ndarray:
     """mu = nu = c = CANNED_EPS, t = theta(c) / 2 and w by _set_start_slack."""
     z = np.zeros(len(prob.obj))
     z[prob.lower] = CANNED_EPS
-    z[prob.t_idx] = 0.5 * _slacks(prob, z)[2]
+    z[prob.t_idx] = 0.5 * _Point(prob, z).theta
     _set_start_slack(z, w, prob.rows, prob.rhs)
     return z
 
@@ -610,27 +584,28 @@ def _phase1(model: RelaxationModel) -> tuple[np.ndarray | None, str, str, int]:
     """
     w = model.gamma_index
     prob = _phase1_problem(model)
-    z = _phase1_start(prob, w)
+    point = _Point(prob, _phase1_start(prob, w))
 
     total_steps, tau = 0, 1.0
-    found = lambda zz: zz[w] <= -1e-3
+    found = lambda p: p.z[w] <= -1e-3
     for _ in range(MAX_OUTER):
-        z, converged, steps, _ = _center(prob, tau, z, stop_early=found)
+        point, converged, steps, _ = _center(point, tau, stop_early=found)
         total_steps += steps
-        if found(z):
+        if found(point):
             break
         if not converged:
             return None, st.NUMERICAL_ERROR, "phase-1 centering did not converge", total_steps
         gap = prob.num_terms / tau
-        if gap <= 1e-9 * (1.0 + abs(z[w])):
+        if gap <= 1e-9 * (1.0 + abs(point.z[w])):
             break
         tau *= TAU_FACTOR
     else:
         return None, st.NUMERICAL_ERROR, "phase-1 iteration cap exceeded", total_steps
 
+    z = point.z
     if z[w] > -1e-8:
         # Binding, the radius row's slack is ~1/tau, not ~PHASE1_RADIUS / (free vars + 1).
-        if prob.rows[-1] @ z + prob.rhs[-1] < 1e-3 * PHASE1_RADIUS:
+        if point.rho[-1] < 1e-3 * PHASE1_RADIUS:
             return None, st.NUMERICAL_ERROR, "phase-1 bound row active", total_steps
         return (None, st.INFEASIBLE,
                 f"no strictly feasible start exists (best violation {z[w]:.3e})", total_steps)
@@ -639,11 +614,9 @@ def _phase1(model: RelaxationModel) -> tuple[np.ndarray | None, str, str, int]:
     return z, st.OPTIMAL, "", total_steps
 
 
-def _extract(model: RelaxationModel, z: np.ndarray, stat: str, gap: float, kkt: float,
+def _extract(model: RelaxationModel, point: _Point, stat: str, gap: float, kkt: float,
              trace: list[float], steps: int, outers: int, message: str = "") -> SolveResult:
-    rho = model.rows @ z + model.rhs
-    signs = z[list(model.nonneg_indices)]
-    max_resid = max(0.0, -float(rho.min(initial=np.inf)), -float(signs.min(initial=np.inf)))
+    z = point.z
     c_vals: dict[Exponent, dict[int, float]] = {}
     t_vals: dict[Exponent, float] = {}
     for blk in model.blocks:
@@ -651,8 +624,6 @@ def _extract(model: RelaxationModel, z: np.ndarray, stat: str, gap: float, kkt: 
         c_vals[blk.beta] = {
             j: float(z[v]) for j, v in zip(blk.cand_indices, blk.c_indices)
         }
-        theta = geometric_mean(z[list(blk.c_indices)], np.asarray(blk.lambdas))
-        max_resid = max(max_resid, z[blk.t_index] - theta)
     return SolveResult(
         status=stat,
         gamma=float(z[model.gamma_index]),
@@ -664,7 +635,7 @@ def _extract(model: RelaxationModel, z: np.ndarray, stat: str, gap: float, kkt: 
         outer_iterations=outers,
         duality_gap=gap,
         kkt_residual=kkt,
-        max_residual=max_resid,
+        max_residual=max(0.0, -point.margin),
         gamma_trace=tuple(trace),
         message=message,
     )
@@ -686,56 +657,49 @@ def solve_relaxation(model: RelaxationModel, opts: SolverOptions | None = None) 
     start, steps = START_CONSTRUCTIVE, 0
     z = _constructive_start(model)
     try:
-        if z is None or not _strictly_feasible(prob, z):
+        point = None if z is None else _Point(prob, z)
+        if point is None or not point.margin > 0.0:
             start = START_PHASE1
             z, stat, message, steps = _phase1(model)
             if z is None:
                 return SolveResult(status=stat, iterations=steps, message=message,
                                    start=start)
-            if not _strictly_feasible(prob, z):
+            point = _Point(prob, z)
+            if not point.margin > 0.0:
                 raise st.NumericalError("the phase-1 point is not strictly feasible")
-        result = _path_follow(model, prob, z, steps, opts)
+        result = _path_follow(model, point, steps, opts)
     except st.NumericalError as exc:
         result = SolveResult(status=st.NUMERICAL_ERROR, message=str(exc))
     return replace(result, start=start)
 
 
-def _path_follow(model: RelaxationModel, prob: _Barrier, z: np.ndarray, total_steps: int,
+def _path_follow(model: RelaxationModel, point: _Point, total_steps: int,
                  opts: SolverOptions) -> SolveResult:
-    """Follow the central path from the strictly feasible z."""
+    """Follow the central path from the strictly feasible point."""
+    prob = point.prob
     tau = 1.0
     trace: list[float] = []
     outers = 0
     for _ in range(MAX_OUTER):
         gap = prob.num_terms / tau
-        z, converged, steps, _ = _center(prob, tau, z, LONG_STEP_DECREMENT)
+        point, converged, steps, _ = _center(point, tau, LONG_STEP_DECREMENT)
         total_steps += steps
         outers += 1
-        if converged and gap <= opts.tol_gap * (1.0 + abs(z[model.gamma_index])):
-            z, converged, steps, _ = _center(prob, tau, z)
+        if converged and gap <= opts.tol_gap * (1.0 + abs(point.z[model.gamma_index])):
+            point, converged, steps, _ = _center(point, tau)
             total_steps += steps
-        gamma = float(z[model.gamma_index])
+        gamma = float(point.z[model.gamma_index])
         trace.append(gamma)
         if not converged:
-            failure = "inner Newton stalled"
-            mult = z[list(model.mu_indices + model.nu_indices)]
-            if mult.max(initial=0.0) > GAMMA_DIVERGENCE:
-                failure += f"; a multiplier past {GAMMA_DIVERGENCE:g}, bound may be unattained"
-            return _extract(model, z, st.NUMERICAL_ERROR, gap,
-                            _kkt_residual(prob, tau, z), trace, total_steps, outers, failure)
+            return _extract(model, point, st.NUMERICAL_ERROR, gap, _kkt_residual(point, tau),
+                            trace, total_steps, outers, "inner Newton stalled")
         if gap <= opts.tol_gap * (1.0 + abs(gamma)):
-            kkt = _kkt_residual(prob, tau, z)
+            kkt = _kkt_residual(point, tau)
             if kkt > opts.tol_kkt:
-                return _extract(model, z, st.NUMERICAL_ERROR, gap, kkt, trace,
+                return _extract(model, point, st.NUMERICAL_ERROR, gap, kkt, trace,
                                 total_steps, outers,
                                 f"stationarity residual {kkt:.2e} above tolerance")
-            result = _extract(model, z, st.OPTIMAL, gap, kkt, trace, total_steps, outers)
-            if result.max_residual > TOL_FEAS:
-                return _extract(model, z, st.NUMERICAL_ERROR, gap, kkt, trace,
-                                total_steps, outers,
-                                f"constraint residual {result.max_residual:.2e} "
-                                "above the feasibility tolerance")
-            return result
+            return _extract(model, point, st.OPTIMAL, gap, kkt, trace, total_steps, outers)
         # Jump exactly to the barrier weight that meets the gap target:
         # overshooting a full TAU_FACTOR costs conditioning for no benefit.
         tau_target = 1.01 * prob.num_terms / (opts.tol_gap * (1.0 + abs(gamma)))
@@ -743,6 +707,6 @@ def _path_follow(model: RelaxationModel, prob: _Barrier, z: np.ndarray, total_st
         if tau < tau_target <= tau_next:
             tau_next = tau_target
         tau = tau_next
-    return _extract(model, z, st.NUMERICAL_ERROR, prob.num_terms / tau,
+    return _extract(model, point, st.NUMERICAL_ERROR, prob.num_terms / tau,
                     float("inf"), trace, total_steps, outers,
                     "outer iteration cap exceeded")

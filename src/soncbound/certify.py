@@ -154,11 +154,6 @@ def _repair(model: RelaxationModel, mu, nu, c, cap: Fraction) -> _Repair:
     nu_full = nu + [Fraction(0)] * (model.lag.n - len(nu))
     shares = {beta: {j: Fraction(float(v)) for j, v in cb.items()} for beta, cb in c.items()}
 
-    blocks_at: dict[int, list[Exponent]] = {}
-    for blk in model.blocks:
-        for j in blk.cand_indices:
-            if j != 0:
-                blocks_at.setdefault(j, []).append(blk.beta)
     leftovers = {}
     for j, point in enumerate(model.cands.points[1:], start=1):
         coeff = model.lag.coeffs.get(point)
@@ -167,7 +162,7 @@ def _repair(model: RelaxationModel, mu, nu, c, cap: Fraction) -> _Repair:
             raise RepairFailure(
                 f"vertex coefficient at {point} is negative ({float(value):.3e}) after clamping"
             )
-        betas = blocks_at.get(j, [])
+        betas = [model.blocks[bi].beta for bi, _ in model.circuits_at[j]]
         total = sum(shares[b][j] for b in betas)
         if total > value:
             for b in betas:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import BOUND_CONSTRAINT, ORIGIN, SUPPORT_EVEN, CandidateSet, Cover
+from .geometry import CandidateSet, Cover
 from .geometry import barycentric_coordinates, polytope_vertices
 from .poly import Exponent, PopInstance, zero_exponent
 from .status import NumericalError
@@ -101,7 +101,6 @@ def build_candidate_set(
     support: set[Exponent] | list[Exponent],
     bcs: list[BoundConstraint],
     n: int,
-    genuine_support: set[Exponent] | None = None,
 ) -> CandidateSet:
     """Candidates = origin + even polytope vertices + bound exponents.
 
@@ -109,28 +108,18 @@ def build_candidate_set(
     hull are left out: they become one-sided inner terms instead, so a
     negative coefficient there does not wreck feasibility.  Only even
     points are decided; odd points shape the hull but take no LP.
-
-    genuine_support marks exponents carried by the instance polynomials
-    themselves (used for provenance tags); defaults to the full support.
     """
     support = set(support)
-    if genuine_support is None:
-        genuine_support = support
     origin = zero_exponent(n)
     points = polytope_vertices(support | {origin}, even_only=True) - {origin}
     points.update(bc.point(n) for bc in bcs)
-    ordered = [origin] + sorted(points)
-    tags = [ORIGIN] + [
-        SUPPORT_EVEN if p in genuine_support else BOUND_CONSTRAINT for p in sorted(points)
-    ]
-    return CandidateSet(points=tuple(ordered), tags=tuple(tags))
+    return CandidateSet(points=(origin, *sorted(points)))
 
 
 def build_candidates_and_covers(
     support: set[Exponent] | list[Exponent],
     bcs: list[BoundConstraint],
     n: int,
-    genuine_support: set[Exponent] | None = None,
 ) -> tuple[CandidateSet, dict[Exponent, Cover]]:
     """Assemble the candidate set and one cover per inner term.
 
@@ -138,7 +127,7 @@ def build_candidates_and_covers(
     candidate hull.  With bound constraints from select_bound_exponents
     this never happens; without them it is the common failure mode.
     """
-    cands = build_candidate_set(support, bcs, n, genuine_support)
+    cands = build_candidate_set(support, bcs, n)
     cand_points = set(cands.points)
     covers: dict[Exponent, Cover] = {}
     for beta in sorted(set(support) - cand_points):

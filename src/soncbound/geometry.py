@@ -39,10 +39,6 @@ import numpy as np
 from . import simplex
 from .poly import Exponent
 
-ORIGIN = "origin"
-SUPPORT_EVEN = "support-even"
-BOUND_CONSTRAINT = "bound-constraint"
-
 # A reconstructed cover must hit its target this tightly (absolute).
 COVER_RESIDUAL_TOL = 1e-9
 
@@ -66,13 +62,10 @@ class LpFailure(Exception):
 class CandidateSet:
     """Ordered even exponents usable as circuit vertices.
 
-    Index 0 is always the origin.  Tags record where each point came
-    from: the origin itself, an even support point, or a bound
-    constraint exponent a_i * e_i.
+    Index 0 is always the origin.
     """
 
     points: tuple[Exponent, ...]
-    tags: tuple[str, ...]
 
     def __post_init__(self):
         if not self.points or any(e != 0 for e in self.points[0]):
@@ -82,9 +75,6 @@ class CandidateSet:
         for p in self.points:
             if any(e % 2 for e in p):
                 raise ValueError(f"candidate {p} has an odd entry")
-
-    def index_of(self, point: Exponent) -> int:
-        return self.points.index(point)
 
 
 @dataclass(frozen=True)

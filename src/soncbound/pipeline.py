@@ -124,9 +124,7 @@ def prepare_root(inst: PopInstance, options: PipelineOptions) -> RootStructure:
                                        options.exponent_strategy)
         bcs = make_bound_constraints(inst, a)
         lag = assemble_lagrangian(inst, bcs, True)
-    cands, covers = build_candidates_and_covers(
-        lag.support, bcs, inst.n, genuine_support=lag_plain.support
-    )
+    cands, covers = build_candidates_and_covers(lag.support, bcs, inst.n)
     return RootStructure(inst=inst, options=options, exponents=a, cands=cands, covers=covers,
                          bcs=tuple(bcs), lag=lag)
 

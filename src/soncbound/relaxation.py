@@ -129,6 +129,8 @@ class RelaxationModel:
     rhs: np.ndarray  # (K,)
     row_labels: tuple[str, ...]
     nonneg_indices: tuple[int, ...]
+    # per candidate j, its circuits: (block index, position of j in the block), blocks ascending
+    circuits_at: tuple[tuple[tuple[int, int], ...], ...]
     infeasible_reason: str | None
     # provenance needed by the certifier
     lag: LagrangianSupport
@@ -209,17 +211,17 @@ def build_model(
     infeasible_reason = None
 
     # Vertex splitting / origin budget: coeff_j(gamma, mu, nu) >= sum_beta c_{beta,j}.
-    c_at_candidate: dict[int, list[int]] = {}
-    for blk in blocks:
-        for j, cvar in zip(blk.cand_indices, blk.c_indices):
-            c_at_candidate.setdefault(j, []).append(cvar)
+    circuits_at: list[list[tuple[int, int]]] = [[] for _ in cands.points]
+    for bi, blk in enumerate(blocks):
+        for k, j in enumerate(blk.cand_indices):
+            circuits_at[j].append((bi, k))
     for j, point in enumerate(cands.points):
         coeff = lag.coeffs.get(point)
         if coeff is None:
             continue  # candidate exponent absent from the support
         row, const = _affine_row(coeff, layout)
-        for cvar in c_at_candidate.get(j, []):
-            row[cvar] -= 1.0
+        for bi, k in circuits_at[j]:
+            row[blocks[bi].c_indices[k]] -= 1.0
         if not row.any():
             if const <= 0.0:
                 infeasible_reason = (
@@ -258,6 +260,7 @@ def build_model(
         rhs=np.array(rhs) if rhs else np.zeros(0),
         row_labels=tuple(labels),
         nonneg_indices=tuple(nonneg),
+        circuits_at=tuple(map(tuple, circuits_at)),
         infeasible_reason=infeasible_reason,
         lag=lag,
         cands=cands,

@@ -25,16 +25,9 @@ def make_inst(n=1, lower=(-1,), upper=(2,), objective=(((1,), -1.0),), constrain
 
 def build_for(inst, a=None):
     """inst's relaxation model, with bound exponents a (none when None)."""
-    lag_plain = assemble_lagrangian(inst, [], False)
-    if a is None:
-        bcs = []
-        lag = lag_plain
-    else:
-        bcs = make_bound_constraints(inst, a)
-        lag = assemble_lagrangian(inst, bcs, True)
-    cands, covers = build_candidates_and_covers(
-        lag.support, bcs, inst.n, genuine_support=lag_plain.support
-    )
+    bcs = [] if a is None else make_bound_constraints(inst, a)
+    lag = assemble_lagrangian(inst, bcs, a is not None)
+    cands, covers = build_candidates_and_covers(lag.support, bcs, inst.n)
     return build_model(lag, cands, covers, bcs)
 
 

@@ -158,9 +158,7 @@ def test_criterion_4_cover_correctness():
                 break
             pts.add(tuple(2 * rng.randint(0, 3) for _ in range(dim)))
         ordered = [origin] + sorted(pts - {origin})
-        cands = CandidateSet(
-            points=tuple(ordered), tags=("origin",) + ("support-even",) * (len(ordered) - 1)
-        )
+        cands = CandidateSet(points=tuple(ordered))
         beta = tuple(rng.randint(0, 6) for _ in range(dim))
         if beta in pts:
             continue

@@ -9,7 +9,7 @@ from soncbound.covers import (
     select_bound_exponents,
 )
 from soncbound.generator import generate_instance
-from soncbound.geometry import BOUND_CONSTRAINT, SUPPORT_EVEN, CoverUnavailable
+from soncbound.geometry import CoverUnavailable
 from soncbound.relaxation import assemble_lagrangian
 from soncbound.status import NumericalError
 
@@ -91,12 +91,8 @@ class TestBuildCandidatesAndCovers:
         inst = make_inst()
         bcs = make_bound_constraints(inst, (2,))
         lag = assemble_lagrangian(inst, bcs, True)
-        lag_plain = assemble_lagrangian(inst, [], False)
-        cands, covers = build_candidates_and_covers(
-            lag.support, bcs, inst.n, genuine_support=lag_plain.support
-        )
+        cands, covers = build_candidates_and_covers(lag.support, bcs, inst.n)
         assert cands.points == ((0,), (2,))
-        assert cands.tags == ("origin", BOUND_CONSTRAINT)
         assert covers[(1,)].weights[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_motzkin_without_bcs_covered(self):
@@ -109,17 +105,13 @@ class TestBuildCandidatesAndCovers:
         assert set(cands.points) == {(0, 0), (2, 4), (4, 2)}
         assert set(covers) == {(2, 2)}
 
-    def test_bound_point_collision_tagged_support_even(self):
+    def test_bound_point_collision_kept_once(self):
         # objective already contains x^2; the bound point (2,) must appear once
         inst = make_inst(objective=(((2,), -1.0),))
         bcs = make_bound_constraints(inst, (2,))
         lag = assemble_lagrangian(inst, bcs, True)
-        lag_plain = assemble_lagrangian(inst, [], False)
-        cands, _ = build_candidates_and_covers(
-            lag.support, bcs, inst.n, genuine_support=lag_plain.support
-        )
+        cands, _ = build_candidates_and_covers(lag.support, bcs, inst.n)
         assert cands.points.count((2,)) == 1
-        assert cands.tags[cands.points.index((2,))] == SUPPORT_EVEN
         # and the nu multiplier still feeds that exponent's coefficient
         assert lag.coeffs[(2,)].nu == {0: 1.0}
 
@@ -136,8 +128,6 @@ class TestBuildCandidatesAndCovers:
             a = select_bound_exponents(inst, [e for e, _ in inner0])
             bcs = make_bound_constraints(inst, a)
             lag = assemble_lagrangian(inst, bcs, True)
-            cands, covers = build_candidates_and_covers(
-                lag.support, bcs, inst.n, genuine_support=lag_plain.support
-            )
+            cands, covers = build_candidates_and_covers(lag.support, bcs, inst.n)
             inner = set(lag.support) - set(cands.points)
             assert set(covers) == inner  # no CoverUnavailable raised

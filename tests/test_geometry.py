@@ -29,7 +29,7 @@ def cand_set(points):
     points = [tuple(p) for p in points]
     origin = points[0]
     assert all(v == 0 for v in origin)
-    return CandidateSet(points=tuple(points), tags=("origin",) + ("support-even",) * (len(points) - 1))
+    return CandidateSet(points=tuple(points))
 
 
 class TestMonomialSquare:
@@ -370,15 +370,15 @@ class TestGuaranteedCovers:
 class TestCandidateSetInvariants:
     def test_origin_required_first(self):
         with pytest.raises(ValueError):
-            CandidateSet(points=((2, 0), (0, 0)), tags=("support-even", "origin"))
+            CandidateSet(points=((2, 0), (0, 0)))
 
     def test_odd_point_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            CandidateSet(points=((0, 0), (1, 2)), tags=("origin", "support-even"))
+            CandidateSet(points=((0, 0), (1, 2)))
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            CandidateSet(points=((0,), (2,), (2,)), tags=("origin",) * 3)
+            CandidateSet(points=((0,), (2,), (2,)))
 
     def test_build_candidate_set_filters_nonvertices(self):
         cands = build_candidate_set(set(MOTZKIN_SUPPORT), [], 2)

@@ -88,8 +88,8 @@ def test_final_centering_stops_once_the_decrement_stalls(monkeypatch):
     calls = []
     center = barrier._center
 
-    def spy(prob, tau, z, tol=0.0, stop_early=None):
-        out = center(prob, tau, z, tol, stop_early)
+    def spy(point, tau, tol=0.0, stop_early=None):
+        out = center(point, tau, tol, stop_early)
         calls.append((tol, out[1], out[2]))
         return out
 
