@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Compare two source trees on one benchmark workload, in alternating pairs.
+"""Compare two source trees on benchmark workloads, in alternating pairs.
 
-Runs `perfbench/run.py` from each tree once per seed, the two runs of a
-pair back to back and the tree that goes first switching from pair to
-pair, so drift in the host's speed falls on both sides alike.  Only the
-last line of each run's output (its JSON summary) is read.  For every
-metric the report gives each side's median and quartiles, and the
-number of pairs the change wins in the direction `BENCHMARK.json` names.
-A gain is claimed when the change wins at least 90% of the pairs (9 of
-10) and its median lies beyond the parent's interquartile range.
+Runs `perfbench/run.py` from each tree once per seed and workload, the
+two runs of a pair back to back and the tree that goes first switching
+from pair to pair, so drift in the host's speed falls on both sides
+alike.  With several workloads (comma-separated), each seed runs one
+pair of every workload in turn, so drift spreads over all of them.
+Only the last line of each run's output (its JSON summary) is read.
+For every workload and metric the report gives each side's median and
+quartiles, and the number of pairs the change wins in the direction
+`BENCHMARK.json` names.  A gain is claimed when the change wins at least
+90% of the pairs (9 of 10) and its median lies beyond the parent's
+interquartile range.
 
-    python scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload wide
+    python scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --workload acceptance,wide
         [--pairs 10] [--seconds 25] [--trace 0] [--seed0 0] [--corpus-seed N]
         [--out pairs.json]
+
+--out writes the arguments and every run's JSON summary, per workload.
 
 Each tree is a source checkout (with `src/` and `perfbench/`); nothing
 in either tree is changed.  --corpus-seed passes through to
@@ -96,7 +101,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="source tree of the parent")
     parser.add_argument("change", type=Path, help="source tree of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="workload name, or several names separated by commas")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -107,22 +113,27 @@ def main() -> int:
                         help="write every run's JSON summary to this file")
     args = parser.parse_args()
 
-    runs = []
+    runs = {name: [] for name in args.workload.split(",")}
     for i in range(args.pairs):
         seed = args.seed0 + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            pair[side] = run_once(getattr(args, side).resolve(), args.workload, seed,
-                                  args.seconds, args.trace, args.corpus_seed)
-        runs.append(pair)
-        correct = pair["parent"]["correct"] and pair["change"]["correct"]
-        print(f"pair {i + 1}/{args.pairs}: seed {seed}, {order[0]} first, "
-              f"{'correct' if correct else 'FAILED OPERATIONS'}", flush=True)
+        for workload, pairs in runs.items():
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(getattr(args, side).resolve(), workload, seed,
+                                      args.seconds, args.trace, args.corpus_seed)
+            pairs.append(pair)
+            correct = pair["parent"]["correct"] and pair["change"]["correct"]
+            print(f"{workload} pair {i + 1}/{args.pairs}: seed {seed}, {order[0]} first, "
+                  f"{'correct' if correct else 'FAILED OPERATIONS'}", flush=True)
     if args.out is not None:
-        args.out.write_text(json.dumps(runs, indent=1))
-    report(runs)
-    return 0 if all(r["parent"]["correct"] and r["change"]["correct"] for r in runs) else 1
+        settings = {k: v for k, v in vars(args).items() if k not in ("parent", "change", "out")}
+        args.out.write_text(json.dumps({"args": settings, "runs": runs}, indent=1))
+    for workload, pairs in runs.items():
+        print(f"\n{workload}")
+        report(pairs)
+    return 0 if all(r["parent"]["correct"] and r["change"]["correct"]
+                    for pairs in runs.values() for r in pairs) else 1
 
 
 if __name__ == "__main__":

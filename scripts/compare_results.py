@@ -11,6 +11,9 @@ subprocess with only its own `src/` imported:
 * `wide-seeds`: the `wide` builder at corpus seeds 1-8, 16 models of
   154-250 variables, so that changes to the large-model path show beyond
   the benchmark's two models;
+* `highdeg-seeds`: the `highdeg` builder at corpus seeds 100 and 200,
+  120 models, so that a trade of statuses between high-degree models
+  shows beyond the benchmark's 60;
 * the seeded stress families of `tests/test_stress.py`;
 * the edge cases of ROADMAP.md (point box, the box ±1e-4, x^7 - x on
   ±1000, the infeasible constraint -1 - x^2 >= 0), two large
@@ -29,9 +32,10 @@ status change, each message change (grouped), the largest certified-
 gamma drift where both sides are optimal (as |d gamma| / |gamma| and as
 |d gamma| / (1 + |gamma|), the scale of the solver's gap test), the
 largest stationarity residual of an optimal solve as the solver reports
-it and as recomputed in long double (`ld_residual`), Newton steps,
-`simplex.lp_solve` calls and RuntimeWarnings.  A status change lists
-both residuals of each side.  For each B&B run it says
+it and as recomputed in long double (`ld_residual`), Newton steps (in
+all, and in each solve's first phase-2 centering, read from a wrapped
+`barrier._center`), `simplex.lp_solve` calls and RuntimeWarnings.  A
+status change lists both residuals of each side.  For each B&B run it says
 whether nodes, status, error nodes, relaxations_solved, incumbents and
 every record's id, depth and status are equal, how far the bounds moved
 and how many LPs each side solved.
@@ -98,6 +102,7 @@ VANISHING_CONSTANT = {
 BNB_EDGE_NODES = 30
 BNB_SEED = 1
 WIDE_SEEDS = range(1, 9)
+HIGHDEG_SEEDS = (100, 200)
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -110,6 +115,9 @@ def _corpora(sb, workloads, stress):
     w = workloads.WORKLOADS["wide"]
     out["wide-seeds"] = [(it.key, it.inst, it.options) for seed in WIDE_SEEDS
                          for it in w.build(sb, seed)]
+    w = workloads.WORKLOADS["highdeg"]
+    out["highdeg-seeds"] = [(it.key, it.inst, it.options) for seed in HIGHDEG_SEEDS
+                            for it in w.build(sb, seed)]
     out["stress"] = [(f"{family}/s{s}", inst, sb.PipelineOptions())
                      for family, build, _ in stress.FAMILIES for s, inst in enumerate(build())]
     out["edge"] = [(key, sb.parse_instance(json.dumps(spec)), sb.PipelineOptions())
@@ -146,11 +154,21 @@ def collect(tree: Path) -> dict:
         return lp_solve(*args, **kwargs)
 
     sb.simplex.lp_solve = counted_lp_solve
+    first = [None]  # Newton steps of the solve's first phase-2 centering
+    center = sb.barrier._center
+
+    def counted_center(point, *args, **kwargs):
+        out = center(point, *args, **kwargs)
+        if first[0] is None and point.prob.obj.min() < 0.0:  # phase 2 maximizes gamma
+            first[0] = out[2]
+        return out
+
+    sb.barrier._center = counted_center
     out = {"solves": {}, "bnb": {}}
     for corpus, items in _corpora(sb, workloads, test_stress).items():
         records = out["solves"][corpus] = {}
         for key, inst, options in items:
-            lp_calls[0] = 0
+            lp_calls[0], first[0] = 0, None
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
                 res = sb.solve_instance(inst, options)
@@ -158,6 +176,7 @@ def collect(tree: Path) -> dict:
             records[key] = dict(status=res.status, message=res.message,
                                 gamma=res.gamma_certified,
                                 newton=solve.iterations if solve else 0,
+                                newton_first=first[0] or 0,
                                 kkt=solve.kkt_residual if solve else None,
                                 kkt_ld=ld_residual(res.model, solve),
                                 lps=lp_calls[0], warnings=len(caught))
@@ -230,9 +249,9 @@ def _pair(record: dict) -> str:
 def compare_solves(parent: dict, change: dict) -> list[str]:
     """Print the per-corpus comparison; return the keys that leave optimal."""
     left = []
-    print(f"{'corpus':11s} {'solves':>6s} {'optimal P -> C':>15s} {'rel dgamma':>11s} "
+    print(f"{'corpus':13s} {'solves':>6s} {'optimal P -> C':>15s} {'rel dgamma':>11s} "
           f"{'dgamma/(1+|g|)':>14s} {'max kkt P -> C':>20s} {'max ld kkt P -> C':>20s} "
-          f"{'newton P -> C':>16s} {'LPs P -> C':>14s} warnings")
+          f"{'newton P -> C':>16s} {'first P -> C':>16s} {'LPs P -> C':>14s} warnings")
     details = []
     for corpus, prec in parent.items():
         crec = change[corpus]
@@ -261,13 +280,14 @@ def compare_solves(parent: dict, change: dict) -> list[str]:
         opt = [sum(r["status"] == OPTIMAL for r in side.values()) for side in (prec, crec)]
         kkt, kkt_ld = ([max((r[f] for r in side.values() if r["status"] == OPTIMAL), default=0.0)
                         for side in (prec, crec)] for f in ("kkt", "kkt_ld"))
-        steps = [sum(r["newton"] for r in side.values()) for side in (prec, crec)]
-        lps = [sum(r["lps"] for r in side.values()) for side in (prec, crec)]
-        warned = [sum(r["warnings"] for r in side.values()) for side in (prec, crec)]
-        print(f"{corpus:11s} {len(prec):6d} {f'{opt[0]} -> {opt[1]}':>15s} {rel:11.2e} "
+        steps, first, lps, warned = (
+            [sum(r[f] for r in side.values()) for side in (prec, crec)]
+            for f in ("newton", "newton_first", "lps", "warnings"))
+        print(f"{corpus:13s} {len(prec):6d} {f'{opt[0]} -> {opt[1]}':>15s} {rel:11.2e} "
               f"{scaled:14.2e} {f'{kkt[0]:.1e} -> {kkt[1]:.1e}':>20s} "
               f"{f'{kkt_ld[0]:.1e} -> {kkt_ld[1]:.1e}':>20s} "
-              f"{f'{steps[0]:,} -> {steps[1]:,}':>16s} {f'{lps[0]:,} -> {lps[1]:,}':>14s} "
+              f"{f'{steps[0]:,} -> {steps[1]:,}':>16s} {f'{first[0]:,} -> {first[1]:,}':>16s} "
+              f"{f'{lps[0]:,} -> {lps[1]:,}':>14s} "
               f"{warned[0]} -> {warned[1]}")
     print("drifts, status and message changes:" if details else "no changes")
     print("\n".join(details))

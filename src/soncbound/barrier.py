@@ -63,7 +63,9 @@ start.
 Nemirovskii 1994), and the sign bounds supply the -log c_j terms.  So
 below FULL_STEP_DECREMENT the full Newton step is taken after one
 strict-feasibility check: an Armijo search there compares phi values
-below float resolution.
+below float resolution.  That argument holds at unit dual weights
+(kappa = 1, below); near a center kappa -> 1, and the strict-feasibility
+check stays.
 
 Path following is long-step (Nesterov & Nemirovskii 1994; Renegar
 2001): tau grows TAU_FACTOR-fold per outer step and phase 2 centers only
@@ -73,13 +75,32 @@ meets the gap target is re-centered to the float floor, so the gap and
 KKT checks read an exact center; phase 1 centers tightly, so its
 infeasibility verdict does too.
 
+Each centering after a phase's first is primal-dual (Wright 1997;
+Waechter & Biegler 2006).  It keeps one dual estimate y per barrier term
+(rows, sign bounds, circuits), scaled so that y s = 1 on the central
+path, and weights that term's Hessian parts by kappa = y s (h_term names
+each part's term).  The gradient, the step bound, the line search and
+the stopping tests are the primal barrier's, so a center means what it
+meant.  After each step y moves by the Newton step of y s = 1,
+y (1/kappa - 1 - r), r the term's relative slack rate along the
+direction (a circuit's linearized), kept above 0.01 y.  When tau grows
+to tau', y becomes y tau'/tau, so that the true duals y/tau stay where
+they are: the Hessian then holds the curvature of the new center, whose
+slacks are about tau/tau' of the old, and the step is no longer cut to
+about 0.01 by slacks the primal step would shrink past zero.  The first
+centering of a phase has no center to take duals from: it weights every
+term 1 and hands on y = 1/s.  On the acceptance corpus this takes 2,508
+Newton steps where unit weights take 3,836; half are now the first
+centering's.
+
 All arithmetic is float64.  Where the path ends, at tau = num_terms /
 (tol_gap (1 + |gamma|)), the largest stationarity residual over the 138
 optimal solves of the benchmark's acceptance, wide and high-degree
-corpora, with one BLAS thread, is 3.6e-8 (high degree, n = 4, degree 8)
-against tol_kkt 1e-7.  On the wide models rounding in the gradient, not
-the centering, sets it: n = 6, degree 5 reads 1.2e-8, and 1.0e-7 with
-the same point's gradient accumulated in long double.
+corpora, with one BLAS thread, is 7.0e-8 (wide, n = 6, degree 5)
+against tol_kkt 1e-7; it reads 3.2e-8 with the same point's gradient
+accumulated in long double.  On the wide models rounding in the
+gradient, not the centering, sets it: among the wide builder's other
+seeds one optimal model reads 1.7e-7 in long double.
 
 Everything is deterministic: fixed iteration order, no randomness.
 """
@@ -216,6 +237,8 @@ class _Barrier:
         self.g_sel = np.concatenate([nz_row, np.arange(o_sign, o_rr)])
         self.g_to = np.concatenate([nz_col, self.lower, circ_var])
         self.g_coef = np.concatenate([nz_val, np.ones(o_rr - o_sign)])
+        # A circuit's relative slack rate along d: sum of V[u] d over its variables.
+        self.u_at, self.u_owner, self.u_var = slice(o_u, o_rr), owner, circ_var
         # pos[v]: variable v's place in the Newton system.  Where the t's
         # are eliminated (_reduced_direction) they come last, in circuit
         # order, and the others keep their order: flat is then P H P^T.
@@ -242,6 +265,8 @@ class _Barrier:
                                    np.full(nc, o_hc + nc)])
         self.h_coef = np.concatenate([nz_val[pair_l] * nz_val[pair_r],
                                       np.ones(len(self.flat) - len(pair_l))])
+        # The barrier term of each Hessian part: row k, sign nr + j, circuit nr + nl + b.
+        self.h_term = np.concatenate([squares, o_u + owner[circ_l], o_u + self.blk])
 
     def _plan_t_elimination(self, t_of, pos, nz_row, nz_col, on_t) -> None:
         """Put the t's last in pos, in circuit order, and fix the index
@@ -330,12 +355,16 @@ def _gradient(point: _Point, tau: float) -> np.ndarray:
     return tau * prob.obj - terms
 
 
-def _grad_hess(point: _Point, tau: float) -> tuple[np.ndarray, np.ndarray]:
+def _grad_hess(point: _Point, tau: float,
+               kappa: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(gradient, Hessian) at point.  The Hessian is in the plan's order:
-    P H P^T where prob.rest is set."""
+    P H P^T where prob.rest is set.  kappa, where given, weights each
+    barrier term's Hessian parts (rows, signs, circuits, as in joined)."""
     prob, values = point.prob, point.values
     nvar = len(point.z)
     weights = values[prob.h_a] * values[prob.h_b] * prob.h_coef
+    if kappa is not None:
+        weights *= kappa[prob.h_term]
     hess = np.bincount(prob.flat, weights, nvar * nvar).reshape(nvar, nvar)
     return _gradient(point, tau), hess
 
@@ -377,14 +406,34 @@ def _reduced_direction(prob: _Barrier, hess: np.ndarray, grad: np.ndarray) -> np
     return d
 
 
-def _max_step(point: _Point, d: np.ndarray) -> float:
-    """Largest step from point along d, capped at 1, keeping the row and
-    sign slacks strictly positive: 0.99 over the fastest relative shrink
-    rate."""
+def _fraction_to_boundary(rate: np.ndarray) -> float:
+    """Largest step, capped at 1, along which quantities moving at the
+    relative rates rate stay above 0.01 of their value: 0.99 over the
+    fastest relative shrink rate."""
+    fastest = -float(rate.min(initial=0.0))
+    return 0.99 / fastest if fastest > 0.99 else 1.0
+
+
+def _max_step(point: _Point, d: np.ndarray) -> tuple[float, np.ndarray]:
+    """(step, rate): the largest step from point along d, capped at 1,
+    that keeps the row and sign slacks strictly positive
+    (_fraction_to_boundary), and their relative rates along d, rows
+    first."""
     prob = point.prob
-    rate = -min(float(((prob.rows @ d) / point.rho).min(initial=0.0)),
-                float((d[prob.lower] / point.sign).min(initial=0.0)))
-    return 0.99 / rate if rate > 0.99 else 1.0
+    rate = np.concatenate([(prob.rows @ d) / point.rho, d[prob.lower] / point.sign])
+    return _fraction_to_boundary(rate), rate
+
+
+def _dual_step(point: _Point, d: np.ndarray, duals: np.ndarray, kappa: np.ndarray,
+               rate: np.ndarray) -> np.ndarray:
+    """The duals after a step from point along d: the Newton step of
+    y s = 1, y (1/kappa - 1 - r), by _fraction_to_boundary.  r is each
+    term's relative slack rate along d: rate for the rows and signs, and
+    for a circuit its linearization, sum of V[u] d over its variables."""
+    prob = point.prob
+    circ = np.bincount(prob.u_owner, point.values[prob.u_at] * d[prob.u_var], len(prob.t_idx))
+    move = 1.0 / kappa - 1.0 - np.concatenate([rate, circ])
+    return duals * (1.0 + _fraction_to_boundary(move) * move)
 
 
 def _decrement_floor(tau: float) -> float:
@@ -403,25 +452,36 @@ def _center(
     tau: float,
     tol: float = 0.0,
     stop_early=None,
-) -> tuple[_Point, bool, int, float]:
+    duals: np.ndarray | None = None,
+) -> tuple[_Point, bool, int, float, np.ndarray]:
     """Damped Newton from point until the decrement is at most tol, or at
     the float floor when tol is below it; returns (point, converged,
-    steps, decrement).  A decrement within _stall_tolerance that no
-    longer falls also ends it as converged: rounding, not the center,
+    steps, decrement, duals).  A decrement within _stall_tolerance that
+    no longer falls also ends it as converged: rounding, not the center,
     holds it there.
+
+    duals holds y per barrier term, in the order of joined, scaled so
+    that y s = 1 on the central path.  Each Newton system weights a
+    term's Hessian by kappa = y s, and each step moves y by _dual_step.
+    Without duals every weight is 1, and the returned duals are 1/s.
     """
     prob = point.prob
     steps = 0
     decrement = np.inf
     stop = max(tol, _decrement_floor(tau))
+    kappa = None
+    converged = False
     for _ in range(MAX_INNER):
-        grad, hess = _grad_hess(point, tau)
+        if duals is not None:
+            kappa = duals * point.joined
+        grad, hess = _grad_hess(point, tau, kappa)
         d = (_newton_direction(hess, grad) if prob.rest is None
              else _reduced_direction(prob, hess, grad))
         previous, decrement = decrement, -float(grad @ d)
         if abs(decrement) <= stop or abs(previous) <= abs(decrement) <= _stall_tolerance(tau):
-            return point, True, steps, decrement
-        alpha = _max_step(point, d)
+            converged = True
+            break
+        alpha, rate = _max_step(point, d)
         cand = _Point(prob, point.z + alpha * d)
         if not (0.0 < decrement <= FULL_STEP_DECREMENT and cand.margin > 0.0):
             phi0 = point.phi(tau)
@@ -431,13 +491,16 @@ def _center(
                 alpha *= 0.5
                 cand = _Point(prob, point.z + alpha * d)
             else:
-                # Progress is below float resolution; fine if nearly centered.
-                return point, abs(decrement) <= _stall_tolerance(tau), steps, decrement
+                break  # progress is below float resolution; fine if nearly centered
+        if duals is not None:
+            duals = _dual_step(point, d, duals, kappa, rate)
         point = cand
         steps += 1
         if stop_early is not None and stop_early(point):
-            return point, True, steps, decrement
-    return point, abs(decrement) <= _stall_tolerance(tau), steps, decrement
+            converged = True
+            break
+    converged = converged or abs(decrement) <= _stall_tolerance(tau)
+    return point, converged, steps, decrement, 1.0 / point.joined if duals is None else duals
 
 
 def _kkt_residual(point: _Point, tau: float) -> float:
@@ -586,10 +649,10 @@ def _phase1(model: RelaxationModel) -> tuple[np.ndarray | None, str, str, int]:
     prob = _phase1_problem(model)
     point = _Point(prob, _phase1_start(prob, w))
 
-    total_steps, tau = 0, 1.0
+    total_steps, tau, duals = 0, 1.0, None
     found = lambda p: p.z[w] <= -1e-3
     for _ in range(MAX_OUTER):
-        point, converged, steps, _ = _center(point, tau, stop_early=found)
+        point, converged, steps, _, duals = _center(point, tau, stop_early=found, duals=duals)
         total_steps += steps
         if found(point):
             break
@@ -599,6 +662,7 @@ def _phase1(model: RelaxationModel) -> tuple[np.ndarray | None, str, str, int]:
         if gap <= 1e-9 * (1.0 + abs(point.z[w])):
             break
         tau *= TAU_FACTOR
+        duals = duals * TAU_FACTOR  # the true duals y / tau stay where they are
     else:
         return None, st.NUMERICAL_ERROR, "phase-1 iteration cap exceeded", total_steps
 
@@ -677,16 +741,16 @@ def _path_follow(model: RelaxationModel, point: _Point, total_steps: int,
                  opts: SolverOptions) -> SolveResult:
     """Follow the central path from the strictly feasible point."""
     prob = point.prob
-    tau = 1.0
+    tau, duals = 1.0, None
     trace: list[float] = []
     outers = 0
     for _ in range(MAX_OUTER):
         gap = prob.num_terms / tau
-        point, converged, steps, _ = _center(point, tau, LONG_STEP_DECREMENT)
+        point, converged, steps, _, duals = _center(point, tau, LONG_STEP_DECREMENT, duals=duals)
         total_steps += steps
         outers += 1
         if converged and gap <= opts.tol_gap * (1.0 + abs(point.z[model.gamma_index])):
-            point, converged, steps, _ = _center(point, tau)
+            point, converged, steps, _, duals = _center(point, tau, duals=duals)
             total_steps += steps
         gamma = float(point.z[model.gamma_index])
         trace.append(gamma)
@@ -706,6 +770,7 @@ def _path_follow(model: RelaxationModel, point: _Point, total_steps: int,
         tau_next = tau * TAU_FACTOR
         if tau < tau_target <= tau_next:
             tau_next = tau_target
+        duals = duals * (tau_next / tau)  # the true duals y / tau stay where they are
         tau = tau_next
     return _extract(model, point, st.NUMERICAL_ERROR, prob.num_terms / tau,
                     float("inf"), trace, total_steps, outers,

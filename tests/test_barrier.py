@@ -258,7 +258,7 @@ def _off_center(prob, z):
     At a center the gradient would vanish; off it every term has a share.
     """
     move = np.random.default_rng(0).standard_normal(len(z)) * np.maximum(1.0, np.abs(z))
-    step = 0.25 * barrier._max_step(barrier._Point(prob, z), move)
+    step = 0.25 * barrier._max_step(barrier._Point(prob, z), move)[0]
     while not barrier._Point(prob, z + step * move).margin > 0.0:
         step *= 0.5
     return z + step * move
@@ -268,7 +268,7 @@ def _phase2_point(model):
     z, stat, message, _ = barrier._phase1(model)
     assert stat == st.OPTIMAL and z is not None, message
     prob = barrier._phase2_problem(model)
-    point, _, _, _ = barrier._center(barrier._Point(prob, z), 1.0)
+    point = barrier._center(barrier._Point(prob, z), 1.0)[0]
     return _off_center(prob, point.z)
 
 
@@ -327,25 +327,29 @@ class TestBarrierDerivatives:
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
 
 
-def _dense_grad_hess(prob, tau, z):
+def _dense_grad_hess(prob, tau, z, kappa=None):
     """Gradient and Hessian assembled densely from recomputed values:
     the row terms added row by row over all columns, each Hessian part
     as (1/rho_k)^2 a_kp a_kq, then the sign diagonal, the circuit terms
-    as (circuits x nvar) matrix products and the c diagonal."""
+    as (circuits x nvar) matrix products and the c diagonal.  kappa, where
+    given, weights each term's Hessian parts (rows, signs, circuits)."""
     nvar = len(z)
     point = barrier._Point(prob, z)
     rho, sign, theta, geo = point.rho, point.sign, point.theta, point.geo
+    nr, nl, nb = len(rho), len(sign), len(geo)
+    if kappa is None:
+        kappa = np.ones(nr + nl + nb)  # every product below by 1.0 is exact
+    k_row, k_sign, k_circ = np.split(kappa, [nr, nr + nl])
     terms = np.zeros(nvar)
     hess = np.zeros((nvar, nvar))
-    for row, inv in zip(prob.rows, 1.0 / rho):
+    for row, inv, k in zip(prob.rows, 1.0 / rho, k_row):
         terms += inv * row
-        hess += (inv * inv) * np.outer(row, row)
+        hess += (inv * inv * k) * np.outer(row, row)
     terms[prob.lower] += 1.0 / sign
-    hess.flat[prob.lower * (nvar + 1)] += (1.0 / sign) ** 2
+    hess.flat[prob.lower * (nvar + 1)] += (1.0 / sign) ** 2 * k_sign
     c = z[prob.c_idx]
     psi = prob.lam / c
     r = theta / geo
-    nb = len(geo)
     at_c = prob.blk * nvar + prob.c_idx
     at_t = np.arange(nb) * nvar + prob.t_idx
     U_c, U_t, Q, P = (np.zeros((nb, nvar)) for _ in range(4))
@@ -355,8 +359,9 @@ def _dense_grad_hess(prob, tau, z):
     P.flat[at_c] = psi
     terms += U_c.sum(axis=0) + U_t.sum(axis=0)
     # u u^T on every pair touching a t; u_l u_r - w_l w_r = r(r-1) psi_l psi_r on c pairs
-    hess += U_c.T @ U_t + U_t.T @ U_c + U_t.T @ U_t + Q.T @ P
-    hess.flat[prob.c_idx * (nvar + 1)] += r[prob.blk] * psi / c
+    W = k_circ[:, None]
+    hess += (W * U_c).T @ U_t + (W * U_t).T @ U_c + (W * U_t).T @ U_t + (W * Q).T @ P
+    hess.flat[prob.c_idx * (nvar + 1)] += r[prob.blk] * psi / c * k_circ[prob.blk]
     return tau * prob.obj - terms, hess
 
 
@@ -368,16 +373,26 @@ def _constructive_point(model):
 
 
 class TestScatterPlan:
-    """_grad_hess's scattered assembly equals the dense assembly bit for bit."""
+    """_grad_hess's scattered assembly equals the dense assembly bit for
+    bit, with no dual weights or with kappa = 1, and within rounding under
+    other weights."""
 
     @staticmethod
     def _assert_same(prob, z):
         point = barrier._Point(prob, z)
+        ones = np.ones(int(prob.num_terms))
+        kappa = np.random.default_rng(len(z)).uniform(0.01, 100.0, len(ones))
         for tau in (1.0, 1e4):
-            grad, hess = barrier._grad_hess(point, tau)
             dense_grad, dense_hess = _dense_grad_hess(prob, tau, z)
+            for weights in (None, ones):
+                grad, hess = barrier._grad_hess(point, tau, weights)
+                assert np.array_equal(grad, dense_grad)
+                assert np.array_equal(hess, dense_hess)
+            grad, hess = barrier._grad_hess(point, tau, kappa)
             assert np.array_equal(grad, dense_grad)
-            assert np.array_equal(hess, dense_hess)
+            weighted = _dense_grad_hess(prob, tau, z, kappa)[1]
+            np.testing.assert_allclose(hess, weighted, rtol=1e-12,
+                                       atol=1e-12 * np.abs(weighted).max())
 
     @pytest.mark.parametrize("phase", [1, 2])
     @pytest.mark.parametrize("k", range(3))
@@ -470,7 +485,7 @@ class TestTElimination:
         monkeypatch.setattr(barrier, "_reduced_direction",
                             lambda *args: calls.append(1) or reduced(*args))
         start = barrier._Point(prob, barrier._constructive_start(model))
-        _, _, steps, _ = barrier._center(start, 1.0, 0.1)
+        _, _, steps, _, _ = barrier._center(start, 1.0, 0.1)
         assert len(calls) == steps + 1 > 1
 
     @pytest.mark.parametrize("k", range(2))
@@ -530,7 +545,7 @@ class TestMaxStep:
         steps = []
         for _ in range(20):
             d = rng.standard_normal(len(z)) * np.maximum(1.0, np.abs(z))
-            steps.append(barrier._max_step(point, d))
+            steps.append(barrier._max_step(point, d)[0])
             assert steps[-1] == _max_step_from_z(prob, z, d)
         assert min(steps) < 1.0  # some direction meets a boundary
 
@@ -549,9 +564,9 @@ class TestMaxStep:
         _, point = self._one_row()
         for d in ([0.0, 0.0], [-1.0, 0.0], [-3.0, 2.0], [1.0, 0.0]):
             # no move, slacks that only grow, and a row shrinking by half per unit step
-            assert barrier._max_step(point, np.array(d)) == 1.0
-        assert barrier._max_step(point, np.array([4.0, 0.0])) == 0.495  # row 0 at 1/2
-        assert barrier._max_step(point, np.array([4.0, -4.0])) == 0.2475  # sign at 1/4
+            assert barrier._max_step(point, np.array(d))[0] == 1.0
+        assert barrier._max_step(point, np.array([4.0, 0.0]))[0] == 0.495  # row 0 at 1/2
+        assert barrier._max_step(point, np.array([4.0, -4.0]))[0] == 0.2475  # sign at 1/4
 
     def test_phi_infinite_at_zero_row_slack(self):
         prob, point = self._one_row()
@@ -674,9 +689,9 @@ class TestLongStep:
         loose_total = tight_total = 0
         for model in circuit_models:
             start = barrier._Point(barrier._phase2_problem(model), _phase2_point(model))
-            _, ok, loose, dec = barrier._center(start, 1.0, barrier.LONG_STEP_DECREMENT)
+            _, ok, loose, dec, _ = barrier._center(start, 1.0, barrier.LONG_STEP_DECREMENT)
             assert ok and abs(dec) <= barrier.LONG_STEP_DECREMENT
-            _, ok, tight, dec = barrier._center(start, 1.0)
+            _, ok, tight, dec, _ = barrier._center(start, 1.0)
             assert ok and abs(dec) <= barrier._decrement_floor(1.0)
             assert loose <= tight
             loose_total, tight_total = loose_total + loose, tight_total + tight
@@ -703,7 +718,7 @@ class TestLongStep:
     def test_acceptance_step_count(self):
         # 1,473 steps with every barrier weight centered to the float floor
         steps = sum(solve_instance(acceptance_instance(i)).solve.iterations for i in range(20))
-        assert steps <= 770
+        assert steps <= 481
 
     def test_highdeg_solved_by_long_steps(self):
         res = solve_instance(generate_instance(14, n=4, m=2, max_degree=8))
@@ -738,7 +753,87 @@ class TestSlackReuse:
             made.clear()
             steps += solve_instance(acceptance_instance(i)).solve.iterations
             assert len(made) == len(seen) > 0
-        assert steps == 770
+        assert steps == 481
+
+
+# (Newton steps, gamma) of the first phase-2 centering on
+# acceptance_instance(i), recorded before the barrier carried duals.
+FIRST_CENTERING = [
+    (6, -27.16425841668645), (14, -28.9359835345755), (15, -160.05008815003603),
+    (8, -17.73866925402663), (13, -34.285227987300644), (14, -114.20185695278961),
+    (13, -56.65766371533338), (12, -33.785889172223484), (14, -63.42887348106921),
+    (6, -16.472895516254887), (15, -39.1517436075243), (19, -175.13467784087157),
+    (6, -18.83632514720859), (12, -55.45143732995866), (21, -140.03179861146097),
+    (8, -21.781605490231172), (13, -37.9732110489561), (14, -59.778556254563206),
+    (10, -144.62708368529795), (13, -127.39297969044259),
+]
+
+
+def _spy_centers(monkeypatch):
+    """Every _center call from now on, as (point, duals given, output)."""
+    calls = []
+    original = barrier._center
+
+    def spy(point, tau, *args, **kwargs):
+        out = original(point, tau, *args, **kwargs)
+        calls.append((point, kwargs.get("duals") is not None, out))
+        return out
+
+    monkeypatch.setattr(barrier, "_center", spy)
+    return calls
+
+
+class TestDualWeights:
+    """Every centering after a phase's first weights each barrier term's
+    Hessian by kappa = y s, with the duals y carried from the last center."""
+
+    def test_first_centering_is_unweighted(self, monkeypatch):
+        calls = _spy_centers(monkeypatch)
+        for i, (steps, gamma) in enumerate(FIRST_CENTERING):
+            calls.clear()
+            res = solve_instance(acceptance_instance(i))
+            start, weighted, (point, converged, got, _, duals) = calls[0]
+            assert start.prob.obj.min() < 0.0 and not weighted  # phase 2, no duals
+            assert converged and got == steps
+            assert point.z[res.model.gamma_index] == pytest.approx(gamma, rel=1e-12)
+            assert np.array_equal(duals, 1.0 / point.joined)
+            assert all(weighted for _, weighted, _ in calls[1:])
+
+    def test_final_center_is_on_the_path(self, monkeypatch):
+        calls = _spy_centers(monkeypatch)
+        for i in range(20):
+            calls.clear()
+            assert solve_instance(acceptance_instance(i)).status == st.OPTIMAL
+            point, duals = calls[-1][2][0], calls[-1][2][4]
+            assert np.abs(duals * point.joined - 1.0).max() <= 1e-6
+
+    def test_duals_stay_positive_through_a_stall(self, monkeypatch):
+        # From the second centering on, one Newton step each: the first
+        # weighted centering stalls.
+        calls = _spy_centers(monkeypatch)
+        spy = barrier._center
+
+        def one_step_after_the_first(*args, **kwargs):
+            if calls:
+                monkeypatch.setattr(barrier, "MAX_INNER", 1)
+            return spy(*args, **kwargs)
+
+        monkeypatch.setattr(barrier, "_center", one_step_after_the_first)
+        res = solve_instance(generate_instance(0, n=4, m=2, max_degree=8))
+        assert res.status == st.NUMERICAL_ERROR and res.message == "inner Newton stalled"
+        (_, _, first), (_, weighted, stalled) = calls
+        assert first[1] and weighted and not stalled[1] and stalled[2] == 1
+        assert np.isfinite(stalled[4]).all() and (stalled[4] > 0.0).all()
+        # At defaults, every dual handed on in the high-degree corpus, stalls included.
+        monkeypatch.undo()
+        calls = _spy_centers(monkeypatch)
+        stalls = 0
+        for n, degree, m in ((2, 8, 1), (4, 8, 2), (1, 12, 0)):
+            for seed in range(20):
+                stalls += solve_instance(generate_instance(seed, n=n, m=m, max_degree=degree)
+                                         ).message == "inner Newton stalled"
+        assert stalls > 0 and any(weighted for _, weighted, _ in calls)
+        assert all(np.isfinite(out[4]).all() and (out[4] > 0.0).all() for _, _, out in calls)
 
 
 class TestStartPoint:

@@ -88,8 +88,8 @@ def test_final_centering_stops_once_the_decrement_stalls(monkeypatch):
     calls = []
     center = barrier._center
 
-    def spy(point, tau, tol=0.0, stop_early=None):
-        out = center(point, tau, tol, stop_early)
+    def spy(point, tau, tol=0.0, stop_early=None, duals=None):
+        out = center(point, tau, tol, stop_early, duals)
         calls.append((tol, out[1], out[2]))
         return out
 
@@ -98,4 +98,4 @@ def test_final_centering_stops_once_the_decrement_stalls(monkeypatch):
     assert res.status == st.OPTIMAL, res.message
     tol, converged, steps = calls[-1]
     assert tol == 0.0 and converged
-    assert steps < 10  # 4; MAX_INNER is 50
+    assert steps < 10  # 2; MAX_INNER is 50
