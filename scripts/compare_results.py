@@ -34,11 +34,14 @@ gamma drift where both sides are optimal (as |d gamma| / |gamma| and as
 largest stationarity residual of an optimal solve as the solver reports
 it and as recomputed in long double (`ld_residual`), Newton steps (in
 all, and in each solve's first phase-2 centering, read from a wrapped
-`barrier._center`), `simplex.lp_solve` calls and RuntimeWarnings.  A
-status change lists both residuals of each side.  For each B&B run it says
-whether nodes, status, error nodes, relaxations_solved, incumbents and
-every record's id, depth and status are equal, how far the bounds moved
-and how many LPs each side solved.
+`barrier._center`), `simplex.lp_solve` calls, RuntimeWarnings, and the
+number of solves that are not the same bit for bit (`bits differ`):
+whose status, message or Newton step count differ, or whose solver
+gamma, certified gamma or stationarity residual differ in any bit.  A
+status change lists both residuals of each side.  For each B&B run it
+says whether nodes, status, error nodes, relaxations_solved, incumbents
+and every record's id, depth and status are equal, how far the bounds
+moved and how many LPs each side solved.
 
     python scripts/compare_results.py PARENT_TREE CHANGE_TREE
 
@@ -59,6 +62,7 @@ import argparse
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -175,6 +179,7 @@ def collect(tree: Path) -> dict:
             solve = res.solve
             records[key] = dict(status=res.status, message=res.message,
                                 gamma=res.gamma_certified,
+                                gamma_solver=solve.gamma if solve else None,
                                 newton=solve.iterations if solve else 0,
                                 newton_first=first[0] or 0,
                                 kkt=solve.kkt_residual if solve else None,
@@ -241,6 +246,19 @@ def _drift(p, c):
     return (d / abs(p) if p else math.inf), d / (1.0 + abs(p))
 
 
+def _bits(x):
+    """x's float64 bits where x is a float, else x itself."""
+    return struct.pack("<d", x) if isinstance(x, float) else x
+
+
+BIT_FIELDS = ("status", "message", "newton", "gamma_solver", "gamma", "kkt")
+
+
+def _differs(p: dict, c: dict) -> bool:
+    """Whether two records of one solve differ in any field of BIT_FIELDS, bit for bit."""
+    return any(_bits(p[f]) != _bits(c[f]) for f in BIT_FIELDS)
+
+
 def _pair(record: dict) -> str:
     """A record's float64 and long-double residuals."""
     return ", ".join("-" if x is None else f"{x:.2e}" for x in (record["kkt"], record["kkt_ld"]))
@@ -251,7 +269,8 @@ def compare_solves(parent: dict, change: dict) -> list[str]:
     left = []
     print(f"{'corpus':13s} {'solves':>6s} {'optimal P -> C':>15s} {'rel dgamma':>11s} "
           f"{'dgamma/(1+|g|)':>14s} {'max kkt P -> C':>20s} {'max ld kkt P -> C':>20s} "
-          f"{'newton P -> C':>16s} {'first P -> C':>16s} {'LPs P -> C':>14s} warnings")
+          f"{'newton P -> C':>16s} {'first P -> C':>16s} {'LPs P -> C':>14s} warnings "
+          f"{'bits differ':>11s}")
     details = []
     for corpus, prec in parent.items():
         crec = change[corpus]
@@ -283,12 +302,13 @@ def compare_solves(parent: dict, change: dict) -> list[str]:
         steps, first, lps, warned = (
             [sum(r[f] for r in side.values()) for side in (prec, crec)]
             for f in ("newton", "newton_first", "lps", "warnings"))
+        differ = sum(_differs(p, crec[key]) for key, p in prec.items())
         print(f"{corpus:13s} {len(prec):6d} {f'{opt[0]} -> {opt[1]}':>15s} {rel:11.2e} "
               f"{scaled:14.2e} {f'{kkt[0]:.1e} -> {kkt[1]:.1e}':>20s} "
               f"{f'{kkt_ld[0]:.1e} -> {kkt_ld[1]:.1e}':>20s} "
               f"{f'{steps[0]:,} -> {steps[1]:,}':>16s} {f'{first[0]:,} -> {first[1]:,}':>16s} "
               f"{f'{lps[0]:,} -> {lps[1]:,}':>14s} "
-              f"{warned[0]} -> {warned[1]}")
+              f"{f'{warned[0]} -> {warned[1]}':>8s} {differ:11d}")
     print("drifts, status and message changes:" if details else "no changes")
     print("\n".join(details))
     return left

@@ -89,18 +89,20 @@ they are: the Hessian then holds the curvature of the new center, whose
 slacks are about tau/tau' of the old, and the step is no longer cut to
 about 0.01 by slacks the primal step would shrink past zero.  The first
 centering of a phase has no center to take duals from: it weights every
-term 1 and hands on y = 1/s.  On the acceptance corpus this takes 2,508
-Newton steps where unit weights take 3,836; half are now the first
-centering's.
+term 1 and hands on y = 1/s.  From multipliers started at 1e-3, the
+acceptance corpus took 2,508 Newton steps this way where unit weights
+took 3,836; from CANNED_EPS = 0.1 it takes 2,259, 1,012 of them in the
+first centering.
 
 All arithmetic is float64.  Where the path ends, at tau = num_terms /
 (tol_gap (1 + |gamma|)), the largest stationarity residual over the 138
 optimal solves of the benchmark's acceptance, wide and high-degree
-corpora, with one BLAS thread, is 7.0e-8 (wide, n = 6, degree 5)
-against tol_kkt 1e-7; it reads 3.2e-8 with the same point's gradient
-accumulated in long double.  On the wide models rounding in the
-gradient, not the centering, sets it: among the wide builder's other
-seeds one optimal model reads 1.7e-7 in long double.
+corpora, with one BLAS thread, is 3.4e-8 (high-degree, n = 4, seed 1)
+against tol_kkt 1e-7; the wide model n = 6, degree 5 reads 1.4e-8, and
+4.5e-8 with the same point's gradient accumulated in long double.  On
+the wide models rounding in the gradient, not the centering, sets it:
+among the wide builder's other seeds one optimal model reads 1.6e-7 in
+long double.
 
 Everything is deterministic: fixed iteration order, no randomness.
 """
@@ -108,7 +110,6 @@ Everything is deterministic: fixed iteration order, no randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -116,7 +117,13 @@ from . import status as st
 from .poly import Exponent
 from .relaxation import RelaxationModel, geometric_mean, required_magnitude
 
-CANNED_EPS = 1e-3  # start value of mu and nu, and of phase 1's c variables
+# Start value of mu and nu, and of phase 1's c variables.  A Newton step on
+# a lone -log(mu) term at most doubles mu, so a small start spends the
+# first centering's full steps climbing to the center's scale.  Newton
+# steps on the acceptance corpus (100 solves): 2,508 / 2,339 / 2,259 /
+# 2,234 from 1e-3 / 1e-2 / 1e-1 / 1; from 1, a stress-family model
+# (box x10, seed 21) stalls that is optimal from 0.1.
+CANNED_EPS = 0.1
 START_CONSTRUCTIVE = "constructive"
 START_PHASE1 = "phase-1"
 
@@ -189,15 +196,18 @@ class _Barrier:
     (_Point.values), times which constant, make each term: the gradient
     is tau obj - np.bincount(g_to, V[g_sel] g_coef), over the row
     nonzeros row-major and then the sign, c and t terms; the Hessian is
-    np.bincount(flat, V[h_a] V[h_b] h_coef).  flat is the scatter plan:
-    every ordered pair of nonzeros sharing a general row (1/rho_k twice,
-    coefficient a_kp a_kq), rows ascending, then the sign diagonal
-    (1/sign twice), the same-circuit pairs (u_l u_r, or r(r-1) psi_l
-    times psi_r where both are c entries) and the c diagonal (h_c
-    times 1).  np.bincount adds each entry's parts in that order, as a
-    row-by-row dense assembly does.  Where the t's are eliminated, rest
-    holds the other variables and the plan lays out P H P^T, rest first;
-    the link and upd arrays then locate the Schur update.
+    np.bincount(flat, V[h_a] V[h_b] h_coef) over its first n_hess parts.
+    flat is the scatter plan: every ordered pair of nonzeros sharing a
+    general row (1/rho_k twice, coefficient a_kp a_kq), rows ascending,
+    then the sign diagonal (1/sign twice), the same-circuit pairs (u_l
+    u_r, or r(r-1) psi_l times psi_r where both are c entries) and the c
+    diagonal (h_c times 1).  np.bincount adds each entry's parts in that
+    order, as a row-by-row dense assembly does.  The gradient's parts
+    follow, each V[g_sel] times V's trailing 1 times g_coef, into slots
+    past the Hessian's, so that one np.bincount makes both.  Where the
+    t's are eliminated, rest holds the other variables and the plan lays
+    out P H P^T, rest first; the link and upd arrays then locate the
+    Schur update.
     """
 
     def __init__(self, model: RelaxationModel, sense: float, rows: np.ndarray,
@@ -234,6 +244,7 @@ class _Barrier:
         left, right = _group_pairs(owner[order])
         circ_l, circ_r = order[left], order[right]
         circ_var = np.concatenate([self.c_idx, self.t_idx])
+        self.n_slack = nr + nl  # the row and sign slacks lead joined
         self.g_sel = np.concatenate([nz_row, np.arange(o_sign, o_rr)])
         self.g_to = np.concatenate([nz_col, self.lower, circ_var])
         self.g_coef = np.concatenate([nz_val, np.ones(o_rr - o_sign)])
@@ -251,20 +262,25 @@ class _Barrier:
             if np.bincount(nz_row[on_t], minlength=nr).max(initial=0) <= 1:
                 self._plan_t_elimination(t_of, pos, nz_row, nz_col, on_t)
         nz_pos, circ_pos = pos[nz_col], pos[circ_var]
-        self.flat = np.concatenate([
+        hess_at = np.concatenate([
             nz_pos[pair_l] * nvar + nz_pos[pair_r],
             pos[self.lower] * (nvar + 1),
             circ_pos[circ_l] * nvar + circ_pos[circ_r],
             pos[self.c_idx] * (nvar + 1),
         ])
+        # The gradient's parts follow the Hessian's, each times V's
+        # trailing 1, into slots nvar^2 + v: one bincount makes both.
+        self.n_hess = len(hess_at)
+        self.flat = np.concatenate([hess_at, nvar * nvar + self.g_to])
         squares = np.concatenate([nz_row[pair_l], np.arange(o_sign, o_u)])  # 1/rho_k, 1/sign
         both_c = (circ_l < nc) & (circ_r < nc)
+        one = o_hc + nc
         self.h_a = np.concatenate([squares, np.where(both_c, o_rr, o_u) + circ_l,
-                                   np.arange(o_hc, o_hc + nc)])
+                                   np.arange(o_hc, one), self.g_sel])
         self.h_b = np.concatenate([squares, np.where(both_c, o_psi, o_u) + circ_r,
-                                   np.full(nc, o_hc + nc)])
+                                   np.full(nc + len(self.g_sel), one)])
         self.h_coef = np.concatenate([nz_val[pair_l] * nz_val[pair_r],
-                                      np.ones(len(self.flat) - len(pair_l))])
+                                      np.ones(self.n_hess - len(pair_l)), self.g_coef])
         # The barrier term of each Hessian part: row k, sign nr + j, circuit nr + nl + b.
         self.h_term = np.concatenate([squares, o_u + owner[circ_l], o_u + self.blk])
 
@@ -299,6 +315,21 @@ class _Barrier:
             self.link_p[self.upd_l] * nvar + self.link_p[self.upd_r], return_inverse=True)
 
 
+class _once:
+    """A value computed on first access and then kept as a plain instance
+    attribute: functools.cached_property without the lock that it takes
+    on every first access before Python 3.12."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class _Point:
     """A point z of prob, evaluated once.
 
@@ -315,12 +346,12 @@ class _Point:
         self.sign = z[prob.lower]
         self.theta = self.geo = None
         self.margin = -np.inf
-        if self.sign.min(initial=np.inf) > 0.0:
+        if np.minimum.reduce(self.sign, initial=np.inf) > 0.0:
             logs = np.add.reduceat(prob.lam * np.log(z[prob.c_idx]), prob.starts)
             self.theta = np.exp(logs - prob.lam_log_lam)
             self.geo = self.theta - z[prob.t_idx]
             self.joined = np.concatenate([self.rho, self.sign, self.geo])
-            self.margin = float(self.joined.min(initial=np.inf))
+            self.margin = float(np.minimum.reduce(self.joined, initial=np.inf))
 
     def phi(self, tau: float) -> float:
         """Barrier value at weight tau; inf outside the domain."""
@@ -328,23 +359,25 @@ class _Point:
             return np.inf
         return tau * float(self.prob.obj @ self.z) - self.log_sum
 
-    @cached_property
+    @_once
     def log_sum(self) -> float:
-        return float(np.log(self.joined).sum())
+        return float(np.add.reduce(np.log(self.joined)))
 
-    @cached_property
+    @_once
     def values(self) -> np.ndarray:
         """The value vector V = [1/rho, 1/sign, u_c, u_t, r(r-1) psi, psi,
         h_c, 1].  A circuit term -log(slack) has gradient -u and Hessian
         u u^T - w w^T + diag(h_c), w = sqrt(r) psi on its c entries and 0
-        on its t."""
-        prob, geo = self.prob, self.geo
+        on its t.  1/rho, 1/sign and u_t = -1/slack come from one
+        reciprocal of joined."""
+        prob = self.prob
         c = self.z[prob.c_idx]
-        ratio = self.theta / geo
+        inverse = 1.0 / self.joined
+        ratio = self.theta / self.geo
         r = ratio[prob.blk]
         psi = prob.lam / c
         u_c = r * psi
-        return np.concatenate([1.0 / self.rho, 1.0 / self.sign, u_c, -1.0 / geo,
+        return np.concatenate([inverse[:prob.n_slack], u_c, -inverse[prob.n_slack:],
                                (ratio * (ratio - 1.0))[prob.blk] * psi, psi, u_c / c, [1.0]])
 
 
@@ -357,16 +390,17 @@ def _gradient(point: _Point, tau: float) -> np.ndarray:
 
 def _grad_hess(point: _Point, tau: float,
                kappa: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(gradient, Hessian) at point.  The Hessian is in the plan's order:
-    P H P^T where prob.rest is set.  kappa, where given, weights each
-    barrier term's Hessian parts (rows, signs, circuits, as in joined)."""
+    """(gradient, Hessian) at point, from one np.bincount over the plan.
+    The Hessian is in the plan's order: P H P^T where prob.rest is set.
+    kappa, where given, weights each barrier term's Hessian parts (rows,
+    signs, circuits, as in joined)."""
     prob, values = point.prob, point.values
     nvar = len(point.z)
     weights = values[prob.h_a] * values[prob.h_b] * prob.h_coef
     if kappa is not None:
-        weights *= kappa[prob.h_term]
-    hess = np.bincount(prob.flat, weights, nvar * nvar).reshape(nvar, nvar)
-    return _gradient(point, tau), hess
+        weights[:prob.n_hess] *= kappa[prob.h_term]
+    sums = np.bincount(prob.flat, weights, nvar * (nvar + 1))
+    return tau * prob.obj - sums[nvar * nvar:], sums[:nvar * nvar].reshape(nvar, nvar)
 
 
 def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -410,7 +444,7 @@ def _fraction_to_boundary(rate: np.ndarray) -> float:
     """Largest step, capped at 1, along which quantities moving at the
     relative rates rate stay above 0.01 of their value: 0.99 over the
     fastest relative shrink rate."""
-    fastest = -float(rate.min(initial=0.0))
+    fastest = -float(np.minimum.reduce(rate, initial=0.0))
     return 0.99 / fastest if fastest > 0.99 else 1.0
 
 
@@ -420,7 +454,7 @@ def _max_step(point: _Point, d: np.ndarray) -> tuple[float, np.ndarray]:
     (_fraction_to_boundary), and their relative rates along d, rows
     first."""
     prob = point.prob
-    rate = np.concatenate([(prob.rows @ d) / point.rho, d[prob.lower] / point.sign])
+    rate = np.concatenate([prob.rows @ d, d[prob.lower]]) / point.joined[:prob.n_slack]
     return _fraction_to_boundary(rate), rate
 
 

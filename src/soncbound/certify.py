@@ -255,12 +255,20 @@ def _iroot_up(n: int, p: int) -> int:
 
 
 def _exact_affine(coeff, mu, nu) -> Fraction:
-    total = Fraction(coeff.constant)
-    for i, v in coeff.mu.items():
-        total += Fraction(v) * mu[i]
-    for i, v in coeff.nu.items():
-        total += Fraction(v) * nu[i]
-    return total
+    """coeff's value at the exact multipliers mu and nu.
+
+    Every operand is a float or a Fraction made from one, so every
+    denominator is a power of two: the terms are summed as integers over
+    the largest denominator, with one Fraction at the end.
+    """
+    terms = [coeff.constant.as_integer_ratio()]
+    for part, values in ((coeff.mu, mu), (coeff.nu, nu)):
+        for i, v in part.items():
+            num, den = v.as_integer_ratio()
+            x = values[i]
+            terms.append((num * x.numerator, den * x.denominator))
+    top = max(den for _, den in terms)
+    return Fraction(sum(num * (top // den) for num, den in terms), top)
 
 
 @dataclass(frozen=True)

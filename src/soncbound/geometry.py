@@ -30,6 +30,7 @@ ones, but are never tested themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -156,10 +157,13 @@ def _axis_simplex_interior(points: list[Exponent]) -> set[Exponent]:
         if len(axes) == 1 and p[axes[0]] > 0:
             top[axes[0]] = max(top.get(axes[0], 0), p[axes[0]])
     corners = {tuple(m if j == i else 0 for j in range(n)) for i, m in top.items()}
+    # sum p_i / m_i <= 1, in integers: sum p_i (L / m_i) <= L, L = lcm(m_i).
+    lcm = math.lcm(*top.values())
+    share = {i: lcm // m for i, m in top.items()}
     return {p for p in points
             if p not in corners and any(p) and min(p) >= 0
             and all(v == 0 or i in top for i, v in enumerate(p))
-            and sum(Fraction(v, top[i]) for i, v in enumerate(p) if v) <= 1}
+            and sum(v * share[i] for i, v in enumerate(p) if v) <= lcm}
 
 
 def polytope_vertices(
@@ -232,10 +236,12 @@ def barycentric_coordinates(beta: Exponent, cands: CandidateSet) -> Cover:
         rows = [[p[i] for p in cands.points] for i in range(n)]
         lam = _exact_solve(rows + [[1] * (n + 1)], [*beta, 1])
         if lam is not None:
-            if min(lam) < 0:
+            if any(w.numerator < 0 for w in lam):
                 raise CoverUnavailable(beta)
-            exact = {j: w for j, w in enumerate(lam) if w}
-            cover = Cover(beta=beta, weights={j: float(w) for j, w in exact.items()},
+            exact = {j: w for j, w in enumerate(lam) if w.numerator}
+            # numerator / denominator is float(w), without its call overhead.
+            cover = Cover(beta=beta,
+                          weights={j: w.numerator / w.denominator for j, w in exact.items()},
                           points=cands.points)
             _validate_cover(cover, cands)
             cover.__dict__["exact_weights"] = exact  # what the cached property would solve
@@ -256,12 +262,12 @@ def barycentric_coordinates(beta: Exponent, cands: CandidateSet) -> Cover:
 def _validate_cover(cover: Cover, cands: CandidateSet) -> None:
     n = len(cover.beta)
     total = sum(cover.weights.values())
-    recon = np.zeros(n)
+    recon = [0.0] * n
     for j, w in cover.weights.items():
-        recon += w * np.asarray(cands.points[j], dtype=float)
+        recon = [r + w * p for r, p in zip(recon, cands.points[j])]
     if abs(total - 1.0) > COVER_RESIDUAL_TOL:
         raise LpFailure(f"cover weights for {cover.beta} sum to {total}")
-    if np.max(np.abs(recon - np.asarray(cover.beta, dtype=float))) > COVER_RESIDUAL_TOL:
-        raise LpFailure(f"cover for {cover.beta} reconstructs {recon}")
+    if max(abs(r - b) for r, b in zip(recon, cover.beta)) > COVER_RESIDUAL_TOL:
+        raise LpFailure(f"cover for {cover.beta} reconstructs {tuple(recon)}")
     if len(cover.weights) > n + 1:
         raise LpFailure(f"cover for {cover.beta} is not basic")

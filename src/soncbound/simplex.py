@@ -3,11 +3,17 @@
 Solves   max c.x   s.t.  A x = b,  x >= 0   and returns a basic optimal
 solution (at most one nonzero per equality row).  Bland's rule is used
 for both pivot choices, so the method is deterministic and cannot cycle.
-Intended for desk-scale systems; everything is dense numpy.
+Intended for desk-scale systems: the hull and cover LPs have a few rows
+and a few dozen columns, where reading a numpy tableau one entry at a
+time costs more than the arithmetic, so the tableau is a list of rows
+of Python floats.  Each entry takes the IEEE operations a numpy row
+update would (a / p, then a - f w), in the same order, so the pivots and
+the solution are those of a numpy tableau bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,32 +50,31 @@ class LpResult:
     iterations: int = 0
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > PIVOT_TOL:
-            tableau[r] -= tableau[r, col] * tableau[row]
+def _pivot(tableau: list[list[float]], basis: list[int], row: int, col: int) -> None:
+    p = tableau[row][col]
+    prow = tableau[row] = [v / p for v in tableau[row]]
+    for r, cur in enumerate(tableau):
+        f = cur[col]
+        if r != row and abs(f) > PIVOT_TOL:
+            tableau[r] = [v - f * w for v, w in zip(cur, prow)]
     basis[row] = col
 
 
-def _bland_iterate(tableau: np.ndarray, basis: list[int], ncols: int, budget: int) -> tuple[str, int]:
+def _bland_iterate(tableau: list[list[float]], basis: list[int], ncols: int,
+                   budget: int) -> tuple[str, int]:
     """Run simplex pivots on a tableau whose last row is the (min) objective."""
     used = 0
     while True:
-        obj = tableau[-1, :ncols]
-        entering = -1
-        for j in range(ncols):
-            if obj[j] < -FEAS_TOL:
-                entering = j
-                break
+        obj = tableau[-1]
+        entering = next((j for j in range(ncols) if obj[j] < -FEAS_TOL), -1)
         if entering < 0:
             return OPTIMAL, used
         leaving = -1
-        best_ratio = np.inf
-        for r in range(tableau.shape[0] - 1):
-            a = tableau[r, entering]
+        best_ratio = math.inf
+        for r in range(len(tableau) - 1):
+            a = tableau[r][entering]
             if a > PIVOT_TOL:
-                ratio = tableau[r, -1] / a
+                ratio = tableau[r][-1] / a
                 # Bland tie-break: smallest basis index leaves.
                 if ratio < best_ratio - PIVOT_TOL or (
                     abs(ratio - best_ratio) <= PIVOT_TOL
@@ -92,62 +97,57 @@ def lp_solve(problem: LpProblem) -> LpResult:
     Returns a basic solution: at most eq_matrix.shape[0] entries of x
     are nonzero when the status is optimal.
     """
-    A = np.array(problem.eq_matrix, dtype=float)
-    b = np.array(problem.eq_rhs, dtype=float)
+    A = np.asarray(problem.eq_matrix, dtype=float).tolist()
+    b = np.asarray(problem.eq_rhs, dtype=float).tolist()
     c = np.array(problem.objective, dtype=float)
-    m, n = A.shape
+    m, n = problem.eq_matrix.shape
 
-    # Normalize to b >= 0 so artificials give a feasible phase-1 start.
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # Phase 1: minimize the sum of artificial variables.
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = A
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b
-    tableau[-1, n : n + m] = 1.0
+    # Phase 1: minimize the sum of artificial variables, with each row
+    # normalized to b >= 0 so that the artificials are a feasible start.
+    tableau = []
+    for r, (row, rhs) in enumerate(zip(A, b)):
+        unit = [0.0] * m
+        unit[r] = 1.0
+        if rhs < 0:
+            row, rhs = [v * -1.0 for v in row], rhs * -1.0
+        tableau.append(row + unit + [rhs])
     basis = list(range(n, n + m))
     # Price out the artificial basis.
-    tableau[-1] -= tableau[:m].sum(axis=0)
+    total = [0.0] * (n + m + 1)
+    for row in tableau:
+        total = [s + v for s, v in zip(total, row)]
+    objective = [0.0] * n + [1.0] * m + [0.0]
+    tableau.append([v - s for v, s in zip(objective, total)])
 
     status, it1 = _bland_iterate(tableau, basis, n + m, MAX_PIVOTS)
     if status == NUMERICAL_ERROR:
         return LpResult(NUMERICAL_ERROR, iterations=it1)
-    if -tableau[-1, -1] > FEAS_TOL:
+    if -tableau[-1][-1] > FEAS_TOL:
         return LpResult(INFEASIBLE, iterations=it1)
 
     # Drive any leftover artificial out of the basis (or drop its row).
-    keep_rows = []
+    rows = []
     for r in range(m):
         if basis[r] >= n:
-            pivot_col = -1
-            for j in range(n):
-                if abs(tableau[r, j]) > 1e-8:
-                    pivot_col = j
-                    break
+            pivot_col = next((j for j in range(n) if abs(tableau[r][j]) > 1e-8), -1)
             if pivot_col >= 0:
                 _pivot(tableau, basis, r, pivot_col)
-                keep_rows.append(r)
+                rows.append(r)
             # else: redundant constraint row, dropped below
-            elif abs(tableau[r, -1]) > FEAS_TOL:
+            elif abs(tableau[r][-1]) > FEAS_TOL:
                 return LpResult(INFEASIBLE, iterations=it1)
         else:
-            keep_rows.append(r)
-
-    rows = [r for r in range(m) if r in set(keep_rows) or basis[r] < n]
-    work = np.zeros((len(rows) + 1, n + 1))
-    work[:-1, :n] = tableau[rows][:, :n]
-    work[:-1, -1] = tableau[rows][:, -1]
-    basis = [basis[r] for r in rows]
+            rows.append(r)
 
     # Phase 2: maximize c.x == minimize (-c).x
-    work[-1, :n] = -c
-    for r, bv in enumerate(basis):
-        coef = work[-1, bv]
+    work = [tableau[r][:n] + [tableau[r][-1]] for r in rows]
+    basis = [basis[r] for r in rows]
+    obj = (-c).tolist() + [0.0]
+    for row, bv in zip(work, basis):
+        coef = obj[bv]
         if abs(coef) > PIVOT_TOL:
-            work[-1] -= coef * work[r]
+            obj = [v - coef * w for v, w in zip(obj, row)]
+    work.append(obj)
 
     status, it2 = _bland_iterate(work, basis, n, MAX_PIVOTS)
     if status == NUMERICAL_ERROR:
@@ -156,7 +156,7 @@ def lp_solve(problem: LpProblem) -> LpResult:
         return LpResult(UNBOUNDED, iterations=it1 + it2)
 
     x = np.zeros(n)
-    for r, bv in enumerate(basis):
-        x[bv] = work[r, -1]
+    for row, bv in zip(work, basis):
+        x[bv] = row[-1]
     x[np.abs(x) < PIVOT_TOL] = 0.0
     return LpResult(OPTIMAL, x=x, objective_value=float(c @ x), iterations=it1 + it2)

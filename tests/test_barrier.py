@@ -718,7 +718,7 @@ class TestLongStep:
     def test_acceptance_step_count(self):
         # 1,473 steps with every barrier weight centered to the float floor
         steps = sum(solve_instance(acceptance_instance(i)).solve.iterations for i in range(20))
-        assert steps <= 481
+        assert steps <= 436
 
     def test_highdeg_solved_by_long_steps(self):
         res = solve_instance(generate_instance(14, n=4, m=2, max_degree=8))
@@ -753,20 +753,7 @@ class TestSlackReuse:
             made.clear()
             steps += solve_instance(acceptance_instance(i)).solve.iterations
             assert len(made) == len(seen) > 0
-        assert steps == 481
-
-
-# (Newton steps, gamma) of the first phase-2 centering on
-# acceptance_instance(i), recorded before the barrier carried duals.
-FIRST_CENTERING = [
-    (6, -27.16425841668645), (14, -28.9359835345755), (15, -160.05008815003603),
-    (8, -17.73866925402663), (13, -34.285227987300644), (14, -114.20185695278961),
-    (13, -56.65766371533338), (12, -33.785889172223484), (14, -63.42887348106921),
-    (6, -16.472895516254887), (15, -39.1517436075243), (19, -175.13467784087157),
-    (6, -18.83632514720859), (12, -55.45143732995866), (21, -140.03179861146097),
-    (8, -21.781605490231172), (13, -37.9732110489561), (14, -59.778556254563206),
-    (10, -144.62708368529795), (13, -127.39297969044259),
-]
+        assert steps == 436
 
 
 def _spy_centers(monkeypatch):
@@ -788,14 +775,20 @@ class TestDualWeights:
     Hessian by kappa = y s, with the duals y carried from the last center."""
 
     def test_first_centering_is_unweighted(self, monkeypatch):
+        center = barrier._center
         calls = _spy_centers(monkeypatch)
-        for i, (steps, gamma) in enumerate(FIRST_CENTERING):
+        for i in range(20):
             calls.clear()
             res = solve_instance(acceptance_instance(i))
             start, weighted, (point, converged, got, _, duals) = calls[0]
             assert start.prob.obj.min() < 0.0 and not weighted  # phase 2, no duals
-            assert converged and got == steps
-            assert point.z[res.model.gamma_index] == pytest.approx(gamma, rel=1e-12)
+            # The same centering with unit weights, from the constructive start.
+            z = barrier._constructive_start(res.model)
+            assert np.array_equal(start.z, z)
+            unit = barrier._Point(barrier._phase2_problem(res.model), z)
+            want, ok, steps, _, _ = center(unit, 1.0, barrier.LONG_STEP_DECREMENT)
+            assert converged and ok and got == steps
+            assert np.array_equal(point.z, want.z)
             assert np.array_equal(duals, 1.0 / point.joined)
             assert all(weighted for _, weighted, _ in calls[1:])
 

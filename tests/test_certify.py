@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from soncbound import geometry
 from soncbound import status as st
@@ -11,6 +12,7 @@ from soncbound.barrier import SolveResult, solve_relaxation
 from soncbound.certify import (
     ROOT_BITS,
     RepairFailure,
+    _exact_affine,
     _root_up,
     repair_and_certify,
     sample_soundness_check,
@@ -19,6 +21,7 @@ from soncbound.certify import (
 )
 from soncbound.generator import generate_instance
 from soncbound.pipeline import solve_instance
+from soncbound.relaxation import AffineCoeff
 
 from builders import build_for, make_inst
 
@@ -232,3 +235,42 @@ class TestSoundnessCheck:
         r1 = sample_soundness_check(inst, gamma=-2.0, k=200, seed=7)
         r2 = sample_soundness_check(inst, gamma=-2.0, k=200, seed=7)
         assert r1 == r2
+
+
+def _ref_exact_affine(coeff, mu, nu):
+    """The term-by-term Fraction sum that _exact_affine replaced."""
+    total = Fraction(coeff.constant)
+    for i, v in coeff.mu.items():
+        total += Fraction(v) * mu[i]
+    for i, v in coeff.nu.items():
+        total += Fraction(v) * nu[i]
+    return total
+
+
+_FLOAT = hst.floats(allow_nan=False, allow_infinity=False)
+
+
+@hst.composite
+def _dyadic_affine(draw):
+    """An AffineCoeff over up to 4 multipliers of each kind, with exact
+    multipliers made from floats, as the repair makes them."""
+    k = draw(hst.integers(0, 4))
+    part = hst.dictionaries(hst.integers(0, k - 1), _FLOAT, max_size=k) if k else hst.just({})
+    coeff = AffineCoeff(constant=draw(_FLOAT), mu=draw(part), nu=draw(part))
+    mu, nu = ([Fraction(v) for v in draw(hst.lists(_FLOAT, min_size=k, max_size=k))]
+              for _ in range(2))
+    return coeff, mu, nu
+
+
+class TestExactAffine:
+    @settings(max_examples=500, deadline=None)
+    @given(_dyadic_affine())
+    def test_matches_fraction_sum(self, data):
+        coeff, mu, nu = data
+        got, want = _exact_affine(coeff, mu, nu), _ref_exact_affine(coeff, mu, nu)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    def test_cancellation_to_zero(self):
+        coeff = AffineCoeff(constant=0.75, mu={0: -0.5}, nu={1: 2.0 ** -1074})
+        got = _exact_affine(coeff, [Fraction(1.5)], [Fraction(0), Fraction(0.0)])
+        assert got == 0 and got.denominator == 1

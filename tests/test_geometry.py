@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from soncbound import covers, geometry, simplex
 from soncbound.covers import build_candidate_set
@@ -139,6 +140,51 @@ class TestExactVertexSteps:
         support = {(0, 0), (4, 0), (1, 1), (2, 0)}
         assert geometry._axis_simplex_interior(sorted(support)) == {(2, 0)}
         assert polytope_vertices(support) == {(0, 0), (4, 0), (1, 1)}
+
+
+def _ref_axis_simplex_interior(points):
+    """The Fraction sum that _axis_simplex_interior's integer test replaced."""
+    n = len(points[0])
+    if (0,) * n not in points:
+        return set()
+    top = {}
+    for p in points:
+        axes = [i for i, v in enumerate(p) if v]
+        if len(axes) == 1 and p[axes[0]] > 0:
+            top[axes[0]] = max(top.get(axes[0], 0), p[axes[0]])
+    corners = {tuple(m if j == i else 0 for j in range(n)) for i, m in top.items()}
+    return {p for p in points
+            if p not in corners and any(p) and min(p) >= 0
+            and all(v == 0 or i in top for i, v in enumerate(p))
+            and sum(Fraction(v, top[i]) for i, v in enumerate(p) if v) <= 1}
+
+
+@hst.composite
+def _small_supports(draw):
+    """Up to 12 points in 1-4 dimensions, entries in [-2, 12], with the
+    origin and pure powers more often than chance would put them there."""
+    n = draw(hst.integers(1, 4))
+    entry = hst.integers(-2, 12)
+    points = set(draw(hst.lists(hst.tuples(*[entry] * n), min_size=1, max_size=12)))
+    if draw(hst.booleans()):
+        points.add((0,) * n)
+    for i, m in draw(hst.lists(hst.tuples(hst.integers(0, n - 1), hst.integers(1, 12)),
+                               max_size=n)):
+        points.add(tuple(m if j == i else 0 for j in range(n)))
+    return sorted(points)
+
+
+class TestAxisSimplexInIntegers:
+    @settings(max_examples=500, deadline=None)
+    @given(_small_supports())
+    def test_matches_fraction_sum(self, points):
+        assert geometry._axis_simplex_interior(points) == _ref_axis_simplex_interior(points)
+
+    def test_boundary_of_the_simplex_is_inside(self):
+        # 2/4 + 1/3 + 1/6 = 1 exactly: on the facet, not a vertex; lcm 12.
+        points = sorted({(0, 0, 0), (4, 0, 0), (0, 3, 0), (0, 0, 6), (2, 1, 1), (2, 1, 2)})
+        assert geometry._axis_simplex_interior(points) == {(2, 1, 1)}
+        assert _ref_axis_simplex_interior(points) == {(2, 1, 1)}
 
 
 def _hulls(monkeypatch, runs):

@@ -2,9 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from soncbound import simplex
+from soncbound.generator import generate_instance
+from soncbound.pipeline import PREPARE_ERRORS, PipelineOptions, prepare_root
 from soncbound.simplex import LpProblem, lp_solve
+
+from builders import acceptance_instance
 
 
 def solve(A, b, c):
@@ -118,3 +123,183 @@ class TestBasicSolutions:
         r2 = lp_solve(LpProblem(A, b, c))
         assert r1.x.tobytes() == r2.x.tobytes()
         assert r1.objective_value == r2.objective_value
+
+
+# The numpy-tableau simplex that the list-of-lists tableau replaced, kept
+# as the reference: lp_solve must match it bit for bit.
+def _ref_pivot(tableau, basis, row, col):
+    tableau[row] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and abs(tableau[r, col]) > simplex.PIVOT_TOL:
+            tableau[r] -= tableau[r, col] * tableau[row]
+    basis[row] = col
+
+
+def _ref_bland_iterate(tableau, basis, ncols, budget):
+    used = 0
+    while True:
+        obj = tableau[-1, :ncols]
+        entering = -1
+        for j in range(ncols):
+            if obj[j] < -simplex.FEAS_TOL:
+                entering = j
+                break
+        if entering < 0:
+            return simplex.OPTIMAL, used
+        leaving = -1
+        best_ratio = np.inf
+        for r in range(tableau.shape[0] - 1):
+            a = tableau[r, entering]
+            if a > simplex.PIVOT_TOL:
+                ratio = tableau[r, -1] / a
+                if ratio < best_ratio - simplex.PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= simplex.PIVOT_TOL
+                    and leaving >= 0
+                    and basis[r] < basis[leaving]
+                ):
+                    best_ratio = ratio
+                    leaving = r
+        if leaving < 0:
+            return simplex.UNBOUNDED, used
+        _ref_pivot(tableau, basis, leaving, entering)
+        used += 1
+        if used > budget:
+            return simplex.NUMERICAL_ERROR, used
+
+
+def _ref_lp_solve(problem):
+    A = np.array(problem.eq_matrix, dtype=float)
+    b = np.array(problem.eq_rhs, dtype=float)
+    c = np.array(problem.objective, dtype=float)
+    m, n = A.shape
+    neg = b < 0
+    A[neg] *= -1.0
+    b[neg] *= -1.0
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = A
+    tableau[:m, n : n + m] = np.eye(m)
+    tableau[:m, -1] = b
+    tableau[-1, n : n + m] = 1.0
+    basis = list(range(n, n + m))
+    tableau[-1] -= tableau[:m].sum(axis=0)
+    status, it1 = _ref_bland_iterate(tableau, basis, n + m, simplex.MAX_PIVOTS)
+    if status == simplex.NUMERICAL_ERROR:
+        return simplex.LpResult(simplex.NUMERICAL_ERROR, iterations=it1)
+    if -tableau[-1, -1] > simplex.FEAS_TOL:
+        return simplex.LpResult(simplex.INFEASIBLE, iterations=it1)
+    keep_rows = []
+    for r in range(m):
+        if basis[r] >= n:
+            pivot_col = -1
+            for j in range(n):
+                if abs(tableau[r, j]) > 1e-8:
+                    pivot_col = j
+                    break
+            if pivot_col >= 0:
+                _ref_pivot(tableau, basis, r, pivot_col)
+                keep_rows.append(r)
+            elif abs(tableau[r, -1]) > simplex.FEAS_TOL:
+                return simplex.LpResult(simplex.INFEASIBLE, iterations=it1)
+        else:
+            keep_rows.append(r)
+    rows = [r for r in range(m) if r in set(keep_rows) or basis[r] < n]
+    work = np.zeros((len(rows) + 1, n + 1))
+    work[:-1, :n] = tableau[rows][:, :n]
+    work[:-1, -1] = tableau[rows][:, -1]
+    basis = [basis[r] for r in rows]
+    work[-1, :n] = -c
+    for r, bv in enumerate(basis):
+        coef = work[-1, bv]
+        if abs(coef) > simplex.PIVOT_TOL:
+            work[-1] -= coef * work[r]
+    status, it2 = _ref_bland_iterate(work, basis, n, simplex.MAX_PIVOTS)
+    if status in (simplex.NUMERICAL_ERROR, simplex.UNBOUNDED):
+        return simplex.LpResult(status, iterations=it1 + it2)
+    x = np.zeros(n)
+    for r, bv in enumerate(basis):
+        x[bv] = work[r, -1]
+    x[np.abs(x) < simplex.PIVOT_TOL] = 0.0
+    return simplex.LpResult(simplex.OPTIMAL, x=x, objective_value=float(c @ x),
+                            iterations=it1 + it2)
+
+
+def _assert_same_as_reference(problem):
+    got, want = lp_solve(problem), _ref_lp_solve(problem)
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    if want.x is None:
+        assert got.x is None and got.objective_value is None
+    else:
+        assert got.x.tobytes() == want.x.tobytes()
+        assert np.float64(got.objective_value).tobytes() == np.float64(want.objective_value).tobytes()
+    return got
+
+
+# Entries as the cover LPs have them (small integers), plus fractions,
+# near-tolerance values and a wide range, so that pivots, ties and the
+# tolerance tests all take both branches.
+_ENTRY = hst.one_of(hst.integers(-4, 4).map(float),
+                    hst.sampled_from([0.5, -0.25, 1 / 3, 2.5, 1e-9, -1e-12, 1e6, -3e-5]))
+
+
+@hst.composite
+def _small_lps(draw):
+    """max c.x, Ax = b, x >= 0 with up to 5 rows and 7 columns: feasible
+    by construction (degenerate when the point has zeros), with an
+    arbitrary right-hand side, or with redundant rows (a copy or the sum
+    of two rows)."""
+    m, n = draw(hst.integers(1, 4)), draw(hst.integers(1, 7))
+    A = np.array(draw(hst.lists(hst.lists(_ENTRY, min_size=n, max_size=n),
+                                min_size=m, max_size=m)))
+    kind = draw(hst.sampled_from(["feasible", "any", "redundant"]))
+    if kind == "any":
+        b = np.array(draw(hst.lists(_ENTRY, min_size=m, max_size=m)))
+    else:
+        point = np.array(draw(hst.lists(hst.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 1 / 3]),
+                                        min_size=n, max_size=n)))
+        b = A @ point
+    if kind == "redundant":
+        i, j = draw(hst.integers(0, m - 1)), draw(hst.integers(0, m - 1))
+        A, b = np.vstack([A, A[i] + A[j] * (i != j)]), np.append(b, b[i] + b[j] * (i != j))
+    c = np.array(draw(hst.lists(_ENTRY, min_size=n, max_size=n)))
+    return LpProblem(A, b, c)
+
+
+class TestListTableau:
+    """lp_solve on a list-of-lists tableau takes the numpy tableau's
+    pivots and returns its solution bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_small_lps())
+    def test_matches_numpy_tableau(self, problem):
+        _assert_same_as_reference(problem)
+
+    def test_examples_match_numpy_tableau(self):
+        statuses = set()
+        for A, b, c in [([[1, 1], [0, 2]], [1, 1], [1, 0]), ([[0, 1]], [-1], [0, 0]),
+                        ([[1, -1]], [0], [1, 0]), ([[1, 1], [2, 2]], [1, 2], [1, 0]),
+                        ([[1, 1], [1, 1]], [1, 2], [0, 0]), ([[0, 0]], [0], [1, 1])]:
+            problem = LpProblem(np.array(A, float), np.array(b, float), np.array(c, float))
+            statuses.add(_assert_same_as_reference(problem).status)
+        assert statuses == {simplex.OPTIMAL, simplex.INFEASIBLE, simplex.UNBOUNDED}
+
+    def test_corpus_lps(self, monkeypatch):
+        # Every LP that prepare_root takes for the benchmark's acceptance
+        # (both configurations), high-degree and wide corpora.
+        problems = []
+        real = simplex.lp_solve
+        monkeypatch.setattr(simplex, "lp_solve", lambda p: problems.append(p) or real(p))
+        runs = [(acceptance_instance(i), options) for i in range(100)
+                for options in (PipelineOptions(), PipelineOptions(use_bound_constraints=False))]
+        runs += [(generate_instance(seed, n=n, m=m, max_degree=degree), PipelineOptions())
+                 for n, degree, m in ((2, 8, 1), (4, 8, 2), (1, 12, 0)) for seed in range(20)]
+        runs += [(generate_instance(0, n=6, m=1, max_degree=degree, density=2.0),
+                  PipelineOptions()) for degree in (4, 5)]
+        for inst, options in runs:
+            try:
+                prepare_root(inst, options)
+            except PREPARE_ERRORS:
+                pass  # the without-bcs configuration: no cover, after its LPs
+        monkeypatch.undo()
+        assert len(problems) == 216  # 187 acceptance, 26 high-degree, 3 wide
+        for problem in problems:
+            _assert_same_as_reference(problem)

@@ -98,4 +98,26 @@ def test_final_centering_stops_once_the_decrement_stalls(monkeypatch):
     assert res.status == st.OPTIMAL, res.message
     tol, converged, steps = calls[-1]
     assert tol == 0.0 and converged
-    assert steps < 10  # 2; MAX_INNER is 50
+    assert steps < 10  # 4; MAX_INNER is 50
+
+
+def test_stall_rule_ends_the_final_centering(monkeypatch):
+    # With the float floor at 0, only _center's stall rule can end the
+    # final centering: a decrement within _stall_tolerance that stops
+    # falling.  Without that rule the centering takes all MAX_INNER steps.
+    monkeypatch.setattr(barrier, "_decrement_floor", lambda tau: 0.0)
+    calls = []
+    center = barrier._center
+
+    def spy(point, tau, tol=0.0, stop_early=None, duals=None):
+        out = center(point, tau, tol, stop_early, duals)
+        calls.append((tau, tol, out[1], out[2], out[3]))
+        return out
+
+    monkeypatch.setattr(barrier, "_center", spy)
+    res = solve_instance(_degree_family(9)[13])
+    assert res.status == st.OPTIMAL, res.message
+    tau, tol, converged, steps, decrement = calls[-1]
+    assert tol == 0.0 and converged
+    assert 0.0 < abs(decrement) <= barrier._stall_tolerance(tau)
+    assert steps < 10  # 5; MAX_INNER is 50
