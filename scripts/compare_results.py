@@ -38,7 +38,9 @@ all, and in each solve's first phase-2 centering, read from a wrapped
 number of solves that are not the same bit for bit (`bits differ`):
 whose status, message or Newton step count differ, or whose solver
 gamma, certified gamma or stationarity residual differ in any bit.  A
-status change lists both residuals of each side.  For each B&B run it
+status change lists both residuals of each side.  A second table counts
+the solves that started from the constructive point, from phase 1 (with
+how many of those ended optimal) and from neither.  For each B&B run it
 says whether nodes, status, error nodes, relaxations_solved, incumbents
 and every record's id, depth and status are equal, how far the bounds
 moved and how many LPs each side solved.
@@ -184,6 +186,7 @@ def collect(tree: Path) -> dict:
                                 newton_first=first[0] or 0,
                                 kkt=solve.kkt_residual if solve else None,
                                 kkt_ld=ld_residual(res.model, solve),
+                                start=solve.start if solve else "",
                                 lps=lp_calls[0], warnings=len(caught))
     for key, (inst, options, kwargs) in _bnb_runs(sb, workloads).items():
         lp_calls[0] = 0
@@ -311,7 +314,26 @@ def compare_solves(parent: dict, change: dict) -> list[str]:
               f"{f'{warned[0]} -> {warned[1]}':>8s} {differ:11d}")
     print("drifts, status and message changes:" if details else "no changes")
     print("\n".join(details))
+    compare_starts(parent, change)
     return left
+
+
+def compare_starts(parent: dict, change: dict) -> None:
+    """Print, per corpus, how many solves started from the constructive
+    point, how many from phase 1 (and of those, how many ended optimal),
+    and how many started neither (no model, or one infeasible as built)."""
+    print(f"{'corpus':13s} {'constructive P -> C':>20s} {'phase-1 (optimal) P -> C':>26s} "
+          f"{'no start P -> C':>16s}")
+    for corpus, prec in parent.items():
+        cells = []
+        for side in (prec, change[corpus]):
+            starts = Counter(r["start"] for r in side.values())
+            phase1_opt = sum(r["start"] == "phase-1" and r["status"] == OPTIMAL
+                             for r in side.values())
+            cells.append((starts["constructive"], f"{starts['phase-1']} ({phase1_opt})",
+                          len(side) - starts["constructive"] - starts["phase-1"]))
+        (pc, pp, pn), (cc, cp, cn) = cells
+        print(f"{corpus:13s} {f'{pc} -> {cc}':>20s} {f'{pp} -> {cp}':>26s} {f'{pn} -> {cn}':>16s}")
 
 
 def compare_bnb(parent: dict, change: dict) -> list[str]:

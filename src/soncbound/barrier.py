@@ -26,16 +26,15 @@ bound, the KKT test and the reported residual all read that one
 evaluation.  In V, r = theta/slack per circuit, psi = lambda/c,
 u_c = r psi, u_t = -1/slack and h_c = u_c/c.  Index and coefficient
 arrays that _Barrier fixes once per problem turn V into the gradient
-(one np.bincount over V[g_sel] g_coef) and the Hessian (one np.bincount
-over V[h_a] V[h_b] h_coef).  A row pair a_kp, a_kq adds
-(1/rho_k)(1/rho_k)(a_kp a_kq) at (p, q); two c entries of a circuit add
-u_l u_r - w_l w_r, written as the single product r(r-1) psi_l psi_r,
-since w = sqrt(r) psi.  The Hessian parts come in a fixed order: the
-row pairs, rows ascending, then the sign diagonal, the same-circuit
-pairs and the c diagonal, so a dense assembly summed row by row in that
-order gives the same floats; the plan touches only the nonzeros.  The
-step bound reads the row and sign slacks: 0.99 over the fastest
-relative shrink rate, capped at 1.
+and the Hessian by one np.bincount over V[h_a] V[h_b] h_coef.  A row
+pair a_kp, a_kq adds (1/rho_k)(1/rho_k)(a_kp a_kq) at (p, q); two c
+entries of a circuit add u_l u_r - w_l w_r, written as the single
+product r(r-1) psi_l psi_r, since w = sqrt(r) psi.  The Hessian parts
+come in a fixed order: the row pairs, rows ascending, then the sign
+diagonal, the same-circuit pairs and the c diagonal, so a dense
+assembly summed row by row in that order gives the same floats; the
+plan touches only the nonzeros.  The step bound reads the row and sign
+slacks: 0.99 over the fastest relative shrink rate, capped at 1.
 
 The Newton system is one dense LU, except on models of at least
 T_ELIMINATION_MIN_NVAR variables where no general row holds two t's
@@ -193,21 +192,21 @@ class _Barrier:
     circuits.
 
     The arrays fixed here say which entries of a point's value vector V
-    (_Point.values), times which constant, make each term: the gradient
-    is tau obj - np.bincount(g_to, V[g_sel] g_coef), over the row
-    nonzeros row-major and then the sign, c and t terms; the Hessian is
-    np.bincount(flat, V[h_a] V[h_b] h_coef) over its first n_hess parts.
-    flat is the scatter plan: every ordered pair of nonzeros sharing a
-    general row (1/rho_k twice, coefficient a_kp a_kq), rows ascending,
-    then the sign diagonal (1/sign twice), the same-circuit pairs (u_l
-    u_r, or r(r-1) psi_l times psi_r where both are c entries) and the c
-    diagonal (h_c times 1).  np.bincount adds each entry's parts in that
-    order, as a row-by-row dense assembly does.  The gradient's parts
-    follow, each V[g_sel] times V's trailing 1 times g_coef, into slots
-    past the Hessian's, so that one np.bincount makes both.  Where the
-    t's are eliminated, rest holds the other variables and the plan lays
-    out P H P^T, rest first; the link and upd arrays then locate the
-    Schur update.
+    (_Point.values), times which constant, make each term: one
+    np.bincount(flat, V[h_a] V[h_b] h_coef) gives the Hessian in its
+    first nvar^2 slots, from the first n_hess parts, and the gradient's
+    terms in the nvar slots after them.  flat is the scatter plan: every
+    ordered pair of nonzeros sharing a general row (1/rho_k twice,
+    coefficient a_kp a_kq), rows ascending, then the sign diagonal
+    (1/sign twice), the same-circuit pairs (u_l u_r, or r(r-1) psi_l
+    times psi_r where both are c entries) and the c diagonal (h_c times
+    1).  np.bincount adds each entry's parts in that order, as a
+    row-by-row dense assembly does.  The gradient's parts follow: the
+    row nonzeros row-major (1/rho_k times a_kp) and then the sign, c and
+    t terms, each times V's trailing 1; the gradient is tau obj less
+    their sums.  Where the t's are eliminated, rest holds the other
+    variables and the plan lays out P H P^T, rest first; the link and
+    upd arrays then locate the Schur update.
     """
 
     def __init__(self, model: RelaxationModel, sense: float, rows: np.ndarray,
@@ -245,9 +244,6 @@ class _Barrier:
         circ_l, circ_r = order[left], order[right]
         circ_var = np.concatenate([self.c_idx, self.t_idx])
         self.n_slack = nr + nl  # the row and sign slacks lead joined
-        self.g_sel = np.concatenate([nz_row, np.arange(o_sign, o_rr)])
-        self.g_to = np.concatenate([nz_col, self.lower, circ_var])
-        self.g_coef = np.concatenate([nz_val, np.ones(o_rr - o_sign)])
         # A circuit's relative slack rate along d: sum of V[u] d over its variables.
         self.u_at, self.u_owner, self.u_var = slice(o_u, o_rr), owner, circ_var
         # pos[v]: variable v's place in the Newton system.  Where the t's
@@ -270,17 +266,20 @@ class _Barrier:
         ])
         # The gradient's parts follow the Hessian's, each times V's
         # trailing 1, into slots nvar^2 + v: one bincount makes both.
+        g_sel = np.concatenate([nz_row, np.arange(o_sign, o_rr)])
+        g_to = np.concatenate([nz_col, self.lower, circ_var])
         self.n_hess = len(hess_at)
-        self.flat = np.concatenate([hess_at, nvar * nvar + self.g_to])
+        self.flat = np.concatenate([hess_at, nvar * nvar + g_to])
         squares = np.concatenate([nz_row[pair_l], np.arange(o_sign, o_u)])  # 1/rho_k, 1/sign
         both_c = (circ_l < nc) & (circ_r < nc)
         one = o_hc + nc
         self.h_a = np.concatenate([squares, np.where(both_c, o_rr, o_u) + circ_l,
-                                   np.arange(o_hc, one), self.g_sel])
+                                   np.arange(o_hc, one), g_sel])
         self.h_b = np.concatenate([squares, np.where(both_c, o_psi, o_u) + circ_r,
-                                   np.full(nc + len(self.g_sel), one)])
+                                   np.full(nc + len(g_sel), one)])
         self.h_coef = np.concatenate([nz_val[pair_l] * nz_val[pair_r],
-                                      np.ones(self.n_hess - len(pair_l)), self.g_coef])
+                                      np.ones(self.n_hess - len(pair_l)), nz_val,
+                                      np.ones(o_rr - o_sign)])
         # The barrier term of each Hessian part: row k, sign nr + j, circuit nr + nl + b.
         self.h_term = np.concatenate([squares, o_u + owner[circ_l], o_u + self.blk])
 
@@ -379,13 +378,6 @@ class _Point:
         u_c = r * psi
         return np.concatenate([inverse[:prob.n_slack], u_c, -inverse[prob.n_slack:],
                                (ratio * (ratio - 1.0))[prob.blk] * psi, psi, u_c / c, [1.0]])
-
-
-def _gradient(point: _Point, tau: float) -> np.ndarray:
-    """The barrier's gradient at point."""
-    prob, values = point.prob, point.values
-    terms = np.bincount(prob.g_to, values[prob.g_sel] * prob.g_coef, len(prob.obj))
-    return tau * prob.obj - terms
 
 
 def _grad_hess(point: _Point, tau: float,
@@ -539,7 +531,7 @@ def _center(
 
 def _kkt_residual(point: _Point, tau: float) -> float:
     """Relative stationarity residual with implicit barrier duals 1/(tau*slack)."""
-    grad_inf = float(np.max(np.abs(_gradient(point, tau))))
+    grad_inf = float(np.max(np.abs(_grad_hess(point, tau)[0])))
     max_dual = 1.0 / point.margin / tau
     return grad_inf / (tau * (1.0 + max_dual))
 

@@ -33,9 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-
-import numpy as np
 
 from . import simplex
 from .poly import Exponent
@@ -80,24 +77,28 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class Cover:
-    """Barycentric certificate: beta = sum_j weights[j] * points[j]."""
+    """Barycentric certificate: beta = sum_j weights[j] * cands.points[j].
+
+    exact_weights holds the same weights as exact rationals, solved from
+    the candidate points the weights index; None when those points do not
+    determine them uniquely.
+    """
 
     beta: Exponent
     weights: dict[int, float]  # candidate index -> lambda in (0, 1]
-    points: tuple[Exponent, ...]  # the candidate points the weights index
+    exact_weights: dict[int, Fraction] | None
 
     @property
     def origin_weight(self) -> float:
         return self.weights.get(0, 0.0)
 
-    @cached_property
-    def exact_weights(self) -> dict[int, Fraction] | None:
-        """The weights as exact rationals, solved from the points they
-        index; None when those points do not determine them uniquely."""
-        idx = sorted(self.weights)
-        rows = [[self.points[j][i] for j in idx] for i in range(len(self.beta))]
-        lam = _exact_solve(rows + [[1] * len(idx)], [*self.beta, 1])
-        return None if lam is None else dict(zip(idx, lam))
+
+def _solve_weights(beta: Exponent, points) -> list[Fraction] | None:
+    """The unique rational lambda with sum_j lambda_j points[j] = beta
+    and sum_j lambda_j = 1, by _exact_solve; None when there is none or
+    many."""
+    rows = [[p[i] for p in points] for i in range(len(beta))]
+    return _exact_solve(rows + [[1] * len(points)], [*beta, 1])
 
 
 def _exact_solve(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
@@ -133,16 +134,12 @@ def inner_term_kind(e: Exponent) -> str:
     return ONE_SIDED if is_even(e) else TWO_SIDED
 
 
-def _combination_lp(target: Exponent, points: list[Exponent], objective: np.ndarray) -> simplex.LpResult:
+def _combination_lp(target: Exponent, points: list[Exponent],
+                    objective: list[float]) -> simplex.LpResult:
     """LP over lambda >= 0 with sum(lambda) = 1 and sum(lambda_j p_j) = target."""
-    n = len(target)
-    k = len(points)
-    A = np.zeros((n + 1, k))
-    for j, p in enumerate(points):
-        A[:n, j] = p
-    A[n, :] = 1.0
-    rhs = np.array(list(target) + [1.0], dtype=float)
-    return simplex.lp_solve(simplex.LpProblem(A, rhs, objective))
+    rows = [[float(p[i]) for p in points] for i in range(len(target))] + [[1.0] * len(points)]
+    rhs = [float(v) for v in target] + [1.0]
+    return simplex.lp_solve(simplex.LpProblem(rows, rhs, objective))
 
 
 def _axis_simplex_interior(points: list[Exponent]) -> set[Exponent]:
@@ -196,7 +193,7 @@ def polytope_vertices(
         vertices = {p for p in vertices if is_even(p)}
     for p in [p for p in alive if p not in vertices and (is_even(p) or not even_only)]:
         others = [q for q in alive if q != p]
-        res = _combination_lp(p, others, np.zeros(len(others)))
+        res = _combination_lp(p, others, [0.0] * len(others))
         if res.status == simplex.INFEASIBLE:
             vertices.add(p)
         elif res.status == simplex.OPTIMAL:
@@ -227,39 +224,35 @@ def barycentric_coordinates(beta: Exponent, cands: CandidateSet) -> Cover:
     maximizes the origin weight; raises CoverUnavailable when beta lies
     outside the convex hull of the candidates.  n + 1 affinely
     independent candidates determine the weights: they are solved
-    exactly, the same system Cover.exact_weights solves, and no LP runs.
+    exactly and no LP runs.  Otherwise an LP finds the weights, and
+    their exact values are solved over the candidates it chose.
     """
     if beta in cands.points:
         raise ValueError(f"{beta} is itself a candidate, not an inner term")
-    n = len(beta)
-    if len(cands.points) == n + 1:
-        rows = [[p[i] for p in cands.points] for i in range(n)]
-        lam = _exact_solve(rows + [[1] * (n + 1)], [*beta, 1])
+    if len(cands.points) == len(beta) + 1:
+        lam = _solve_weights(beta, cands.points)
         if lam is not None:
             if any(w.numerator < 0 for w in lam):
                 raise CoverUnavailable(beta)
             exact = {j: w for j, w in enumerate(lam) if w.numerator}
             # numerator / denominator is float(w), without its call overhead.
-            cover = Cover(beta=beta,
-                          weights={j: w.numerator / w.denominator for j, w in exact.items()},
-                          points=cands.points)
-            _validate_cover(cover, cands)
-            cover.__dict__["exact_weights"] = exact  # what the cached property would solve
-            return cover
-    objective = np.zeros(len(cands.points))
-    objective[0] = 1.0  # prefer origin mass: the certificate repair needs it
+            weights = {j: w.numerator / w.denominator for j, w in exact.items()}
+            return _validate_cover(Cover(beta, weights, exact), cands)
+    # Prefer origin mass: the certificate repair needs it.
+    objective = [1.0] + [0.0] * (len(cands.points) - 1)
     res = _combination_lp(beta, list(cands.points), objective)
     if res.status == simplex.INFEASIBLE:
         raise CoverUnavailable(beta)
     if res.status != simplex.OPTIMAL:
         raise LpFailure(f"barycentric LP for {beta}: {res.status}")
-    weights = {j: float(w) for j, w in enumerate(res.x) if w > 1e-12}
-    cover = Cover(beta=beta, weights=weights, points=cands.points)
-    _validate_cover(cover, cands)
-    return cover
+    weights = {j: w for j, w in enumerate(res.x) if w > 1e-12}
+    lam = _solve_weights(beta, [cands.points[j] for j in weights])
+    exact = None if lam is None else dict(zip(weights, lam))
+    return _validate_cover(Cover(beta, weights, exact), cands)
 
 
-def _validate_cover(cover: Cover, cands: CandidateSet) -> None:
+def _validate_cover(cover: Cover, cands: CandidateSet) -> Cover:
+    """cover, once its weights are checked to reconstruct its beta."""
     n = len(cover.beta)
     total = sum(cover.weights.values())
     recon = [0.0] * n
@@ -271,3 +264,4 @@ def _validate_cover(cover: Cover, cands: CandidateSet) -> None:
         raise LpFailure(f"cover for {cover.beta} reconstructs {tuple(recon)}")
     if len(cover.weights) > n + 1:
         raise LpFailure(f"cover for {cover.beta} is not basic")
+    return cover

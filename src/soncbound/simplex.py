@@ -5,18 +5,17 @@ solution (at most one nonzero per equality row).  Bland's rule is used
 for both pivot choices, so the method is deterministic and cannot cycle.
 Intended for desk-scale systems: the hull and cover LPs have a few rows
 and a few dozen columns, where reading a numpy tableau one entry at a
-time costs more than the arithmetic, so the tableau is a list of rows
-of Python floats.  Each entry takes the IEEE operations a numpy row
-update would (a / p, then a - f w), in the same order, so the pivots and
-the solution are those of a numpy tableau bit for bit.
+time costs more than the arithmetic, so the problem, the tableau and
+the solution are lists of Python floats.  Each entry takes the IEEE
+operations a numpy row update would (a / p, then a - f w), in the same
+order, so the pivots and the solution are those of a numpy tableau bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-11
@@ -30,23 +29,24 @@ NUMERICAL_ERROR = "numerical-error"
 
 @dataclass(frozen=True)
 class LpProblem:
-    """max objective . x  subject to  eq_matrix x = eq_rhs, x >= 0."""
+    """max objective . x  subject to  eq_matrix x = eq_rhs, x >= 0, as
+    lists of Python floats: eq_matrix a list of rows."""
 
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
-    objective: np.ndarray
+    eq_matrix: list[list[float]]
+    eq_rhs: list[float]
+    objective: list[float]
 
     def __post_init__(self):
-        m, n = self.eq_matrix.shape
-        if self.eq_rhs.shape != (m,) or self.objective.shape != (n,):
+        n = len(self.objective)
+        if (len(self.eq_rhs) != len(self.eq_matrix)
+                or any(len(row) != n for row in self.eq_matrix)):
             raise ValueError("inconsistent LP dimensions")
 
 
 @dataclass(frozen=True)
 class LpResult:
     status: str
-    x: np.ndarray | None = None
-    objective_value: float | None = None
+    x: list[float] | None = None
     iterations: int = 0
 
 
@@ -94,13 +94,11 @@ def _bland_iterate(tableau: list[list[float]], basis: list[int], ncols: int,
 def lp_solve(problem: LpProblem) -> LpResult:
     """Two-phase dense simplex with Bland's rule.
 
-    Returns a basic solution: at most eq_matrix.shape[0] entries of x
-    are nonzero when the status is optimal.
+    Returns a basic solution: at most len(eq_matrix) entries of x are
+    nonzero when the status is optimal.
     """
-    A = np.asarray(problem.eq_matrix, dtype=float).tolist()
-    b = np.asarray(problem.eq_rhs, dtype=float).tolist()
-    c = np.array(problem.objective, dtype=float)
-    m, n = problem.eq_matrix.shape
+    A, b = problem.eq_matrix, problem.eq_rhs
+    m, n = len(A), len(problem.objective)
 
     # Phase 1: minimize the sum of artificial variables, with each row
     # normalized to b >= 0 so that the artificials are a feasible start.
@@ -142,7 +140,7 @@ def lp_solve(problem: LpProblem) -> LpResult:
     # Phase 2: maximize c.x == minimize (-c).x
     work = [tableau[r][:n] + [tableau[r][-1]] for r in rows]
     basis = [basis[r] for r in rows]
-    obj = (-c).tolist() + [0.0]
+    obj = [-v for v in problem.objective] + [0.0]
     for row, bv in zip(work, basis):
         coef = obj[bv]
         if abs(coef) > PIVOT_TOL:
@@ -155,8 +153,7 @@ def lp_solve(problem: LpProblem) -> LpResult:
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, iterations=it1 + it2)
 
-    x = np.zeros(n)
+    x = [0.0] * n
     for row, bv in zip(work, basis):
-        x[bv] = row[-1]
-    x[np.abs(x) < PIVOT_TOL] = 0.0
-    return LpResult(OPTIMAL, x=x, objective_value=float(c @ x), iterations=it1 + it2)
+        x[bv] = 0.0 if abs(row[-1]) < PIVOT_TOL else row[-1]
+    return LpResult(OPTIMAL, x=x, iterations=it1 + it2)

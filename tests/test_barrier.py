@@ -310,7 +310,8 @@ class TestBarrierDerivatives:
             e[i] = h
             plus, minus = barrier._Point(prob, z + e), barrier._Point(prob, z - e)
             fd_grad[i] = (plus.phi(tau) - minus.phi(tau)) / (2 * h)
-            fd_hess[:, i] = (barrier._gradient(plus, tau) - barrier._gradient(minus, tau)) / (2 * h)
+            fd_hess[:, i] = (barrier._grad_hess(plus, tau)[0]
+                             - barrier._grad_hess(minus, tau)[0]) / (2 * h)
         scale = np.max(np.abs(grad))
         np.testing.assert_allclose(fd_grad, grad, rtol=1e-5, atol=1e-6 * scale)
         np.testing.assert_allclose(fd_hess, hess, rtol=1e-5, atol=1e-6 * np.max(np.abs(hess)))
@@ -365,6 +366,20 @@ def _dense_grad_hess(prob, tau, z, kappa=None):
     return tau * prob.obj - terms, hess
 
 
+def _ref_gradient(point, tau):
+    """The barrier's gradient as its own np.bincount, the form it took
+    before it rode in the Hessian's: tau obj less V[sel] coef summed
+    into to, over the row nonzeros row-major (1/rho_k times a_kp) and
+    then the sign, c and t terms (1/sign, u_c, u_t, times 1)."""
+    prob, values = point.prob, point.values
+    nz_row, nz_col = np.nonzero(prob.rows)
+    nr, n_terms = len(prob.rhs), len(prob.lower) + len(prob.c_idx) + len(prob.t_idx)
+    sel = np.concatenate([nz_row, np.arange(nr, nr + n_terms)])
+    to = np.concatenate([nz_col, prob.lower, prob.c_idx, prob.t_idx])
+    coef = np.concatenate([prob.rows[nz_row, nz_col], np.ones(n_terms)])
+    return tau * prob.obj - np.bincount(to, values[sel] * coef, len(prob.obj))
+
+
 def _constructive_point(model):
     prob = barrier._phase2_problem(model)
     z = barrier._constructive_start(model)
@@ -384,6 +399,7 @@ class TestScatterPlan:
         kappa = np.random.default_rng(len(z)).uniform(0.01, 100.0, len(ones))
         for tau in (1.0, 1e4):
             dense_grad, dense_hess = _dense_grad_hess(prob, tau, z)
+            assert _ref_gradient(point, tau).tobytes() == dense_grad.tobytes()
             for weights in (None, ones):
                 grad, hess = barrier._grad_hess(point, tau, weights)
                 assert np.array_equal(grad, dense_grad)
@@ -418,6 +434,35 @@ class TestScatterPlan:
         prob, z = _constructive_point(model)
         assert len(prob.t_idx) == 0 and len(prob.lower) > 0
         self._assert_same(prob, z)
+
+
+class TestKktGradient:
+    """_kkt_residual reads the gradient that _grad_hess makes in the
+    Hessian's np.bincount: bit for bit _ref_gradient's, at the end point
+    of every acceptance and high-degree solve."""
+
+    def test_corpus_end_points(self, monkeypatch):
+        kkt = barrier._kkt_residual
+        checked = []
+
+        def compare(point, tau):
+            got = kkt(point, tau)
+            grad = _ref_gradient(point, tau)
+            assert barrier._grad_hess(point, tau)[0].tobytes() == grad.tobytes()
+            want = float(np.max(np.abs(grad))) / (tau * (1.0 + 1.0 / point.margin / tau))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            checked.append(got)
+            return got
+
+        monkeypatch.setattr(barrier, "_kkt_residual", compare)
+        insts = [acceptance_instance(i) for i in range(100)] + [
+            generate_instance(seed, n=n, m=m, max_degree=degree)
+            for n, degree, m in ((2, 8, 1), (4, 8, 2), (1, 12, 0)) for seed in range(20)]
+        reported = []
+        for inst in insts:
+            solve = solve_instance(inst).solve
+            reported += [solve.kkt_residual] if solve and np.isfinite(solve.kkt_residual) else []
+        assert checked == reported and len(reported) >= 150
 
 
 def _eliminating(monkeypatch, build, model):

@@ -18,6 +18,7 @@ from soncbound.geometry import (
     is_monomial_square,
     polytope_vertices,
 )
+from soncbound.generator import generate_instance
 from soncbound.pipeline import PREPARE_ERRORS, PipelineOptions, prepare_root
 
 from builders import acceptance_instance
@@ -80,7 +81,7 @@ def _vertices_one_lp_per_point(support):
     vertices = set()
     for p in points:
         others = [q for q in points if q != p]
-        res = geometry._combination_lp(p, others, np.zeros(len(others)))
+        res = geometry._combination_lp(p, others, [0.0] * len(others))
         assert res.status in (simplex.OPTIMAL, simplex.INFEASIBLE)
         if res.status == simplex.INFEASIBLE:
             vertices.add(p)
@@ -344,6 +345,7 @@ class TestBarycentric:
             assert abs(total - 1.0) <= 1e-9
             assert np.max(np.abs(recon - np.array(beta, float))) <= 1e-9
             assert len(cover.weights) <= dim + 1
+            _assert_exact(cover, cands)
         assert checked_available >= 50
         assert checked_unavailable >= 50
 
@@ -387,6 +389,71 @@ class TestSimplexCovers:
         cover = barycentric_coordinates((1, 0), cand_set([(0, 0), (2, 0), (4, 0)]))
         assert len(calls) == 1
         assert cover.origin_weight == pytest.approx(0.75, abs=1e-12)  # 3/4 * 0 + 1/4 * (4, 0)
+
+
+def _assert_exact(cover, cands):
+    """cover.exact_weights is _exact_solve over the candidates its
+    weights index, and rounds to its float weights."""
+    idx = sorted(cover.weights)
+    rows = [[cands.points[j][i] for j in idx] for i in range(len(cover.beta))]
+    lam = geometry._exact_solve(rows + [[1] * len(idx)], [*cover.beta, 1])
+    assert lam is not None and cover.exact_weights == dict(zip(idx, lam))
+    for j, w in cover.weights.items():
+        assert w == pytest.approx(float(cover.exact_weights[j]), abs=1e-12)
+
+
+class TestExactWeights:
+    """Every cover carries its exact weights from the moment it is built,
+    whichever branch of barycentric_coordinates built it."""
+
+    @pytest.mark.parametrize("beta,points,want", [
+        ((2, 2), [(0, 0), (2, 4), (4, 2)], {0: Fraction(1, 3), 1: Fraction(1, 3),
+                                            2: Fraction(1, 3)}),
+        ((2, 2), [(0, 0), (4, 0), (0, 4)], {1: Fraction(1, 2), 2: Fraction(1, 2)}),
+    ])
+    def test_simplex_branch(self, monkeypatch, beta, points, want):
+        monkeypatch.setattr(simplex, "lp_solve", None)  # no LP may run
+        cands = cand_set(points)
+        cover = barycentric_coordinates(beta, cands)
+        assert cover.exact_weights == want
+        _assert_exact(cover, cands)
+
+    @pytest.mark.parametrize("beta,points,want", [
+        ((1, 0), [(0, 0), (2, 0), (4, 0)], {0: Fraction(3, 4), 2: Fraction(1, 4)}),
+        ((2, 2), [(0, 0), (2, 4), (4, 2), (4, 4)], {0: Fraction(1, 2), 3: Fraction(1, 2)}),
+        ((2, 1), [(0, 0), (4, 0), (0, 4), (4, 4)], {0: Fraction(1, 2), 1: Fraction(1, 4),
+                                                    3: Fraction(1, 4)}),
+    ])
+    def test_lp_branch(self, monkeypatch, beta, points, want):
+        calls = []
+        lp_solve = simplex.lp_solve
+        monkeypatch.setattr(simplex, "lp_solve", lambda p: calls.append(p) or lp_solve(p))
+        cands = cand_set(points)
+        cover = barycentric_coordinates(beta, cands)
+        assert len(calls) == 1 and cover.exact_weights == want
+        _assert_exact(cover, cands)
+
+    def test_corpus_covers(self, monkeypatch):
+        # Every cover built for the benchmark's acceptance corpus (both
+        # configurations) and high-degree corpus.
+        built = []
+        real = covers.barycentric_coordinates
+        monkeypatch.setattr(covers, "barycentric_coordinates",
+                            lambda beta, cands: built.append((real(beta, cands), cands))
+                            or built[-1][0])
+        runs = [(acceptance_instance(i), options) for i in range(100)
+                for options in (PipelineOptions(), PipelineOptions(use_bound_constraints=False))]
+        runs += [(generate_instance(seed, n=n, m=m, max_degree=degree), PipelineOptions())
+                 for n, degree, m in ((2, 8, 1), (4, 8, 2), (1, 12, 0)) for seed in range(20)]
+        for inst, options in runs:
+            try:
+                prepare_root(inst, options)
+            except PREPARE_ERRORS:
+                pass  # the without-bcs configuration: no cover for some term
+        on_simplex = sum(len(cands.points) == len(cover.beta) + 1 for cover, cands in built)
+        assert len(built) - on_simplex >= 10 and on_simplex > 500
+        for cover, cands in built:
+            _assert_exact(cover, cands)
 
 
 class TestGuaranteedCovers:
