@@ -21,7 +21,8 @@ subprocess with only its own `src/` imported:
   and x^4 - 1e16 x^2, whose phase-1 start violation is past 2^53), two
   with a negative square term on the unit box (x^2 - x^4, whose hull
   vertex (4,) has coefficient -1, and x^4 + y^4 - x^2 y^2 + xy, whose
-  (2, 2) lies on a face of conv(0, 4e_1, 4e_2)) and constraints with a
+  (2, 2) would lie on the face of conv(0, 4e_1, 4e_2) at the bound
+  exponent 4, so the uniform rule takes 6) and constraints with a
   vanishing constant term, whose multipliers may have a recession
   direction; x^7 - x on ±1000 also runs through `solve_bnb`.
 
@@ -49,10 +50,14 @@ moved and how many LPs each side solved.
 
 Each subprocess runs with one BLAS thread (`OPENBLAS_NUM_THREADS`,
 `OMP_NUM_THREADS` and `MKL_NUM_THREADS` set to 1), as
-`perfbench/run.py` does: the thread count changes the barrier's
-iterate path, not only its speed.  Unpinned on a 2-core host, `wide`
-read max KKT 1.3e-8 in 95 Newton steps where one thread, the
-benchmark's arithmetic, gives 2.4e-8 in 97.
+`perfbench/run.py` does, unless `--blas-threads N` sets another count:
+the thread count can change the barrier's iterate path, not only its
+speed.  At the default two OpenBLAS threads on a 2-core host, the dense
+LU's rounding used to flip the verdict of `wide-seeds` s5/n6-d4; the
+large models' Newton steps now solve a 15-unknown border, which does
+not thread, and read the same at one and at two threads.
+
+    python scripts/compare_results.py PARENT_TREE CHANGE_TREE --blas-threads 2
 
 Exits 1 when some solve or B&B node that is optimal from PARENT_TREE is
 not optimal from CHANGE_TREE.
@@ -109,7 +114,7 @@ BNB_EDGE_NODES = 30
 BNB_SEED = 1
 WIDE_SEEDS = range(1, 9)
 HIGHDEG_SEEDS = (100, 200)
-ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _corpora(sb, workloads, stress):
@@ -362,6 +367,8 @@ def main() -> int:
     parser.add_argument("change", type=Path, nargs="?", help="source tree of the change")
     parser.add_argument("--collect", action="store_true",
                         help="print the JSON results of the one tree given, and exit")
+    parser.add_argument("--blas-threads", type=int, default=1,
+                        help="BLAS threads of each tree's subprocess (default 1)")
     args = parser.parse_args()
     if args.collect:
         print(json.dumps(collect(args.parent)))
@@ -372,7 +379,8 @@ def main() -> int:
     results = {}
     for side in ("parent", "change"):
         cmd = [sys.executable, __file__, str(getattr(args, side).resolve()), "--collect"]
-        out = subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, **ONE_THREAD})
+        threads = {var: str(args.blas_threads) for var in BLAS_THREAD_VARS}
+        out = subprocess.run(cmd, capture_output=True, text=True, env={**os.environ, **threads})
         if out.returncode != 0:
             raise RuntimeError(f"{side}: exit {out.returncode}\n{out.stderr[-2000:]}")
         results[side] = json.loads(out.stdout)

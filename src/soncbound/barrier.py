@@ -37,14 +37,18 @@ plan touches only the nonzeros.  The step bound reads the row and sign
 slacks: 0.99 over the fastest relative shrink rate, capped at 1.
 
 The Newton system is one dense LU, except on models of at least
-T_ELIMINATION_MIN_NVAR variables where no general row holds two t's
-(phase 2 always; never phase 1, whose radius row holds every t).  There
-the t's form a diagonal block of the SPD Hessian: the plan puts them
-last, and the step eliminates them (a Cholesky step under a symmetric
-permutation, backward stable; Higham 2002, ch. 10) before one dense LU
-of size nvar - #circuits.  Each t couples only to its circuit's c
-entries and to the multipliers of its magnitude rows, so the Schur
-update is a few hundred products over index arrays fixed per problem.
+BLOCK_MIN_NVAR variables (_BlockPlan).  There each circuit's c and t
+variables form a block that meets the others only through gamma, mu,
+nu and the coupling rows: the vertex and origin rows, and phase 1's
+radius row.  Those rows enter as a quasidefinite border (Vanderbei
+1995), one unknown per row beside gamma, mu and nu: 15 unknowns on the
+benchmark's wide models, against 175 and 235 variables.  Each block, a
+diagonal plus its circuit's rank-two term, is inverted in closed form,
+with its pivot summed free of the cancellation that sum lambda = 1
+causes; the border's Schur complement is equilibrated and solved with
+one step of iterative refinement, and the step ends with one
+refinement of H d = -g (Skeel 1980), whose residual a nearly active
+coupling row's 1/rho^2 would otherwise amplify.
 
 Phase 1 is the same barrier over the same variables, with gamma's
 column read as a violation w to minimize: gamma's one row, the origin
@@ -128,12 +132,13 @@ START_PHASE1 = "phase-1"
 
 PHASE1_RADIUS = 1e8  # phase 1 keeps the sign-bounded variables' sum below this
 
-# Models of at least this many variables eliminate the t block before the
-# dense solve (_reduced_direction), where no general row holds two t's.
-# Measured per Newton step (Hessian and direction, one BLAS thread, 2-core
-# x86-64): the reduced step costs 8-13% more at 47-56 variables, 2-3% more
-# at 59-67, and 4-5% less at 73, 10% less at 81, 15-24% less from 102 up.
-T_ELIMINATION_MIN_NVAR = 73
+# Models of at least this many variables solve the Newton system circuit
+# block by circuit block around a small border (_BlockPlan).  Measured per
+# Newton step (gradient, Hessian parts and direction, one BLAS thread,
+# 2-core x86-64): the block step takes 0.21-0.29 ms at every size from 42
+# to 239 variables, the dense one 0.12 ms at 74, 0.22-0.24 ms at 109-111
+# and 0.9-1.9 ms at 175-235.
+BLOCK_MIN_NVAR = 73
 
 # Newton decrement lambda^2 = -grad.d below which the full step needs no
 # line search.  With unit weights phi is standard self-concordant (M = 1):
@@ -195,7 +200,7 @@ class _Barrier:
     (_Point.values), times which constant, make each term: one
     np.bincount(flat, V[h_a] V[h_b] h_coef) gives the Hessian in its
     first nvar^2 slots, from the first n_hess parts, and the gradient's
-    terms in the nvar slots after them.  flat is the scatter plan: every
+    terms in the nvar slots g_at after them.  flat is the scatter plan: every
     ordered pair of nonzeros sharing a general row (1/rho_k twice,
     coefficient a_kp a_kq), rows ascending, then the sign diagonal
     (1/sign twice), the same-circuit pairs (u_l u_r, or r(r-1) psi_l
@@ -204,9 +209,9 @@ class _Barrier:
     row-by-row dense assembly does.  The gradient's parts follow: the
     row nonzeros row-major (1/rho_k times a_kp) and then the sign, c and
     t terms, each times V's trailing 1; the gradient is tau obj less
-    their sums.  Where the t's are eliminated, rest holds the other
-    variables and the plan lays out P H P^T, rest first; the link and
-    upd arrays then locate the Schur update.
+    their sums.  Where border is set (_BlockPlan), the same parts, less
+    those it drops, fill the block plan's slots instead, the gradient's
+    among them, and its constant parts follow.
     """
 
     def __init__(self, model: RelaxationModel, sense: float, rows: np.ndarray,
@@ -246,72 +251,140 @@ class _Barrier:
         self.n_slack = nr + nl  # the row and sign slacks lead joined
         # A circuit's relative slack rate along d: sum of V[u] d over its variables.
         self.u_at, self.u_owner, self.u_var = slice(o_u, o_rr), owner, circ_var
-        # pos[v]: variable v's place in the Newton system.  Where the t's
-        # are eliminated (_reduced_direction) they come last, in circuit
-        # order, and the others keep their order: flat is then P H P^T.
-        pos = np.arange(nvar)
-        self.rest = None  # the variables kept in the reduced system, or None
-        if nb and nvar >= T_ELIMINATION_MIN_NVAR:
-            t_of = np.full(nvar, -1)
-            t_of[self.t_idx] = np.arange(nb)
-            on_t = t_of[nz_col] >= 0  # the row nonzeros in a t column
-            if np.bincount(nz_row[on_t], minlength=nr).max(initial=0) <= 1:
-                self._plan_t_elimination(t_of, pos, nz_row, nz_col, on_t)
-        nz_pos, circ_pos = pos[nz_col], pos[circ_var]
-        hess_at = np.concatenate([
-            nz_pos[pair_l] * nvar + nz_pos[pair_r],
-            pos[self.lower] * (nvar + 1),
-            circ_pos[circ_l] * nvar + circ_pos[circ_r],
-            pos[self.c_idx] * (nvar + 1),
-        ])
-        # The gradient's parts follow the Hessian's, each times V's
-        # trailing 1, into slots nvar^2 + v: one bincount makes both.
-        g_sel = np.concatenate([nz_row, np.arange(o_sign, o_rr)])
-        g_to = np.concatenate([nz_col, self.lower, circ_var])
-        self.n_hess = len(hess_at)
-        self.flat = np.concatenate([hess_at, nvar * nvar + g_to])
+        one = o_hc + nc
+        self.psi_at, self.hc_at = slice(o_psi, o_hc), slice(o_hc, one)
+        # Each Hessian part's variables (at_p, at_q).
+        at_p = np.concatenate([nz_col[pair_l], self.lower, circ_var[circ_l], self.c_idx])
+        at_q = np.concatenate([nz_col[pair_r], self.lower, circ_var[circ_r], self.c_idx])
         squares = np.concatenate([nz_row[pair_l], np.arange(o_sign, o_u)])  # 1/rho_k, 1/sign
         both_c = (circ_l < nc) & (circ_r < nc)
-        one = o_hc + nc
-        self.h_a = np.concatenate([squares, np.where(both_c, o_rr, o_u) + circ_l,
-                                   np.arange(o_hc, one), g_sel])
-        self.h_b = np.concatenate([squares, np.where(both_c, o_psi, o_u) + circ_r,
-                                   np.full(nc + len(g_sel), one)])
-        self.h_coef = np.concatenate([nz_val[pair_l] * nz_val[pair_r],
-                                      np.ones(self.n_hess - len(pair_l)), nz_val,
-                                      np.ones(o_rr - o_sign)])
+        h_a = np.concatenate([squares, np.where(both_c, o_rr, o_u) + circ_l, np.arange(o_hc, one)])
+        h_b = np.concatenate([squares, np.where(both_c, o_psi, o_u) + circ_r, np.full(nc, one)])
+        h_coef = np.concatenate([nz_val[pair_l] * nz_val[pair_r], np.ones(len(at_p) - len(pair_l))])
         # The barrier term of each Hessian part: row k, sign nr + j, circuit nr + nl + b.
-        self.h_term = np.concatenate([squares, o_u + owner[circ_l], o_u + self.blk])
+        h_term = np.concatenate([squares, o_u + owner[circ_l], o_u + self.blk])
+        # The gradient's parts, each times V's trailing 1: the row nonzeros,
+        # then the sign, c and t terms, summed into their variables' slots.
+        g_sel = np.concatenate([nz_row, np.arange(o_sign, o_rr)])
+        g_to = np.concatenate([nz_col, self.lower, circ_var])
+        g_coef = np.concatenate([nz_val, np.ones(o_rr - o_sign)])
+        if nb and nvar >= BLOCK_MIN_NVAR:
+            self.border = border = _BlockPlan(self, owner, circ_var)
+            part_row = np.concatenate([nz_row[pair_l], np.full(len(at_p) - len(pair_l), -1)])
+            hess_at = border.hessian_slots(at_p, at_q, part_row, len(pair_l) + nl)
+            keep = hess_at >= 0
+            hess_at, h_a, h_b, h_coef, h_term = (x[keep] for x in (hess_at, h_a, h_b, h_coef, h_term))
+            self.g_at = grad_at = border.rhs_at
+            const_at, const_coef = border.constants(nz_row, nz_col, nz_val)
+            self.n_sums = border.n_sums
+        else:
+            self.border = None
+            hess_at = at_p * nvar + at_q
+            grad_at = nvar * nvar + np.arange(nvar)
+            self.g_at = slice(nvar * nvar, None)
+            const_at, const_coef = np.zeros(0, dtype=np.intp), np.zeros(0)
+            self.n_sums = nvar * (nvar + 1)
+        # One bincount makes the Hessian's parts (the first n_hess, weighted
+        # by kappa), the gradient's, summed into the slots g_at, and the
+        # block plan's constant parts.
+        self.n_hess = len(hess_at)
+        self.flat = np.concatenate([hess_at, grad_at[g_to], const_at])
+        self.h_a = np.concatenate([h_a, g_sel, np.full(len(const_at), one)])
+        self.h_b = np.concatenate([h_b, np.full(len(g_sel) + len(const_at), one)])
+        self.h_coef = np.concatenate([h_coef, g_coef, const_coef])
+        self.h_term = h_term
 
-    def _plan_t_elimination(self, t_of, pos, nz_row, nz_col, on_t) -> None:
-        """Put the t's last in pos, in circuit order, and fix the index
-        arrays of the Schur update; no general row holds two t's.
 
-        t_of[v] is the circuit whose t v is (-1 for the others), and on_t
-        marks the row nonzeros (nz_row, nz_col) in a t column.  The t
-        block is diagonal, and H[t, p] is nonzero only for t's c entries
-        and the other variables of t's rows: link_t the circuit, link_p
-        p's place, t-major, and link_at the entry in flat P H P^T.
-        """
-        nvar, nb = len(pos), len(self.t_idx)
-        m = nvar - nb
-        self.rest = np.flatnonzero(t_of < 0)
-        pos[self.rest] = np.arange(m)
-        pos[self.t_idx] = np.arange(m, nvar)
-        row_t = np.full(len(self.rhs), -1)  # the circuit whose t a row holds
-        row_t[nz_row[on_t]] = t_of[nz_col[on_t]]
-        in_t_row = (row_t[nz_row] >= 0) & ~on_t
-        linked = np.zeros(nb * nvar, dtype=bool)  # (circuit, place) pairs
-        linked[self.blk * nvar + pos[self.c_idx]] = True
-        linked[row_t[nz_row[in_t_row]] * nvar + pos[nz_col[in_t_row]]] = True
-        self.link_t, self.link_p = np.divmod(np.flatnonzero(linked), nvar)
-        self.link_at = (m + self.link_t) * nvar + self.link_p
-        self.tt_at = np.arange(m, nvar) * (nvar + 1)
-        # Every ordered pair of one t's neighbours: the entries of the
-        # Schur update H_pt H_qt / H_tt, summed by slot into upd_at.
-        self.upd_l, self.upd_r = _group_pairs(self.link_t)
-        self.upd_at, self.upd_slot = np.unique(
-            self.link_p[self.upd_l] * nvar + self.link_p[self.upd_r], return_inverse=True)
+class _BlockPlan:
+    """Where a large model's Newton system is solved circuit block by
+    circuit block around a small border.
+
+    Each circuit's variables (its c entries, then its t) form a block.  A
+    general row with at most one circuit variable among its nonzeros (a
+    magnitude row) stays with that variable's block; a row with several
+    (the vertex and origin rows, phase 1's radius row) is a coupling row.
+    The border is the variables outside every circuit (gamma, mu, nu),
+    then one unknown y_k = (kappa_k / rho_k^2) a_k d per coupling row k:
+    the quasidefinite system [H0 A_C^T; A_C -D^-1] (Vanderbei 1995), with
+    D = diag(kappa / rho^2) and H0 the Hessian less the coupling rows,
+    has the Newton step as its first part.
+
+    A block of H0 is Delta + kappa_b (u u^T - w w^T), Delta diagonal: its
+    circuit's rank-two term (_Point.values) and the diagonal of the sign
+    bounds, the c diagonal and the rows that stay with it.  The
+    bincount's output holds, in turn: that diagonal less the c diagonal,
+    stacked (nb, size) and padded with ones; the blocks' rows of
+    [E | -g], (nb, size, nf + 1), E their border columns; and the
+    border's rows of [F | -g], (nf, nf + 1).  A coupling row's a_k (in E
+    and in F both ways) enters as constant parts; its -rho_k^2 / kappa_k
+    on F's diagonal is set per step (y_diag).
+    """
+
+    def __init__(self, prob: _Barrier, owner: np.ndarray, circ_var: np.ndarray):
+        nvar, nb, nr = len(prob.obj), len(prob.t_idx), len(prob.rhs)
+        sizes = np.bincount(owner, minlength=nb)
+        self.nb, self.size = nb, int(sizes.max())
+        size = self.size
+        self.block = np.full(nvar, -1)
+        self.block[circ_var] = owner
+        self.at = self.block * size  # a circuit variable's row of the stack
+        self.at[prob.c_idx] += np.arange(len(prob.c_idx)) - prob.starts[prob.blk]
+        self.at[prob.t_idx] += sizes - 1
+        self.circ_at, self.c_at = self.at[circ_var], self.at[prob.c_idx]
+        # u's and w's places in the (nb, 2, size) stack of _block_direction
+        self.u_in_uw = self.circ_at + size * self.block[circ_var]
+        self.w_in_uw = self.c_at + size * (self.block[prob.c_idx] + 1)
+        self.outer = np.flatnonzero(self.block < 0)  # gamma, mu, nu
+        n_g = len(self.outer)
+        # Coupling rows: two or more circuit variables among the nonzeros.
+        nz_row, nz_col = np.nonzero(prob.rows)
+        on = self.block[nz_col] >= 0
+        self.coupling = np.flatnonzero(np.bincount(nz_row[on], minlength=nr) > 1)
+        self.circuits = len(prob.rhs) + len(prob.lower) + np.arange(nb)  # their terms in kappa
+        self.nf = nf = n_g + len(self.coupling)
+        self.place = np.full(nvar, -1)  # border place of the outer variables
+        self.place[self.outer] = np.arange(n_g)
+        self.y_of = np.full(nr, -1)  # border place of the coupling rows
+        self.y_of[self.coupling] = np.arange(n_g, nf)
+        self.e0 = nb * size
+        self.f0 = self.e0 + nb * size * (nf + 1)
+        self.n_sums = self.f0 + nf * (nf + 1)
+        self.rhs_at = np.where(self.block >= 0, self.e0 + self.at * (nf + 1) + nf,
+                               self.f0 + self.place * (nf + 1) + nf)
+        self.y_diag = self.y_of[self.coupling] * (nf + 2)  # in the border's [F | -g]
+        self.obj = np.zeros(nf)
+        self.obj[:n_g] = prob.obj[self.outer]
+        # Each variable's place in [d_outer, d stacked (nb, size)].
+        self.order = np.where(self.block >= 0, n_g + self.at, self.place)
+
+    def hessian_slots(self, at_p, at_q, part_row, first_circuit_part) -> np.ndarray:
+        """Each Hessian part's slot in the bincount's output, -1 where it is
+        dropped: a coupling row's pairs, the circuits' parts from
+        first_circuit_part on (the closed form has them), and the
+        border-to-block pairs that E holds transposed."""
+        nf = self.nf
+        bp, bq = self.block[at_p], self.block[at_q]
+        slot = np.where(bq >= 0, self.at[at_p],
+                        self.e0 + self.at[at_p] * (nf + 1) + self.place[at_q])
+        slot = np.where(bp >= 0, slot, self.f0 + self.place[at_p] * (nf + 1) + self.place[at_q])
+        dropped = (bp < 0) & (bq >= 0)
+        dropped[first_circuit_part:] = True
+        dropped |= (part_row >= 0) & (self.y_of[part_row] >= 0)
+        return np.where(dropped, -1, slot)
+
+    def constants(self, nz_row, nz_col, nz_val) -> tuple[np.ndarray, np.ndarray]:
+        """(slots, values) of the constant parts: the padding's unit
+        diagonal, and each coupling row's a_k in E and, both ways, in F."""
+        nf = self.nf
+        pad = np.flatnonzero(np.bincount(self.circ_at, minlength=self.e0) == 0)
+        y = self.y_of[nz_row]
+        on = y >= 0
+        v, y, a = nz_col[on], y[on], nz_val[on]
+        circ = self.block[v] >= 0
+        g = self.place[v[~circ]]
+        at = np.concatenate([pad, self.e0 + self.at[v[circ]] * (nf + 1) + y[circ],
+                             self.f0 + g * (nf + 1) + y[~circ], self.f0 + y[~circ] * (nf + 1) + g])
+        return at, np.concatenate([np.ones(len(pad)), a[circ], a[~circ], a[~circ]])
 
 
 class _once:
@@ -382,17 +455,21 @@ class _Point:
 
 def _grad_hess(point: _Point, tau: float,
                kappa: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(gradient, Hessian) at point, from one np.bincount over the plan.
-    The Hessian is in the plan's order: P H P^T where prob.rest is set.
-    kappa, where given, weights each barrier term's Hessian parts (rows,
-    signs, circuits, as in joined)."""
+    """(gradient, system) at point, from one np.bincount over the plan.
+    system is the dense Hessian, or where prob.border is set the
+    bincount's output that _block_direction reads.  kappa, where given,
+    weights each barrier term's Hessian parts (rows, signs, circuits, as
+    in joined)."""
     prob, values = point.prob, point.values
-    nvar = len(point.z)
     weights = values[prob.h_a] * values[prob.h_b] * prob.h_coef
     if kappa is not None:
         weights[:prob.n_hess] *= kappa[prob.h_term]
-    sums = np.bincount(prob.flat, weights, nvar * (nvar + 1))
-    return tau * prob.obj - sums[nvar * nvar:], sums[:nvar * nvar].reshape(nvar, nvar)
+    sums = np.bincount(prob.flat, weights, prob.n_sums)
+    grad = tau * prob.obj - sums[prob.g_at]
+    if prob.border is not None:
+        return grad, sums
+    nvar = len(grad)
+    return grad, sums[:nvar * nvar].reshape(nvar, nvar)
 
 
 def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -409,27 +486,87 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
             raise st.NumericalError("singular Newton system") from None
 
 
-def _reduced_direction(prob: _Barrier, hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Newton step with the diagonal t block of hess = P H P^T eliminated.
+_PLUS_MINUS = np.array([1.0, -1.0])
 
-    The kept block takes the Schur update S = H_RR - sum_t h_t h_t^T / H_tt
-    in place, each t touching only its few neighbours; S d_R = -(g_R -
-    sum_t h_t g_t / H_tt) is one dense solve of size nvar - #circuits, and
-    d_t = -(g_t + h_t^T d_R) / H_tt.  hess is overwritten.
+
+def _block_direction(point: _Point, sums: np.ndarray, tau: float,
+                     kappa: np.ndarray | None) -> np.ndarray:
+    """Newton step with every circuit block eliminated (_BlockPlan).
+
+    Each block B = Delta + kappa (u u^T - w w^T) has the closed-form
+    inverse Delta^-1 - Delta^-1 U K^-1 U^T Delta^-1 (Woodbury), U = [u w],
+    K = [[1/kappa + u'Delta^-1 u, u'Delta^-1 w], [., -pi/kappa]].  The
+    pivot pi = 1 - kappa w'Delta^-1 w cancels where the circuit is nearly
+    active (sum lambda = 1), so it is summed as sum_j lambda_j o_j /
+    Delta_j, o_j being Delta_j less its c-diagonal share; det K =
+    -(K_11 pi / kappa + K_12^2) has no subtraction either.
+
+    The border's Schur complement S = F - E^T B^-1 E is equilibrated
+    before it is inverted: along the path its unknowns range from mu ~
+    1e-9 to y ~ 1e10.  A solve K [d_B; d_F] = [r_B; r_F] takes d_F from S,
+    with one step of iterative refinement, and d_B = B^-1 (r_B - E d_F).
+    H d + g is the residual of the y rows times D = kappa / rho^2, which
+    is large on a nearly active coupling row, so the step ends with one
+    refinement of H d = -g (Skeel 1980; Higham 2002, ch. 12), its
+    residual formed with y = D A_C d exactly.  sums is overwritten.
     """
-    m, nb = len(prob.rest), len(prob.t_idx)
-    flat = hess.reshape(-1)
-    h, h_tt = flat[prob.link_at], flat[prob.tt_at]
-    g_t = grad[prob.t_idx]
-    scaled = h / h_tt[prob.link_t]
-    flat[prob.upd_at] -= np.bincount(prob.upd_slot, h[prob.upd_l] * scaled[prob.upd_r],
-                                     len(prob.upd_at))
-    g_r = grad[prob.rest] - np.bincount(prob.link_p, scaled * g_t[prob.link_t], m)
-    d_r = _newton_direction(hess[:m, :m], g_r)
-    d = np.empty(len(grad))
-    d[prob.rest] = d_r
-    d[prob.t_idx] = -(g_t + np.bincount(prob.link_t, h * d_r[prob.link_p], nb)) / h_tt
-    return d
+    prob, plan = point.prob, point.prob.border
+    values, nb, size, nf = point.values, plan.nb, plan.size, plan.nf
+    n_g = len(plan.outer)
+    k_circ = np.ones(nb) if kappa is None else kappa[plan.circuits]
+    other = sums[:plan.e0]
+    delta = other.copy()
+    delta[plan.c_at] += values[prob.hc_at] * k_circ[prob.blk]
+    pivot = np.bincount(prob.blk, prob.lam * other[plan.c_at] / delta[plan.c_at], nb)
+    uw = np.zeros(2 * plan.e0)  # u and w of each block, (nb, 2, size)
+    uw[plan.u_in_uw] = values[prob.u_at]
+    uw[plan.w_in_uw] = np.sqrt(values[prob.u_at][:len(prob.c_idx)] * values[prob.psi_at])
+    uw = uw.reshape(nb, 2, size)
+    delta = delta.reshape(nb, size)
+    uw_d = uw / delta[:, None, :]
+    k1 = np.einsum("bs,bks->bk", uw[:, 0], uw_d)  # u'Delta^-1 u, u'Delta^-1 w
+    k11 = 1.0 / k_circ + k1[:, 0]
+    k_inv = np.empty((nb, 4))
+    k_inv[:, 0] = -pivot / k_circ
+    k_inv[:, 1] = k_inv[:, 2] = -k1[:, 1]
+    k_inv[:, 3] = k11
+    k_inv /= (-(k11 * pivot / k_circ + k1[:, 1] * k1[:, 1]))[:, None]  # det K
+    b_inv = -uw_d.transpose(0, 2, 1) @ (k_inv.reshape(nb, 2, 2) @ uw_d)
+    b_inv.reshape(nb, size * size)[:, ::size + 1] += 1.0 / delta
+
+    stacked = sums[plan.e0:plan.f0].reshape(nb, size, nf + 1)  # [E | -g_B]
+    e = stacked.reshape(nb * size, nf + 1)[:, :nf]
+    z = (b_inv @ stacked).reshape(nb * size, nf + 1)
+    rho = point.rho[plan.coupling]
+    stiff = 1.0 / (rho * rho) if kappa is None else kappa[plan.coupling] / (rho * rho)
+    border = sums[plan.f0:].reshape(nf, nf + 1)  # [F | -g_F less tau obj]
+    border.flat[plan.y_diag] = -1.0 / stiff
+    schur = border - e.T @ z
+    scale = 1.0 / np.sqrt(np.abs(schur[:, :nf]).max(axis=1))
+    scaled = schur[:, :nf] * scale * scale[:, None]
+    try:
+        s_inv = np.linalg.inv(scaled)
+    except np.linalg.LinAlgError:
+        raise st.NumericalError("singular Newton system") from None
+
+    def border_solve(r):  # S x = r, refined once
+        r = scale * r
+        x = s_inv @ r
+        return scale * (x + s_inv @ (r - scaled @ x))
+
+    d_f = border_solve(schur[:, nf] - tau * plan.obj)
+    d_b = z[:, nf] - z[:, :nf] @ d_f
+    # One refinement of H d = -g, with y = D A_C d.
+    e_d = e.T @ d_b
+    d_f[n_g:] = stiff * (e_d[n_g:] + border[n_g:, :n_g] @ d_f[:n_g])
+    along = np.einsum("bks,bs->bk", uw, d_b.reshape(nb, size)) * k_circ[:, None] * _PLUS_MINUS
+    h_b = delta * d_b.reshape(nb, size) + np.einsum("bk,bks->bs", along, uw)
+    r_b = (stacked[:, :, nf] - h_b).reshape(-1) - e @ d_f
+    r_f = np.zeros(nf)
+    r_f[:n_g] = border[:n_g, nf] - tau * plan.obj[:n_g] - border[:n_g, :nf] @ d_f - e_d[:n_g]
+    z_r = (b_inv @ r_b.reshape(nb, size, 1)).reshape(-1)
+    fix_f = border_solve(r_f - e.T @ z_r)
+    return np.concatenate([d_f[:n_g] + fix_f[:n_g], d_b + z_r - z[:, :nf] @ fix_f])[plan.order]
 
 
 def _fraction_to_boundary(rate: np.ndarray) -> float:
@@ -500,9 +637,9 @@ def _center(
     for _ in range(MAX_INNER):
         if duals is not None:
             kappa = duals * point.joined
-        grad, hess = _grad_hess(point, tau, kappa)
-        d = (_newton_direction(hess, grad) if prob.rest is None
-             else _reduced_direction(prob, hess, grad))
+        grad, system = _grad_hess(point, tau, kappa)
+        d = (_newton_direction(system, grad) if prob.border is None
+             else _block_direction(point, system, tau, kappa))
         previous, decrement = decrement, -float(grad @ d)
         if abs(decrement) <= stop or abs(previous) <= abs(decrement) <= _stall_tolerance(tau):
             converged = True

@@ -53,8 +53,13 @@ def select_bound_exponents(
     cover every inner term via the explicit weights lambda_i = beta_i/a_i.
 
     uniform: one shared a = smallest even integer >= max total degree of
-    the inner terms.  per-variable: start from per-coordinate maxima and
-    double entries until sum_i beta_i/a_i <= 1 for every inner term.
+    the inner terms, plus 2 where a term other than a corner a*e_i has
+    total degree a and no point of the instance lies beyond degree a.
+    Such a term lies on the face of conv(0, a*e_1, ..., a*e_n) opposite
+    the origin, and no candidate lifts it off that face, so its cover
+    would carry no origin weight, which the exact repair needs.
+    per-variable: start from per-coordinate maxima and double entries
+    until sum_i beta_i/a_i <= 1 for every inner term.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown exponent strategy {strategy!r}")
@@ -64,6 +69,9 @@ def select_bound_exponents(
 
     if strategy == UNIFORM:
         a = _smallest_even_at_least(max(sum(b) for b in inner))
+        top = max(sum(e) for poly in (inst.objective, *inst.constraints) for e in poly)
+        if top <= a and any(sum(b) == a and max(b) < a for b in inner):
+            a += 2
         return (a,) * inst.n
 
     a = [_smallest_even_at_least(max(b[i] for b in inner)) for i in range(inst.n)]

@@ -465,9 +465,17 @@ class TestKktGradient:
         assert checked == reported and len(reported) >= 150
 
 
-def _eliminating(monkeypatch, build, model):
-    """build(model) with the t elimination allowed at every model size."""
-    monkeypatch.setattr(barrier, "T_ELIMINATION_MIN_NVAR", 0)
+def _dense_twin(monkeypatch, build, model):
+    """build(model) with the dense Newton system at every model size."""
+    monkeypatch.setattr(barrier, "BLOCK_MIN_NVAR", model.nvar + 1)
+    prob = build(model)
+    monkeypatch.undo()
+    return prob
+
+
+def _blocked(monkeypatch, build, model):
+    """build(model) with the block path at every model size."""
+    monkeypatch.setattr(barrier, "BLOCK_MIN_NVAR", 0)
     prob = build(model)
     monkeypatch.undo()
     return prob
@@ -481,11 +489,17 @@ def wide_models():
 
 
 def _path_points(prob, model, taus):
-    """(tau, point) loosely centered at each tau in turn from the constructive start."""
-    point = barrier._Point(prob, barrier._constructive_start(model))
+    """(tau, point, kappa) loosely centered at each tau in turn from the
+    constructive start, the centerings after the first weighted by the
+    carried duals as in _path_follow; kappa is the next step's weights."""
+    point, duals, last = barrier._Point(prob, barrier._constructive_start(model)), None, None
     for tau in taus:
-        point = barrier._center(point, tau, barrier.LONG_STEP_DECREMENT)[0]
-        yield tau, point
+        if duals is not None:
+            duals = duals * (tau / last)
+        point, _, _, _, duals = barrier._center(point, tau, barrier.LONG_STEP_DECREMENT,
+                                                duals=duals)
+        last = tau
+        yield tau, point, duals * point.joined
 
 
 def _ld_residual(hess, grad, d):
@@ -494,73 +508,150 @@ def _ld_residual(hess, grad, d):
     return float(np.abs(hess.astype(ld) @ d.astype(ld) + grad).max() / np.abs(grad).max())
 
 
-class TestTElimination:
-    """Large phase-2 models eliminate the diagonal t block before the
-    dense solve; everything else solves the full Newton system."""
+def _block_step(point, tau, kappa=None):
+    """(gradient, Newton step) of the block path at point."""
+    grad, sums = barrier._grad_hess(point, tau, kappa)
+    return grad, barrier._block_direction(point, sums, tau, kappa)
 
-    @staticmethod
-    def _assert_permuted(full, reduced, z):
-        assert full.rest is None and reduced.rest is not None
-        perm = np.concatenate([reduced.rest, reduced.t_idx])
-        for tau in (1.0, 1e4):
-            grad, hess = barrier._grad_hess(barrier._Point(full, z), tau)
-            grad_t, hess_t = barrier._grad_hess(barrier._Point(reduced, z), tau)
-            assert np.array_equal(grad_t, grad)
-            assert np.array_equal(hess_t, hess[np.ix_(perm, perm)])
+
+def _assert_matches_dense(dense, point, tau, kappa=None):
+    """The block step at point against the dense LU of the same Hessian:
+    the same gradient bit for bit, and a long-double residual within 10x
+    of the LU's or below 1e-11.  Along the wide models' paths the LU
+    reads 3e-16 to 3e-14 and the block step 4e-16 to 1.1e-12, the
+    largest at tau = 1e8 under dual weights."""
+    grad, hess = barrier._grad_hess(barrier._Point(dense, point.z), tau, kappa)
+    grad_b, d = _block_step(point, tau, kappa)
+    assert grad_b.tobytes() == grad.tobytes()
+    d_dense = np.linalg.solve(hess, -grad)
+    assert _ld_residual(hess, grad, d) <= max(10.0 * _ld_residual(hess, grad, d_dense), 1e-11)
+    return d, d_dense
+
+
+class TestBlockElimination:
+    """Large models eliminate every circuit block and solve a small
+    border (_BlockPlan); every model below BLOCK_MIN_NVAR variables
+    solves the dense Newton system."""
+
+    @pytest.mark.parametrize("k", range(2))
+    def test_matches_dense_solve(self, wide_models, monkeypatch, k):
+        model = wide_models[k]
+        prob = barrier._phase2_problem(model)
+        dense = _dense_twin(monkeypatch, barrier._phase2_problem, model)
+        assert prob.border is not None and dense.border is None
+        for tau, point, kappa in _path_points(prob, model, (1.0, 1e2, 1e4, 1e6, 1e8)):
+            for weights in (None, kappa):
+                d, d_dense = _assert_matches_dense(dense, point, tau, weights)
+                if tau <= 1e4:  # beyond, the condition number sets the difference
+                    assert np.linalg.norm(d - d_dense) <= 1e-9 * np.linalg.norm(d_dense)
 
     @pytest.mark.parametrize("k", range(3))
-    def test_t_last_plan_is_permuted_hessian(self, circuit_models, monkeypatch, k):
+    def test_plan_is_the_dense_hessian(self, circuit_models, monkeypatch, k):
+        """The block plan's parts, the blocks' closed form and the coupling
+        rows' kappa a a^T / rho^2 put together give the dense Hessian."""
         model = circuit_models[k]
-        reduced = _eliminating(monkeypatch, barrier._phase2_problem, model)
-        self._assert_permuted(barrier._phase2_problem(model), reduced, _phase2_point(model))
+        for build, z in ((barrier._phase2_problem, _phase2_point(model)),
+                         (barrier._phase1_problem, _phase1_point(model))):
+            prob, dense = _blocked(monkeypatch, build, model), build(model)
+            plan, nvar = prob.border, model.nvar
+            kappa = np.random.default_rng(k).uniform(0.5, 2.0, int(prob.num_terms))
+            point = barrier._Point(prob, z)
+            grad, sums = barrier._grad_hess(point, 3.0, kappa)
+            want_grad, want = barrier._grad_hess(barrier._Point(dense, z), 3.0, kappa)
+            assert grad.tobytes() == want_grad.tobytes()
+            values, k_circ = point.values, kappa[plan.circuits]
+            hess = np.zeros((nvar, nvar))
+            circ, outer = prob.u_var, plan.outer
+            diag = sums[:plan.e0][plan.circ_at]
+            hess[circ, circ] = diag
+            hess[prob.c_idx, prob.c_idx] += values[prob.hc_at] * k_circ[prob.blk]
+            u = np.zeros(nvar)
+            u[prob.u_var] = values[prob.u_at]
+            w = np.zeros(nvar)
+            w[prob.c_idx] = np.sqrt(values[prob.u_at][:len(prob.c_idx)] * values[prob.psi_at])
+            owner = plan.block
+            for b in range(plan.nb):
+                at = np.flatnonzero(owner == b)
+                hess[np.ix_(at, at)] += k_circ[b] * (np.outer(u[at], u[at]) - np.outer(w[at], w[at]))
+            stacked = sums[plan.e0:plan.f0].reshape(-1, plan.nf + 1)
+            e = stacked[plan.circ_at][:, :len(outer)]
+            hess[np.ix_(circ, outer)] = e
+            hess[np.ix_(outer, circ)] = e.T
+            border = sums[plan.f0:].reshape(plan.nf, plan.nf + 1)
+            hess[np.ix_(outer, outer)] = border[:len(outer), :len(outer)]
+            for row in plan.coupling:
+                a = prob.rows[row]
+                hess += kappa[row] * np.outer(a, a) / point.rho[row] ** 2
+            np.testing.assert_allclose(hess, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            assert len(plan.coupling) == sum(
+                np.count_nonzero(plan.block[np.flatnonzero(r)] >= 0) > 1 for r in prob.rows)
+
+    def test_row_with_two_ts_is_a_coupling_row(self, wide_models, monkeypatch):
+        model = wide_models[0]
+        t0, t1 = model.blocks[0].t_index, model.blocks[1].t_index
+        row = np.zeros(model.nvar)
+        row[[t0, t1]] = -1.0
+        z = barrier._constructive_start(model)
+        bound = 2.0 * (z[t0] + z[t1]) + 1e3  # slack at the start, never binding
+        wider = dataclasses.replace(model, rows=np.vstack([model.rows, row]),
+                                    rhs=np.append(model.rhs, bound),
+                                    row_labels=model.row_labels + ("t0 + t1",))
+        prob = barrier._phase2_problem(wider)
+        assert len(model.rows) in prob.border.coupling
+        dense = _dense_twin(monkeypatch, barrier._phase2_problem, wider)
+        for tau, point, kappa in _path_points(prob, wider, (1.0, 1e2, 1e4)):
+            _assert_matches_dense(dense, point, tau, kappa)
+        res, base = solve_relaxation(wider), solve_relaxation(model)
+        assert res.status == base.status == st.OPTIMAL
+        assert res.gamma == pytest.approx(base.gamma, rel=1e-7)
+
+    def test_phase1_on_a_large_model(self, wide_models, monkeypatch):
+        model = wide_models[0]
+        prob = barrier._phase1_problem(model)
+        radius = len(prob.rhs) - 1
+        assert radius in prob.border.coupling
+        dense = _dense_twin(monkeypatch, barrier._phase1_problem, model)
+        point = barrier._Point(prob, barrier._phase1_start(prob, model.gamma_index))
+        for tau in (1.0, 1e2):
+            point = barrier._center(point, tau, 0.1)[0]
+            _assert_matches_dense(dense, point, tau)
+        z, stat, message, steps = barrier._phase1(model)
+        assert stat == st.OPTIMAL, message
+        assert barrier._Point(barrier._phase2_problem(model), z).margin > 0.0 and steps > 0
 
     def test_which_path(self, circuit_models, wide_models, monkeypatch):
         for model in circuit_models:
-            assert model.nvar < barrier.T_ELIMINATION_MIN_NVAR
-            assert barrier._phase2_problem(model).rest is None
-            # phase 1's radius row holds every t
-            assert _eliminating(monkeypatch, barrier._phase1_problem, model).rest is None
+            assert model.nvar < barrier.BLOCK_MIN_NVAR
+            assert barrier._phase2_problem(model).border is None
+            assert barrier._phase1_problem(model).border is None
         for model in wide_models:
-            assert model.nvar >= barrier.T_ELIMINATION_MIN_NVAR
+            assert model.nvar >= barrier.BLOCK_MIN_NVAR
             prob = barrier._phase2_problem(model)
-            assert len(prob.rest) == model.nvar - len(model.blocks)
-            assert barrier._phase1_problem(model).rest is None
+            # gamma, one mu, six nu, and the origin and six vertex rows
+            assert prob.border.nf == 15 and len(prob.border.coupling) == 7
+            assert barrier._phase1_problem(model).border is not None
         calls = []
-        reduced = barrier._reduced_direction
-        monkeypatch.setattr(barrier, "_reduced_direction",
-                            lambda *args: calls.append(1) or reduced(*args))
+        block = barrier._block_direction
+        monkeypatch.setattr(barrier, "_block_direction",
+                            lambda *args: calls.append(1) or block(*args))
         start = barrier._Point(prob, barrier._constructive_start(model))
         _, _, steps, _, _ = barrier._center(start, 1.0, 0.1)
         assert len(calls) == steps + 1 > 1
 
-    @pytest.mark.parametrize("k", range(2))
-    def test_matches_full_solve(self, wide_models, k):
-        model = wide_models[k]
-        prob = barrier._phase2_problem(model)
-        perm = np.concatenate([prob.rest, prob.t_idx])
-        for tau, point in _path_points(prob, model, (1.0, 1e2, 1e4, 1e6, 1e8)):
-            grad, hess = barrier._grad_hess(point, tau)  # P H P^T
-            d_full = np.linalg.solve(hess, -grad[perm])
-            d = barrier._reduced_direction(prob, hess.copy(), grad)[perm]
-            if tau <= 1e4:  # beyond, the condition number sets the difference
-                assert np.linalg.norm(d - d_full) <= 1e-9 * np.linalg.norm(d_full)
-            full_residual = max(_ld_residual(hess, grad[perm], d_full), 1e-16)
-            assert _ld_residual(hess, grad[perm], d) <= 10.0 * full_residual
-
-    def test_singular_reduced_system_is_shifted(self, wide_models):
-        model = wide_models[0]
-        prob = barrier._phase2_problem(model)
-        z = barrier._constructive_start(model)
-        grad, hess = barrier._grad_hess(barrier._Point(prob, z), 1.0)
-        g = model.gamma_index  # kept, and no t's neighbour: its place is its index
-        assert prob.rest[g] == g and g not in prob.link_p
-        hess[g, :] = hess[:, g] = 0.0
-        m = len(prob.rest)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(hess[:m, :m], -grad[prob.rest])
-        d = barrier._reduced_direction(prob, hess, grad)
-        assert np.isfinite(d).all()
-        assert d[g] == pytest.approx(-grad[g] / 1e-10, rel=1e-9)
+    def test_small_models_stay_dense(self):
+        """Every model of the acceptance and high-degree corpora, in both
+        phases, is below BLOCK_MIN_NVAR and keeps the dense system."""
+        insts = [acceptance_instance(i) for i in range(100)] + [
+            generate_instance(seed, n=n, m=m, max_degree=degree)
+            for n, degree, m in ((2, 8, 1), (4, 8, 2), (1, 12, 0)) for seed in range(20)]
+        sizes = []
+        for inst in insts:
+            model = solve_instance(inst).model
+            if model is None:
+                continue
+            sizes.append(model.nvar)
+            assert barrier._phase2_problem(model).border is None
+        assert len(sizes) >= 150 and max(sizes) < barrier.BLOCK_MIN_NVAR
 
 
 def _max_step_from_z(prob, z, d):

@@ -8,10 +8,12 @@ from soncbound.covers import (
     make_bound_constraints,
     select_bound_exponents,
 )
+from soncbound.certify import sample_soundness_check, strict_gamma_float
 from soncbound.generator import generate_instance
 from soncbound.geometry import CoverUnavailable
+from soncbound.pipeline import solve_instance
 from soncbound.relaxation import assemble_lagrangian
-from soncbound.status import NumericalError
+from soncbound.status import OPTIMAL, NumericalError
 
 from builders import make_inst
 
@@ -20,9 +22,10 @@ class TestSelectExponents:
     def test_uniform_degree_four(self):
         inst = make_inst(n=2, lower=(-1, -1), upper=(1, 1), objective=(((2, 2), -1.0),))
         a = select_bound_exponents(inst, {(2, 2)}, UNIFORM)
-        assert a == (4, 4)
-        # explicit construction: 2/4 + 2/4 = 1 <= 1
-        assert sum(b / ai for b, ai in zip((2, 2), a)) <= 1.0
+        # total degree 4 would put (2,2) on the face of conv(0, 4e_1, 4e_2)
+        assert a == (6, 6)
+        # explicit construction: 2/6 + 2/6 < 1, origin weight 1/3
+        assert sum(b / ai for b, ai in zip((2, 2), a)) < 1.0
 
     def test_uniform_linear(self):
         inst = make_inst()
@@ -31,8 +34,35 @@ class TestSelectExponents:
     def test_uniform_mixed(self):
         inst = make_inst(n=2, lower=(-1, -1), upper=(1, 1), objective=(((3, 1), 1.0),))
         a = select_bound_exponents(inst, {(3, 1)}, UNIFORM)
-        assert a == (4, 4)
-        assert 3 / 4 + 1 / 4 == 1.0
+        assert a == (6, 6)  # at (4, 4), 3/4 + 1/4 = 1 leaves no origin weight
+        assert 3 / 6 + 1 / 6 < 1.0
+
+    def test_uniform_corner_keeps_its_degree(self):
+        # a negative pure power a*e_i is a corner of the simplex, not a face term
+        inst = make_inst(n=2, lower=(-1, -1), upper=(1, 1), objective=(((4, 0), -1.0),))
+        assert select_bound_exponents(inst, {(4, 0), (1, 1)}, UNIFORM) == (4, 4)
+        assert select_bound_exponents(inst, {(4, 0), (2, 2)}, UNIFORM) == (6, 6)
+        assert select_bound_exponents(inst, {(3, 0)}, UNIFORM) == (4,) * 2
+
+    def test_uniform_face_term_lifted_by_a_higher_vertex(self):
+        # Motzkin: (4,2) and (2,4) lie beyond the face x + y = 4, so (2,2)
+        # keeps origin weight 1/3 at a = 4, and a larger a only loosens the bound
+        inst = make_inst(n=2, lower=(-2, -2), upper=(2, 2),
+                         objective=(((4, 2), 1.0), ((2, 4), 1.0), ((2, 2), -3.0), ((0, 0), 1.0)))
+        assert select_bound_exponents(inst, {(2, 2)}, UNIFORM) == (4, 4)
+
+    def test_face_term_is_certified(self):
+        # x^4 + y^4 - x^2 y^2 + xy on [-1, 1]^2: at a = 4 the cover of (2, 2)
+        # has no origin weight and the repair fails; a = 6 gives 1/3 each
+        inst = make_inst(n=2, lower=(-1, -1), upper=(1, 1),
+                         objective=(((4, 0), 1.0), ((0, 4), 1.0), ((2, 2), -1.0), ((1, 1), 1.0)))
+        res = solve_instance(inst)
+        assert res.bound_exponents == (6, 6)
+        assert res.status == OPTIMAL, res.message
+        assert res.gamma_certified == pytest.approx(-2.0000016, abs=1e-6)
+        assert strict_gamma_float(res.model, res.certificate) <= res.gamma_certified
+        assert res.gamma_certified <= res.gamma_solver
+        assert sample_soundness_check(inst, res.gamma_certified).ok()
 
     def test_per_variable_covers_all(self):
         inst = make_inst(n=2, lower=(-1, -1), upper=(1, 1), objective=(((3, 1), 1.0),))

@@ -62,13 +62,14 @@ class TestSolveInstance:
         assert res.gamma_certified <= res.gamma_solver + 1e-9
 
     def test_repair_failure_demotes_to_numerical_error(self):
-        # (2,2) covered only through the (4,0)-(0,4) face: repair impossible
+        # at a = 4, (2,2) is covered only through the (4,0)-(0,4) face:
+        # repair impossible (the default exponents take a = 6)
         inst = inst_from({
             "n": 2,
             "objective": [[[4, 0], 1.0], [[0, 4], 1.0], [[2, 2], -1.0], [[0, 0], 1.0]],
             "constraints": [], "lower": [-1, -1], "upper": [1, 1],
         })
-        res = solve_instance(inst)
+        res = solve_instance(inst, PipelineOptions(exponents=(4, 4)))
         assert res.status == st.NUMERICAL_ERROR
         assert "certification failed" in res.message
         assert res.gamma_solver is not None  # the uncertified bound is still reported
@@ -213,7 +214,7 @@ class TestNodeResultsReused:
             "constraints": [], "lower": [-1, -1], "upper": [1, 1],
         })
         solves = count_calls(monkeypatch, pipeline, "solve_relaxation")
-        root = prepare_root(inst, PipelineOptions())
+        root = prepare_root(inst, PipelineOptions(exponents=(4, 4)))
         first = solve_on_box(root, (-1.0, -1.0), (1.0, 1.0))
         again = solve_on_box(root, (-1.0, 0.0), (1.0, 1.0))
         assert len(solves) == 1
