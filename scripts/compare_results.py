@@ -24,7 +24,11 @@ subprocess with only its own `src/` imported:
   (2, 2) would lie on the face of conv(0, 4e_1, 4e_2) at the bound
   exponent 4, so the uniform rule takes 6) and constraints with a
   vanishing constant term, whose multipliers may have a recession
-  direction; x^7 - x on ±1000 also runs through `solve_bnb`.
+  direction; x^7 - x on ±1000 also runs through `solve_bnb`;
+* a generic B&B corpus: the first GENERIC_BNB_RUNS with-bcs instances
+  of the `acceptance` corpus, each a `solve_bnb` run at the benchmark's
+  node budget, where splits lower the big-M values and node relaxations
+  start warm from their parent's path.
 
 The corpora are read from this script's tree and built with each tree's
 generator, so both sides solve the same instances.  Nothing in either
@@ -41,10 +45,12 @@ whose status, message or Newton step count differ, or whose solver
 gamma, certified gamma or stationarity residual differ in any bit.  A
 status change lists both residuals of each side.  A second table counts
 the solves that started from the constructive point, from phase 1 (with
-how many of those ended optimal) and from neither.  For each B&B run it
-says whether nodes, status, error nodes, relaxations_solved, incumbents
-and every record's id, depth and status are equal, how far the bounds
-moved and how many LPs each side solved.
+how many of those ended optimal), warm from a path, and from neither.
+For each benchmark B&B run it says whether nodes, status, error nodes,
+relaxations_solved, incumbents and every record's id, depth and status
+are equal, how far the bounds moved, and how many LPs, Newton steps and
+warm starts each side's relaxations took; for the generic corpus it
+sums the same over its runs.
 
     python scripts/compare_results.py PARENT_TREE CHANGE_TREE
 
@@ -114,6 +120,7 @@ BNB_EDGE_NODES = 30
 BNB_SEED = 1
 WIDE_SEEDS = range(1, 9)
 HIGHDEG_SEEDS = (100, 200)
+GENERIC_BNB_RUNS = 20
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -145,6 +152,11 @@ def _bnb_runs(sb, workloads):
             for it in w.build(sb, w.corpus_seed)}
     runs["x^7-x/1000"] = (sb.parse_instance(json.dumps(EDGE_CASES["x^7-x/1000"])),
                           sb.PipelineOptions(), dict(max_nodes=BNB_EDGE_NODES, seed=BNB_SEED))
+    w = workloads.WORKLOADS["acceptance"]
+    with_bcs = [it for it in w.build(sb, w.corpus_seed) if it.latency][:GENERIC_BNB_RUNS]
+    runs.update({f"generic/{it.key}": (it.inst, it.options,
+                                       dict(max_nodes=workloads.BNB_NODES, gap_tol=gap_tol,
+                                            seed=BNB_SEED)) for it in with_bcs})
     return runs
 
 
@@ -193,12 +205,23 @@ def collect(tree: Path) -> dict:
                                 kkt_ld=ld_residual(res.model, solve),
                                 start=solve.start if solve else "",
                                 lps=lp_calls[0], warnings=len(caught))
+    relaxations = Counter()  # Newton steps and warm starts of a B&B run's relaxations
+    solve_relaxation = sb.pipeline.solve_relaxation
+
+    def counted_solve_relaxation(*args, **kwargs):
+        res = solve_relaxation(*args, **kwargs)
+        relaxations["newton"] += res.iterations
+        relaxations["warm"] += res.start == "warm"
+        return res
+
+    sb.pipeline.solve_relaxation = counted_solve_relaxation
     for key, (inst, options, kwargs) in _bnb_runs(sb, workloads).items():
         lp_calls[0] = 0
+        relaxations.clear()
         res = sb.solve_bnb(inst, options, **kwargs)
         out["bnb"][key] = dict(
             {f: getattr(res, f) for f in BNB_FIELDS}, lower_bound=res.lower_bound,
-            lps=lp_calls[0],
+            lps=lp_calls[0], newton=relaxations["newton"], warm=relaxations["warm"],
             records=[[r.node_id, r.depth, r.status, r.parent_bound, r.computed_bound,
                       r.effective_bound] for r in res.records])
     return out
@@ -326,9 +349,10 @@ def compare_solves(parent: dict, change: dict) -> list[str]:
 def compare_starts(parent: dict, change: dict) -> None:
     """Print, per corpus, how many solves started from the constructive
     point, how many from phase 1 (and of those, how many ended optimal),
-    and how many started neither (no model, or one infeasible as built)."""
+    how many warm from a path, and how many started none of these (no
+    model, or one infeasible as built)."""
     print(f"{'corpus':13s} {'constructive P -> C':>20s} {'phase-1 (optimal) P -> C':>26s} "
-          f"{'no start P -> C':>16s}")
+          f"{'warm P -> C':>12s} {'no start P -> C':>16s}")
     for corpus, prec in parent.items():
         cells = []
         for side in (prec, change[corpus]):
@@ -336,28 +360,67 @@ def compare_starts(parent: dict, change: dict) -> None:
             phase1_opt = sum(r["start"] == "phase-1" and r["status"] == OPTIMAL
                              for r in side.values())
             cells.append((starts["constructive"], f"{starts['phase-1']} ({phase1_opt})",
-                          len(side) - starts["constructive"] - starts["phase-1"]))
-        (pc, pp, pn), (cc, cp, cn) = cells
-        print(f"{corpus:13s} {f'{pc} -> {cc}':>20s} {f'{pp} -> {cp}':>26s} {f'{pn} -> {cn}':>16s}")
+                          starts["warm"], len(side) - starts["constructive"]
+                          - starts["phase-1"] - starts["warm"]))
+        (pc, pp, pw, pn), (cc, cp, cw, cn) = cells
+        print(f"{corpus:13s} {f'{pc} -> {cc}':>20s} {f'{pp} -> {cp}':>26s} "
+              f"{f'{pw} -> {cw}':>12s} {f'{pn} -> {cn}':>16s}")
+
+
+def _bnb_bounds(p: dict, c: dict) -> list[tuple[float, float]]:
+    """The global bound and every node bound that both sides computed."""
+    return [(p["lower_bound"], c["lower_bound"])] + [
+        (x, y) for pr, cr in zip(p["records"], c["records"])
+        for x, y in zip(pr[3:], cr[3:]) if x is not None and y is not None]
+
+
+def _same_records(p: dict, c: dict) -> bool:
+    """Whether two runs popped the same nodes: every record's id, depth and status."""
+    return [r[:3] for r in p["records"]] == [r[:3] for r in c["records"]]
+
+
+def _pc(p: dict, c: dict, field: str) -> str:
+    """field of both sides, as "P -> C"."""
+    return f"{p[field]:,} -> {c[field]:,}"
 
 
 def compare_bnb(parent: dict, change: dict) -> list[str]:
     """Print the B&B comparison; return the nodes that leave optimal."""
     left = []
+    generic = []
     for key, p in parent.items():
         c = change[key]
-        differ = [f"{f} {p[f]!r} -> {c[f]!r}" for f in BNB_FIELDS if p[f] != c[f]]
-        same_records = ([r[:3] for r in p["records"]] == [r[:3] for r in c["records"]])
         left += [f"bnb {key} node {pr[0]}" for pr, cr in zip(p["records"], c["records"])
                  if pr[2] == OPTIMAL and cr[2] != OPTIMAL]
-        bounds = [(p["lower_bound"], c["lower_bound"])] + [
-            (x, y) for pr, cr in zip(p["records"], c["records"])
-            for x, y in zip(pr[3:], cr[3:]) if x is not None and y is not None]
-        drift = max(_drift(x, y)[0] for x, y in bounds)
+        if key.startswith("generic/"):
+            generic.append((p, c))
+            continue
+        differ = [f"{f} {p[f]!r} -> {c[f]!r}" for f in BNB_FIELDS if p[f] != c[f]]
+        same_records = _same_records(p, c)
+        drift = max(_drift(x, y)[0] for x, y in _bnb_bounds(p, c))
         print(f"bnb {key}: {'all fields equal' if not differ else '; '.join(differ)}; "
               f"records (id, depth, status) {'equal' if same_records else 'DIFFER'}; "
               f"nodes {p['nodes']}, lower bound {p['lower_bound']!r} -> {c['lower_bound']!r}, "
-              f"largest relative bound drift {drift:.2e}, LPs {p['lps']} -> {c['lps']}")
+              f"largest relative bound drift {drift:.2e}, LPs {_pc(p, c, 'lps')}, "
+              f"Newton steps {_pc(p, c, 'newton')}, warm starts {_pc(p, c, 'warm')}")
+    if generic:
+        sums = [{f: sum(run[f] for run in runs) for f in
+                 ("nodes", "error_nodes", "relaxations_solved", "newton", "warm")}
+                for runs in zip(*generic)]
+        statuses = [sorted(Counter(r[2] for run in runs for r in run["records"]).items())
+                    for runs in zip(*generic)]
+        fields = sum(any(p[f] != c[f] for f in BNB_FIELDS) for p, c in generic)
+        aligned = [(p, c) for p, c in generic if _same_records(p, c)]
+        moved = sum(p["lower_bound"] != c["lower_bound"] for p, c in generic)
+        drift = max((_drift(x, y)[1] for p, c in aligned for x, y in _bnb_bounds(p, c)),
+                    default=0.0)
+        print(f"bnb generic ({len(generic)} runs, {_pc(*sums, 'nodes')} nodes): "
+              f"runs with a field changed {fields}; runs whose records (id, depth, status) "
+              f"differ {len(generic) - len(aligned)}; record statuses {statuses[0]} -> "
+              f"{statuses[1]}; error nodes {_pc(*sums, 'error_nodes')}; lower bounds moved "
+              f"{moved}; largest bound drift / (1 + |bound|) where records match {drift:.2e}; "
+              f"relaxations {_pc(*sums, 'relaxations_solved')}; "
+              f"Newton steps {_pc(*sums, 'newton')}; warm starts {_pc(*sums, 'warm')}")
     return left
 
 

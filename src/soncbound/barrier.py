@@ -6,7 +6,8 @@ enters a logarithmic barrier: -log of a positive concave function is
 convex, so each centering step is a damped Newton method.  The path
 starts from a closed-form constructive point; where that point is
 missing or not strictly feasible, phase 1 supplies one.  Either point
-is used as it is.
+is used as it is.  A solve given an earlier result of a model of the
+same shape may instead start warm, on that result's path (below).
 
 The barrier carries the model's own constraints, each at unit weight,
 in three families of terms evaluated for all of their members at once:
@@ -97,6 +98,21 @@ acceptance corpus took 2,508 Newton steps this way where unit weights
 took 3,836; from CANNED_EPS = 0.1 it takes 2,259, 1,012 of them in the
 first centering.
 
+Warm starts (Yildirim & Wright 2002; Gondzio & Grothey 2008): each
+phase-2 outer centering leaves a PathPoint (tau, z, the carried duals
+y, the origin budget's slack) on the result's path.  A branch-and-bound
+node's model differs from its parent's only in the big-M constants,
+which enter the origin budget and nu's coefficients.  _enter_path tries
+the parent's points from the largest tau down: it keeps z but for
+gamma, which it moves so that the origin budget keeps its old slack,
+and takes the first point that is strictly feasible and centered by
+the test _path_follow itself applies, a kappa-weighted Newton decrement
+at most LONG_STEP_DECREMENT at that tau.  The path is followed from
+there with the same duals.  Where no point passes, the solve is the
+cold one, bit for bit; a warm verdict is not retried cold.  On the
+non-localizing B&B instance x^2 - x^4 the last point passes, and the
+8 warm relaxations take 1 Newton step in all where each took 21 cold.
+
 All arithmetic is float64.  Where the path ends, at tau = num_terms /
 (tol_gap (1 + |gamma|)), the largest stationarity residual over the 138
 optimal solves of the benchmark's acceptance, wide and high-degree
@@ -113,6 +129,7 @@ Everything is deterministic: fixed iteration order, no randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,16 +146,20 @@ from .relaxation import RelaxationModel, geometric_mean, required_magnitude
 CANNED_EPS = 0.1
 START_CONSTRUCTIVE = "constructive"
 START_PHASE1 = "phase-1"
+START_WARM = "warm"
 
 PHASE1_RADIUS = 1e8  # phase 1 keeps the sign-bounded variables' sum below this
 
 # Models of at least this many variables solve the Newton system circuit
 # block by circuit block around a small border (_BlockPlan).  Measured per
 # Newton step (gradient, Hessian parts and direction, one BLAS thread,
-# 2-core x86-64): the block step takes 0.21-0.29 ms at every size from 42
-# to 239 variables, the dense one 0.12 ms at 74, 0.22-0.24 ms at 109-111
-# and 0.9-1.9 ms at 175-235.
-BLOCK_MIN_NVAR = 73
+# 2-core x86-64, 75 generated models of 73-116 variables, two runs): the
+# block step takes 0.13-0.17 ms at every size, the dense one 0.08-0.10 ms
+# at 73-79 variables, 0.15-0.16 ms at 107-110 and 0.16-0.18 ms at 113-116.
+# So the block step costs 1.4-1.8x the dense one below 80 variables,
+# 0.95-1.05x at 107-110 and 0.84-0.99x from 113; at 175-235 variables the
+# dense step took 0.9-1.9 ms.
+BLOCK_MIN_NVAR = 110
 
 # Newton decrement lambda^2 = -grad.d below which the full step needs no
 # line search.  With unit weights phi is standard self-concordant (M = 1):
@@ -159,6 +180,16 @@ class SolverOptions:
     tol_kkt: float = 1e-7  # scaled stationarity residual
 
 
+class PathPoint(NamedTuple):
+    """A centered point of a phase-2 path: its weight, the point, the
+    duals carried there and the origin budget's slack."""
+
+    tau: float
+    z: np.ndarray
+    duals: np.ndarray
+    budget_slack: float
+
+
 @dataclass(frozen=True)
 class SolveResult:
     status: str
@@ -174,7 +205,10 @@ class SolveResult:
     max_residual: float = float("inf")
     gamma_trace: tuple[float, ...] = ()
     message: str = ""
-    start: str = ""  # START_CONSTRUCTIVE or START_PHASE1; "" for a model infeasible as built
+    start: str = ""  # START_CONSTRUCTIVE, START_PHASE1 or START_WARM; "" if infeasible as built
+    # A PathPoint after each phase-2 outer centering, tau ascending: the
+    # central path that a warm start re-enters.
+    path: tuple[PathPoint, ...] = field(default=(), compare=False, repr=False)
 
 
 def _group_pairs(group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -569,6 +603,16 @@ def _block_direction(point: _Point, sums: np.ndarray, tau: float,
     return np.concatenate([d_f[:n_g] + fix_f[:n_g], d_b + z_r - z[:, :nf] @ fix_f])[plan.order]
 
 
+def _newton_step(point: _Point, tau: float,
+                 kappa: np.ndarray | None) -> tuple[np.ndarray, float]:
+    """(d, lambda^2): the Newton step at point, its Hessian weighted by
+    kappa where given, and its decrement -grad.d."""
+    grad, system = _grad_hess(point, tau, kappa)
+    d = (_newton_direction(system, grad) if point.prob.border is None
+         else _block_direction(point, system, tau, kappa))
+    return d, -float(grad @ d)
+
+
 def _fraction_to_boundary(rate: np.ndarray) -> float:
     """Largest step, capped at 1, along which quantities moving at the
     relative rates rate stay above 0.01 of their value: 0.99 over the
@@ -637,10 +681,8 @@ def _center(
     for _ in range(MAX_INNER):
         if duals is not None:
             kappa = duals * point.joined
-        grad, system = _grad_hess(point, tau, kappa)
-        d = (_newton_direction(system, grad) if prob.border is None
-             else _block_direction(point, system, tau, kappa))
-        previous, decrement = decrement, -float(grad @ d)
+        previous = decrement
+        d, decrement = _newton_step(point, tau, kappa)
         if abs(decrement) <= stop or abs(previous) <= abs(decrement) <= _stall_tolerance(tau):
             converged = True
             break
@@ -842,7 +884,8 @@ def _phase1(model: RelaxationModel) -> tuple[np.ndarray | None, str, str, int]:
 
 
 def _extract(model: RelaxationModel, point: _Point, stat: str, gap: float, kkt: float,
-             trace: list[float], steps: int, outers: int, message: str = "") -> SolveResult:
+             trace: list[float], steps: int, outers: int, path: list[PathPoint],
+             message: str = "") -> SolveResult:
     z = point.z
     c_vals: dict[Exponent, dict[int, float]] = {}
     t_vals: dict[Exponent, float] = {}
@@ -865,10 +908,12 @@ def _extract(model: RelaxationModel, point: _Point, stat: str, gap: float, kkt: 
         max_residual=max(0.0, -point.margin),
         gamma_trace=tuple(trace),
         message=message,
+        path=tuple(path),
     )
 
 
-def solve_relaxation(model: RelaxationModel, opts: SolverOptions | None = None) -> SolveResult:
+def solve_relaxation(model: RelaxationModel, opts: SolverOptions | None = None,
+                     warm: SolveResult | None = None) -> SolveResult:
     """Barrier path-following on the relaxation; maximizes gamma.
 
     Returns status optimal once the scaled stationarity residual is
@@ -876,36 +921,87 @@ def solve_relaxation(model: RelaxationModel, opts: SolverOptions | None = None) 
     infeasible when no strictly feasible point exists; numerical-error
     on iteration caps, divergence, line-search failure, or a singular
     Newton system.  The result's start names the start path taken.
+
+    warm, a result solved on a model of the same shape (another box of
+    one root), offers its path to re-enter (_enter_path); where no point
+    of it is centered for this model, the solve starts cold.
     """
     opts = opts or SolverOptions()
     if model.infeasible_reason is not None:
         return SolveResult(status=st.INFEASIBLE, message=model.infeasible_reason)
     prob = _phase2_problem(model)
-    start, steps = START_CONSTRUCTIVE, 0
-    z = _constructive_start(model)
+    start, steps, path = START_CONSTRUCTIVE, 0, ()
     try:
-        point = None if z is None else _Point(prob, z)
-        if point is None or not point.margin > 0.0:
-            start = START_PHASE1
-            z, stat, message, steps = _phase1(model)
-            if z is None:
-                return SolveResult(status=stat, iterations=steps, message=message,
-                                   start=start)
-            point = _Point(prob, z)
-            if not point.margin > 0.0:
-                raise st.NumericalError("the phase-1 point is not strictly feasible")
-        result = _path_follow(model, point, steps, opts)
+        entry = None if warm is None else _enter_path(model, prob, warm.path)
+        if entry is not None:
+            start = START_WARM
+            point, tau, duals, path = entry
+            result = _path_follow(model, point, 0, opts, tau, duals)
+        else:
+            z = _constructive_start(model)
+            point = None if z is None else _Point(prob, z)
+            if point is None or not point.margin > 0.0:
+                start = START_PHASE1
+                z, stat, message, steps = _phase1(model)
+                if z is None:
+                    return SolveResult(status=stat, iterations=steps, message=message,
+                                       start=start)
+                point = _Point(prob, z)
+                if not point.margin > 0.0:
+                    raise st.NumericalError("the phase-1 point is not strictly feasible")
+            result = _path_follow(model, point, steps, opts)
     except st.NumericalError as exc:
         result = SolveResult(status=st.NUMERICAL_ERROR, message=str(exc))
-    return replace(result, start=start)
+    return replace(result, start=start, path=path + result.path)
+
+
+def _budget_row(model: RelaxationModel) -> int:
+    """The origin budget: the one general row that gamma enters."""
+    return int(np.flatnonzero(model.rows[:, model.gamma_index])[0])
+
+
+def _enter_path(model: RelaxationModel, prob: _Barrier, path: tuple[PathPoint, ...]
+                ) -> tuple[_Point, float, np.ndarray, tuple[PathPoint, ...]] | None:
+    """The first point of path, from the largest tau down, that is
+    centered for this model: (point, tau, duals, the points below tau),
+    or None.
+
+    Each point keeps its c, t, mu and nu; gamma moves so that the origin
+    budget keeps the slack it had in its own model.  It must be strictly
+    feasible, and its Newton decrement at its tau, weighted by kappa =
+    y s from its duals y, at most LONG_STEP_DECREMENT: the test by which
+    _path_follow accepted it as centered.
+    """
+    if not path or len(path[0].z) != model.nvar or len(path[0].duals) != prob.num_terms:
+        return None  # no path, or one of a model of another shape
+    budget, gamma = _budget_row(model), model.gamma_index
+    for k in range(len(path) - 1, -1, -1):
+        tau, z, duals, slack = path[k]
+        z = z.copy()
+        z[gamma] += float(model.rows[budget] @ z + model.rhs[budget]) - slack
+        point = _Point(prob, z)
+        if not point.margin > 0.0:
+            continue
+        try:
+            decrement = _newton_step(point, tau, duals * point.joined)[1]
+        except st.NumericalError:
+            continue
+        if abs(decrement) <= LONG_STEP_DECREMENT:
+            return point, tau, duals, path[:k]
+    return None
 
 
 def _path_follow(model: RelaxationModel, point: _Point, total_steps: int,
-                 opts: SolverOptions) -> SolveResult:
-    """Follow the central path from the strictly feasible point."""
+                 opts: SolverOptions, tau: float = 1.0,
+                 duals: np.ndarray | None = None) -> SolveResult:
+    """Follow the central path from the strictly feasible point, at
+    weight tau with the duals carried there (none: the first centering
+    weights every term 1).  The result's path holds each outer
+    centering's point."""
     prob = point.prob
-    tau, duals = 1.0, None
+    budget = _budget_row(model)
     trace: list[float] = []
+    path: list[PathPoint] = []
     outers = 0
     for _ in range(MAX_OUTER):
         gap = prob.num_terms / tau
@@ -919,14 +1015,15 @@ def _path_follow(model: RelaxationModel, point: _Point, total_steps: int,
         trace.append(gamma)
         if not converged:
             return _extract(model, point, st.NUMERICAL_ERROR, gap, _kkt_residual(point, tau),
-                            trace, total_steps, outers, "inner Newton stalled")
+                            trace, total_steps, outers, path, "inner Newton stalled")
+        path.append(PathPoint(tau, point.z, duals, float(point.rho[budget])))
         if gap <= opts.tol_gap * (1.0 + abs(gamma)):
             kkt = _kkt_residual(point, tau)
             if kkt > opts.tol_kkt:
                 return _extract(model, point, st.NUMERICAL_ERROR, gap, kkt, trace,
-                                total_steps, outers,
+                                total_steps, outers, path,
                                 f"stationarity residual {kkt:.2e} above tolerance")
-            return _extract(model, point, st.OPTIMAL, gap, kkt, trace, total_steps, outers)
+            return _extract(model, point, st.OPTIMAL, gap, kkt, trace, total_steps, outers, path)
         # Jump exactly to the barrier weight that meets the gap target:
         # overshooting a full TAU_FACTOR costs conditioning for no benefit.
         tau_target = 1.01 * prob.num_terms / (opts.tol_gap * (1.0 + abs(gamma)))
@@ -936,5 +1033,5 @@ def _path_follow(model: RelaxationModel, point: _Point, total_steps: int,
         duals = duals * (tau_next / tau)  # the true duals y / tau stay where they are
         tau = tau_next
     return _extract(model, point, st.NUMERICAL_ERROR, prob.num_terms / tau,
-                    float("inf"), trace, total_steps, outers,
+                    float("inf"), trace, total_steps, outers, path,
                     "outer iteration cap exceeded")

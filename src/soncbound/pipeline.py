@@ -2,8 +2,10 @@
 
 prepare_root fixes what does not depend on the box (bound exponents,
 candidates, covers); solve_on_box builds, solves and certifies the
-model of one box, once per distinct model of a root.  solve_instance is
-the two on the instance's box.
+model of one box, once per distinct model of a root, each solve after
+the root's first starting warm from the path of the last one (see
+barrier).  solve_instance is the two on the instance's box, on a fresh
+root, so it always starts cold.
 """
 
 from __future__ import annotations
@@ -84,7 +86,9 @@ class RootStructure:
 
     bcs and lag are those of the instance's own box.  _results holds the
     outcome of every box solved on this root, by its box key (see
-    solve_on_box); it lives and dies with the root.
+    solve_on_box); _warm holds the last solve on this root that has a
+    central path, the warm start of the next (_solve_model).  Both live
+    and die with the root.
     """
 
     inst: PopInstance
@@ -96,6 +100,8 @@ class RootStructure:
     lag: LagrangianSupport
     _results: dict[tuple[float, ...], PipelineResult] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+    _warm: list[SolveResult] = field(
+        default_factory=list, init=False, compare=False, repr=False)
 
     @property
     def relaxations_solved(self) -> int:
@@ -168,7 +174,12 @@ def _solve_model(
     root: RootStructure, key: tuple[float, ...], lower: tuple[float, ...],
     upper: tuple[float, ...]
 ) -> PipelineResult:
-    """Build, solve and certify the model of a box with this key."""
+    """Build, solve and certify the model of a box with this key.
+
+    The solve is offered the root's last solve with a central path as
+    its warm start: in a branch-and-bound dive, the parent's.  It then
+    becomes the root's warm start in turn, if it has a path.
+    """
     start = time.perf_counter()
     use_bcs = root.options.use_bound_constraints
     try:
@@ -181,7 +192,10 @@ def _solve_model(
         model = build_model(lag, root.cands, root.covers, bcs)
     except PREPARE_ERRORS as exc:
         return failure_result(exc)
-    result = solve_relaxation(model, root.options.solver)
+    result = solve_relaxation(model, root.options.solver,
+                              warm=root._warm[-1] if root._warm else None)
+    if result.path:
+        root._warm[:] = [result]
     base = PipelineResult(
         status=result.status,
         gamma_solver=result.gamma,

@@ -8,6 +8,7 @@ generated and solved once per session and shared across criteria.
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from soncbound import status as st
-from soncbound.barrier import SolveResult, SolverOptions
+from soncbound.barrier import START_WARM, SolveResult, SolverOptions
 from soncbound.bnb import GAP_REACHED, solve_bnb
 from soncbound.certify import repair_and_certify, sample_soundness_check, strict_gamma
 from soncbound.cli import main
@@ -232,6 +233,14 @@ def test_strict_certifies_every_optimal_solve(corpus):
     for res in optimal:
         strict = strict_gamma(res.model, res.certificate)
         assert strict <= Fraction(res.gamma_certified) <= Fraction(res.gamma_solver)
+
+
+def test_no_solve_starts_warm(corpus):
+    """solve_instance prepares a fresh root, so no solve has a path to re-enter."""
+    entries, _ = corpus
+    starts = Counter(res.solve.start for e in entries for res in (e.with_bcs, e.without_bcs)
+                     if res.solve is not None)
+    assert sum(starts.values()) > 0 and starts[START_WARM] == 0
 
 
 def test_criterion_6_bnb_sanity(corpus):

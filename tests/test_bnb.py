@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import warnings
@@ -5,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from soncbound import bnb, pipeline
+from soncbound import barrier, bnb, pipeline
 from soncbound import status as st
 from soncbound.barrier import SolverOptions
 from soncbound.bnb import EXHAUSTED, GAP_REACHED, NODE_LIMIT, BnbNode, branch, solve_bnb
+from soncbound.certify import sample_soundness_check, strict_gamma_float
 from soncbound.generator import generate_instance
 from soncbound.pipeline import PipelineOptions, prepare_root
 from soncbound.poly import evaluate
@@ -135,50 +137,154 @@ class TestPrepareFailure:
         self._check(MIN_X, PipelineOptions(use_bound_constraints=False), st.COVER_UNAVAILABLE)
 
 
+HARD_OPTIONS = PipelineOptions(solver=TIGHT.solver, exponents=(4,))
 # The benchmark's B&B pair: 1 distinct big-M vector in 40 nodes on the
 # demo instance, 9 on HARD.
 DEMO = generate_instance(1002, n=2, m=1, max_degree=4)
 NODE_RUNS = [
     pytest.param(DEMO, TIGHT, 1, id="demo"),
-    pytest.param(HARD, PipelineOptions(solver=TIGHT.solver, exponents=(4,)), 9, id="hard"),
+    pytest.param(HARD, HARD_OPTIONS, 9, id="hard"),
 ]
+
+
+def _node_results(monkeypatch, solve):
+    """Wrap bnb.solve_on_box with solve(root, lower, upper); returns the
+    list of (lower, upper, result) it fills, one per node."""
+    results = []
+
+    def recorded(root, lower, upper):
+        res = solve(root, lower, upper)
+        results.append((lower, upper, res))
+        return res
+
+    monkeypatch.setattr(bnb, "solve_on_box", recorded)
+    return results
 
 
 class TestNodeResultsReused:
     """solve_bnb solves each distinct node relaxation once and matches a
-    run that solves every node on a fresh root."""
+    run that solves every node on a fresh root.
+
+    A fresh root has no warm start, so each of its node relaxations
+    starts cold.  The demo has one relaxation and matches bit for bit.
+    HARD's later relaxations start warm in the shared run, so there its
+    bounds match the cold ones within the solver's gap tolerance, and
+    everything else exactly."""
 
     @pytest.mark.parametrize("inst, options, distinct", NODE_RUNS)
     def test_same_result_as_fresh_root_per_node(self, monkeypatch, inst, options, distinct):
+        shared = _node_results(monkeypatch, pipeline.solve_on_box)
         cached = solve_bnb(inst, options, max_nodes=40, gap_tol=1e-6, seed=0)
-
-        def fresh(root, lower, upper):
-            return pipeline.solve_on_box(prepare_root(inst, options), lower, upper)
-
-        monkeypatch.setattr(bnb, "solve_on_box", fresh)
+        fresh = _node_results(monkeypatch, lambda root, lower, upper: pipeline.solve_on_box(
+            prepare_root(inst, options), lower, upper))
         plain = solve_bnb(inst, options, max_nodes=40, gap_tol=1e-6, seed=0)
         assert cached.nodes == plain.nodes == 40
-        assert cached.records == plain.records
-        assert cached.lower_bound == plain.lower_bound
         assert cached.incumbent_value == plain.incumbent_value
         assert cached.incumbent_point == plain.incumbent_point
         assert cached.error_nodes == plain.error_nodes
         assert cached.status == plain.status
         assert cached.relaxations_solved == distinct
+        if distinct == 1:
+            assert cached.records == plain.records
+            assert cached.lower_bound == plain.lower_bound
+            return
+        assert ([(r.node_id, r.depth, r.status) for r in cached.records]
+                == [(r.node_id, r.depth, r.status) for r in plain.records])
+        tol = options.solver.tol_gap
+        for (lower, upper, warm), (_, _, cold) in zip(shared, fresh):
+            assert cold.status == warm.status == st.OPTIMAL
+            gamma = cold.gamma_certified
+            assert abs(warm.gamma_certified - gamma) <= tol * (1.0 + abs(gamma))
+            for res in (warm, cold):
+                assert strict_gamma_float(res.model, res.certificate) <= res.gamma_certified
+        assert abs(cached.lower_bound - plain.lower_bound) <= tol * (1.0 + abs(plain.lower_bound))
 
     @pytest.mark.parametrize("inst, options, distinct", NODE_RUNS)
     def test_one_solve_per_distinct_big_m(self, monkeypatch, inst, options, distinct):
         solves = []
         original = pipeline.solve_relaxation
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             solves.append(args)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "solve_relaxation", counted)
         res = solve_bnb(inst, options, max_nodes=40, gap_tol=1e-6, seed=0)
         assert res.nodes == 40
         assert len(solves) == res.relaxations_solved == distinct
+
+
+class TestWarmStart:
+    """Node relaxations after a root's first re-enter the central path
+    of the last one solved (barrier._enter_path)."""
+
+    def test_hard_dive_starts_warm_and_certifies(self, monkeypatch):
+        solves = []
+        original = pipeline.solve_relaxation
+
+        def recorded(*args, **kwargs):
+            solves.append(original(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(pipeline, "solve_relaxation", recorded)
+        nodes = _node_results(monkeypatch, pipeline.solve_on_box)
+        res = solve_bnb(HARD, HARD_OPTIONS, max_nodes=40, gap_tol=1e-6, seed=0)
+        assert res.relaxations_solved == len(solves) == 9
+        assert [s.start for s in solves] == [barrier.START_CONSTRUCTIVE] + [barrier.START_WARM] * 8
+        assert sum(s.iterations for s in solves[1:]) < solves[0].iterations
+        assert len(nodes) == 40
+        for lower, upper, node in nodes:
+            assert node.status == st.OPTIMAL
+            strict = strict_gamma_float(node.model, node.certificate)
+            assert strict <= node.gamma_certified <= node.gamma_solver
+            box = dataclasses.replace(HARD, lower=lower, upper=upper)
+            assert sample_soundness_check(box, node.gamma_certified).ok()
+
+    def test_uncentered_source_gives_the_cold_solve(self):
+        root = prepare_root(HARD, HARD_OPTIONS)
+        source = pipeline.solve_on_box(root, (-1.0,), (1.0,)).solve
+        child = pipeline.solve_on_box(root, (-0.75,), (0.75,)).model
+        prob = barrier._phase2_problem(child)
+        # Each point of the path, read at 100 times its weight, is strictly
+        # feasible for the child but far from its center there.
+        off = tuple(p._replace(tau=100.0 * p.tau) for p in source.path)
+        assert len(off) >= 3
+        budget = barrier._budget_row(child)
+        for p in off:
+            z = p.z.copy()
+            z[child.gamma_index] += child.rows[budget] @ z + child.rhs[budget] - p.budget_slack
+            point = barrier._Point(prob, z)
+            assert point.margin > 0.0
+            assert barrier._newton_step(point, p.tau, p.duals * point.joined)[1] \
+                > barrier.LONG_STEP_DECREMENT
+        cold = barrier.solve_relaxation(child, HARD_OPTIONS.solver)
+        got = barrier.solve_relaxation(child, HARD_OPTIONS.solver,
+                                       warm=dataclasses.replace(source, path=off))
+        assert got.start == cold.start == barrier.START_CONSTRUCTIVE
+        for f in dataclasses.fields(cold):  # the path, compare=False, follows
+            if not f.compare:
+                continue
+            a, b = getattr(got, f.name), getattr(cold, f.name)
+            assert (a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b), f.name
+        assert len(got.path) == len(cold.path)
+        for a, b in zip(got.path, cold.path):
+            assert a.tau == b.tau and a.budget_slack == b.budget_slack
+            assert a.z.tobytes() == b.z.tobytes() and a.duals.tobytes() == b.duals.tobytes()
+
+    def test_warm_path_keeps_the_source_points_below_its_start(self):
+        root = prepare_root(HARD, HARD_OPTIONS)
+        source = pipeline.solve_on_box(root, (-1.0,), (1.0,)).solve
+        child = pipeline.solve_on_box(root, (-1.0 + 1e-8,), (1.0 - 1e-8,)).solve
+        assert child.start == barrier.START_WARM
+        start = child.path[len(child.path) - len(child.gamma_trace)].tau
+        kept = [p for p in source.path if p.tau < start]
+        assert [p.tau for p in child.path[:len(kept)]] == [p.tau for p in kept]
+        assert all(a.z is b.z for a, b in zip(child.path, kept))
+
+    def test_hard_is_deterministic(self):
+        r1 = solve_bnb(HARD, HARD_OPTIONS, max_nodes=40, gap_tol=1e-6, seed=0)
+        r2 = solve_bnb(HARD, HARD_OPTIONS, max_nodes=40, gap_tol=1e-6, seed=0)
+        assert r1 == r2  # every record, its bounds included
 
 
 def test_wide_box_raises_no_warning():
