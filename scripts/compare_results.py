@@ -49,8 +49,9 @@ how many of those ended optimal), warm from a path, and from neither.
 For each benchmark B&B run it says whether nodes, status, error nodes,
 relaxations_solved, incumbents and every record's id, depth and status
 are equal, how far the bounds moved, and how many LPs, Newton steps and
-warm starts each side's relaxations took; for the generic corpus it
-sums the same over its runs.
+warm starts each side's relaxations took and how many phase-2 barrier
+plans they built (read from a wrapped `barrier._Barrier.__init__`); for
+the generic corpus it sums the same over its runs.
 
     python scripts/compare_results.py PARENT_TREE CHANGE_TREE
 
@@ -215,6 +216,13 @@ def collect(tree: Path) -> dict:
         return res
 
     sb.pipeline.solve_relaxation = counted_solve_relaxation
+    init = sb.barrier._Barrier.__init__
+
+    def counted_init(self, model, sense, *args):
+        relaxations["plans"] += sense < 0  # a phase-2 plan: it maximizes gamma
+        init(self, model, sense, *args)
+
+    sb.barrier._Barrier.__init__ = counted_init
     for key, (inst, options, kwargs) in _bnb_runs(sb, workloads).items():
         lp_calls[0] = 0
         relaxations.clear()
@@ -222,6 +230,7 @@ def collect(tree: Path) -> dict:
         out["bnb"][key] = dict(
             {f: getattr(res, f) for f in BNB_FIELDS}, lower_bound=res.lower_bound,
             lps=lp_calls[0], newton=relaxations["newton"], warm=relaxations["warm"],
+            plans=relaxations["plans"],
             records=[[r.node_id, r.depth, r.status, r.parent_bound, r.computed_bound,
                       r.effective_bound] for r in res.records])
     return out
@@ -402,10 +411,12 @@ def compare_bnb(parent: dict, change: dict) -> list[str]:
               f"records (id, depth, status) {'equal' if same_records else 'DIFFER'}; "
               f"nodes {p['nodes']}, lower bound {p['lower_bound']!r} -> {c['lower_bound']!r}, "
               f"largest relative bound drift {drift:.2e}, LPs {_pc(p, c, 'lps')}, "
-              f"Newton steps {_pc(p, c, 'newton')}, warm starts {_pc(p, c, 'warm')}")
+              f"relaxations {_pc(p, c, 'relaxations_solved')}, phase-2 plans built "
+              f"{_pc(p, c, 'plans')}, Newton steps {_pc(p, c, 'newton')}, "
+              f"warm starts {_pc(p, c, 'warm')}")
     if generic:
         sums = [{f: sum(run[f] for run in runs) for f in
-                 ("nodes", "error_nodes", "relaxations_solved", "newton", "warm")}
+                 ("nodes", "error_nodes", "relaxations_solved", "plans", "newton", "warm")}
                 for runs in zip(*generic)]
         statuses = [sorted(Counter(r[2] for run in runs for r in run["records"]).items())
                     for runs in zip(*generic)]
@@ -420,6 +431,7 @@ def compare_bnb(parent: dict, change: dict) -> list[str]:
               f"{statuses[1]}; error nodes {_pc(*sums, 'error_nodes')}; lower bounds moved "
               f"{moved}; largest bound drift / (1 + |bound|) where records match {drift:.2e}; "
               f"relaxations {_pc(*sums, 'relaxations_solved')}; "
+              f"phase-2 plans built {_pc(*sums, 'plans')}; "
               f"Newton steps {_pc(*sums, 'newton')}; warm starts {_pc(*sums, 'warm')}")
     return left
 

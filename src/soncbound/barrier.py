@@ -27,7 +27,11 @@ bound, the KKT test and the reported residual all read that one
 evaluation.  In V, r = theta/slack per circuit, psi = lambda/c,
 u_c = r psi, u_t = -1/slack and h_c = u_c/c.  Index and coefficient
 arrays that _Barrier fixes once per problem turn V into the gradient
-and the Hessian by one np.bincount over V[h_a] V[h_b] h_coef.  A row
+and the Hessian by one np.bincount over V[h_a] V[h_b] h_coef.  The
+index arrays follow from the rows' nonzero pattern and the circuits,
+the coefficients from the rows' values; so a model of another box of
+one root, whose rows keep their pattern, takes the first model's plan
+with its own coefficients (phase2_plan).  A row
 pair a_kp, a_kq adds (1/rho_k)(1/rho_k)(a_kp a_kq) at (p, q); two c
 entries of a circuit add u_l u_r - w_l w_r, written as the single
 product r(r-1) psi_l psi_r, since w = sqrt(r) psi.  The Hessian parts
@@ -246,6 +250,12 @@ class _Barrier:
     their sums.  Where border is set (_BlockPlan), the same parts, less
     those it drops, fill the block plan's slots instead, the gradient's
     among them, and its constant parts follow.
+
+    Only rows, rhs and h_coef depend on the rows' values; every other
+    array depends on their nonzero pattern and the circuits alone.  Each
+    constant in h_coef is the product of two entries of the row nonzeros
+    followed by a 1 (places h_cl, h_cr), so _set_values reads them all
+    in one step, in the constructor and in with_values alike.
     """
 
     def __init__(self, model: RelaxationModel, sense: float, rows: np.ndarray,
@@ -253,7 +263,6 @@ class _Barrier:
         nvar = model.nvar
         self.obj = np.zeros(nvar)
         self.obj[model.gamma_index] = sense
-        self.rows, self.rhs = rows, rhs
         self.lower = np.asarray(model.nonneg_indices, dtype=np.intp)
         blocks = model.blocks
         nr, nl, nb = len(rhs), len(self.lower), len(blocks)
@@ -272,9 +281,11 @@ class _Barrier:
         o_u = o_sign + nl  # u_c then u_t, in the order of the circuit variables
         o_rr = o_u + nc + nb
         o_psi, o_hc = o_rr + nc, o_rr + 2 * nc
-        # Row nonzeros, row-major, and every ordered pair within a row.
-        nz_row, nz_col = np.nonzero(rows)
-        nz_val = rows[nz_row, nz_col]
+        # Row nonzeros, row-major, and every ordered pair within a row.  A
+        # part's coefficient is the product of two entries of the row
+        # nonzeros followed by a 1 (_set_values); unit is that 1's place.
+        self.nz_row, self.nz_col = nz_row, nz_col = np.nonzero(rows)
+        unit = len(nz_row)
         pair_l, pair_r = _group_pairs(nz_row)
         # Circuit variables (c entries, then t entries) grouped by circuit.
         owner = np.concatenate([self.blk, np.arange(nb)])
@@ -294,29 +305,31 @@ class _Barrier:
         both_c = (circ_l < nc) & (circ_r < nc)
         h_a = np.concatenate([squares, np.where(both_c, o_rr, o_u) + circ_l, np.arange(o_hc, one)])
         h_b = np.concatenate([squares, np.where(both_c, o_psi, o_u) + circ_r, np.full(nc, one)])
-        h_coef = np.concatenate([nz_val[pair_l] * nz_val[pair_r], np.ones(len(at_p) - len(pair_l))])
+        units = np.full(len(at_p) - len(pair_l), unit)
+        h_cl, h_cr = np.concatenate([pair_l, units]), np.concatenate([pair_r, units])
         # The barrier term of each Hessian part: row k, sign nr + j, circuit nr + nl + b.
         h_term = np.concatenate([squares, o_u + owner[circ_l], o_u + self.blk])
         # The gradient's parts, each times V's trailing 1: the row nonzeros,
         # then the sign, c and t terms, summed into their variables' slots.
         g_sel = np.concatenate([nz_row, np.arange(o_sign, o_rr)])
         g_to = np.concatenate([nz_col, self.lower, circ_var])
-        g_coef = np.concatenate([nz_val, np.ones(o_rr - o_sign)])
+        g_cl = np.concatenate([np.arange(unit), np.full(o_rr - o_sign, unit)])
         if nb and nvar >= BLOCK_MIN_NVAR:
-            self.border = border = _BlockPlan(self, owner, circ_var)
+            self.border = border = _BlockPlan(self, nr, owner, circ_var)
             part_row = np.concatenate([nz_row[pair_l], np.full(len(at_p) - len(pair_l), -1)])
             hess_at = border.hessian_slots(at_p, at_q, part_row, len(pair_l) + nl)
             keep = hess_at >= 0
-            hess_at, h_a, h_b, h_coef, h_term = (x[keep] for x in (hess_at, h_a, h_b, h_coef, h_term))
+            hess_at, h_a, h_b, h_cl, h_cr, h_term = (
+                x[keep] for x in (hess_at, h_a, h_b, h_cl, h_cr, h_term))
             self.g_at = grad_at = border.rhs_at
-            const_at, const_coef = border.constants(nz_row, nz_col, nz_val)
+            const_at, const_cl = border.constants(nz_row, nz_col, unit)
             self.n_sums = border.n_sums
         else:
             self.border = None
             hess_at = at_p * nvar + at_q
             grad_at = nvar * nvar + np.arange(nvar)
             self.g_at = slice(nvar * nvar, None)
-            const_at, const_coef = np.zeros(0, dtype=np.intp), np.zeros(0)
+            const_at, const_cl = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
             self.n_sums = nvar * (nvar + 1)
         # One bincount makes the Hessian's parts (the first n_hess, weighted
         # by kappa), the gradient's, summed into the slots g_at, and the
@@ -325,8 +338,27 @@ class _Barrier:
         self.flat = np.concatenate([hess_at, grad_at[g_to], const_at])
         self.h_a = np.concatenate([h_a, g_sel, np.full(len(const_at), one)])
         self.h_b = np.concatenate([h_b, np.full(len(g_sel) + len(const_at), one)])
-        self.h_coef = np.concatenate([h_coef, g_coef, const_coef])
+        self.h_cl = np.concatenate([h_cl, g_cl, const_cl])
+        self.h_cr = np.concatenate([h_cr, np.full(len(g_sel) + len(const_at), unit)])
         self.h_term = h_term
+        self._set_values(rows, rhs)
+
+    def _set_values(self, rows: np.ndarray, rhs: np.ndarray) -> None:
+        """Take rows and rhs, and read from rows each part's coefficient
+        h_coef: a row pair's a_kp a_kq, a gradient row part's a_kp, a
+        coupling row's a_k in the block plan, and 1 for every other part.
+        rows must have the nonzero pattern the plan was built on."""
+        self.rows, self.rhs = rows, rhs
+        coef = np.append(rows[self.nz_row, self.nz_col], 1.0)
+        self.h_coef = coef[self.h_cl] * coef[self.h_cr]
+
+    def with_values(self, rows: np.ndarray, rhs: np.ndarray) -> _Barrier:
+        """This plan for rows and rhs of the same shape and nonzero
+        pattern: every index array shared, the values read again."""
+        prob = object.__new__(_Barrier)
+        prob.__dict__.update(self.__dict__)
+        prob._set_values(rows, rhs)
+        return prob
 
 
 class _BlockPlan:
@@ -354,8 +386,8 @@ class _BlockPlan:
     on F's diagonal is set per step (y_diag).
     """
 
-    def __init__(self, prob: _Barrier, owner: np.ndarray, circ_var: np.ndarray):
-        nvar, nb, nr = len(prob.obj), len(prob.t_idx), len(prob.rhs)
+    def __init__(self, prob: _Barrier, nr: int, owner: np.ndarray, circ_var: np.ndarray):
+        nvar, nb = len(prob.obj), len(prob.t_idx)
         sizes = np.bincount(owner, minlength=nb)
         self.nb, self.size = nb, int(sizes.max())
         size = self.size
@@ -371,10 +403,9 @@ class _BlockPlan:
         self.outer = np.flatnonzero(self.block < 0)  # gamma, mu, nu
         n_g = len(self.outer)
         # Coupling rows: two or more circuit variables among the nonzeros.
-        nz_row, nz_col = np.nonzero(prob.rows)
-        on = self.block[nz_col] >= 0
-        self.coupling = np.flatnonzero(np.bincount(nz_row[on], minlength=nr) > 1)
-        self.circuits = len(prob.rhs) + len(prob.lower) + np.arange(nb)  # their terms in kappa
+        on = self.block[prob.nz_col] >= 0
+        self.coupling = np.flatnonzero(np.bincount(prob.nz_row[on], minlength=nr) > 1)
+        self.circuits = nr + len(prob.lower) + np.arange(nb)  # their terms in kappa
         self.nf = nf = n_g + len(self.coupling)
         self.place = np.full(nvar, -1)  # border place of the outer variables
         self.place[self.outer] = np.arange(n_g)
@@ -406,19 +437,20 @@ class _BlockPlan:
         dropped |= (part_row >= 0) & (self.y_of[part_row] >= 0)
         return np.where(dropped, -1, slot)
 
-    def constants(self, nz_row, nz_col, nz_val) -> tuple[np.ndarray, np.ndarray]:
-        """(slots, values) of the constant parts: the padding's unit
-        diagonal, and each coupling row's a_k in E and, both ways, in F."""
+    def constants(self, nz_row, nz_col, unit) -> tuple[np.ndarray, np.ndarray]:
+        """(slots, value places) of the constant parts: the padding's unit
+        diagonal (place unit), and each coupling row's a_k in E and, both
+        ways, in F (its place among the row nonzeros nz_row, nz_col)."""
         nf = self.nf
         pad = np.flatnonzero(np.bincount(self.circ_at, minlength=self.e0) == 0)
         y = self.y_of[nz_row]
-        on = y >= 0
-        v, y, a = nz_col[on], y[on], nz_val[on]
+        on = np.flatnonzero(y >= 0)
+        v, y = nz_col[on], y[on]
         circ = self.block[v] >= 0
         g = self.place[v[~circ]]
         at = np.concatenate([pad, self.e0 + self.at[v[circ]] * (nf + 1) + y[circ],
                              self.f0 + g * (nf + 1) + y[~circ], self.f0 + y[~circ] * (nf + 1) + g])
-        return at, np.concatenate([np.ones(len(pad)), a[circ], a[~circ], a[~circ]])
+        return at, np.concatenate([np.full(len(pad), unit), on[circ], on[~circ], on[~circ]])
 
 
 class _once:
@@ -811,8 +843,21 @@ def _constructive_start(model: RelaxationModel) -> np.ndarray | None:
     return z
 
 
-def _phase2_problem(model: RelaxationModel) -> _Barrier:
-    return _Barrier(model, -1.0, model.rows, model.rhs)  # maximize gamma
+def phase2_plan(model: RelaxationModel, like: _Barrier | None = None) -> _Barrier:
+    """The phase-2 plan of model (max gamma): like, with model's values,
+    where model's rows have like's shape and nonzero pattern; else a
+    fresh one.
+
+    like is the phase-2 plan of another box's model on the same root.
+    Those models share their circuits and sign bounds, fixed by the
+    root's covers, so their rows are all that can differ: in their
+    values (big-M) and, where some M_i**a_i is 0, in their pattern.
+    """
+    rows = model.rows
+    if like is not None and like.rows.shape == rows.shape \
+            and np.array_equal(like.rows != 0.0, rows != 0.0):
+        return like.with_values(rows, model.rhs)
+    return _Barrier(model, -1.0, rows, model.rhs)
 
 
 def _phase1_problem(model: RelaxationModel) -> _Barrier:
@@ -913,7 +958,8 @@ def _extract(model: RelaxationModel, point: _Point, stat: str, gap: float, kkt: 
 
 
 def solve_relaxation(model: RelaxationModel, opts: SolverOptions | None = None,
-                     warm: SolveResult | None = None) -> SolveResult:
+                     warm: SolveResult | None = None, plan: _Barrier | None = None
+                     ) -> SolveResult:
     """Barrier path-following on the relaxation; maximizes gamma.
 
     Returns status optimal once the scaled stationarity residual is
@@ -924,12 +970,13 @@ def solve_relaxation(model: RelaxationModel, opts: SolverOptions | None = None,
 
     warm, a result solved on a model of the same shape (another box of
     one root), offers its path to re-enter (_enter_path); where no point
-    of it is centered for this model, the solve starts cold.
+    of it is centered for this model, the solve starts cold.  plan, where
+    given, is model's phase-2 plan (phase2_plan); else one is built.
     """
     opts = opts or SolverOptions()
     if model.infeasible_reason is not None:
         return SolveResult(status=st.INFEASIBLE, message=model.infeasible_reason)
-    prob = _phase2_problem(model)
+    prob = phase2_plan(model) if plan is None else plan
     start, steps, path = START_CONSTRUCTIVE, 0, ()
     try:
         entry = None if warm is None else _enter_path(model, prob, warm.path)

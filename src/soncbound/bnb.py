@@ -11,8 +11,13 @@ bound tightens only where a split lowers some M_i.  A relaxation after
 the root's first starts warm on the central path of the last one solved,
 in a dive its parent's (pipeline, barrier), so its Newton steps follow
 how far M moved: on x^2 - x^4 over [-1, 1], 1 step for the 8 later
-relaxations together, against 21 each cold.  Incumbents come from
-seeded sampling plus the box corners and center.
+relaxations together, against 21 each cold.  It also reuses the root's
+barrier plan with its own big-M values, where its rows keep the root's
+nonzero pattern (barrier.phase2_plan): 1 plan build per run there, not
+9.  Incumbents come from seeded sampling plus the box corners and
+center, evaluated by a sampler compiled once per run (_Sampler): each
+power x_i**e is taken once per node, and the arithmetic is
+poly.evaluate's, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import status as st
 from .pipeline import PREPARE_ERRORS, PipelineOptions, failure_result, prepare_root, solve_on_box
-from .poly import PopInstance, evaluate_points
+from .poly import PopInstance
 
 WIDTH_EPS = 1e-9  # boxes thinner than this are leaves
 SAMPLES_PER_NODE = 200
@@ -67,8 +72,9 @@ class BnbResult:
     relaxations_solved: int = 0  # distinct node relaxations solved; the rest reused one
 
 
-def branch(node: BnbNode) -> tuple[BnbNode, BnbNode] | None:
-    """Bisect the widest coordinate; None when the box is a point."""
+def branch(node: BnbNode, bound: float, first_id: int) -> tuple[BnbNode, BnbNode] | None:
+    """Bisect the widest coordinate into children first_id and first_id + 1
+    that inherit bound; None when the box is a point."""
     widths = [hi - lo for lo, hi in zip(node.lower, node.upper)]
     widest = max(range(len(widths)), key=lambda i: (widths[i], -i))
     if widths[widest] <= WIDTH_EPS:
@@ -78,18 +84,9 @@ def branch(node: BnbNode) -> tuple[BnbNode, BnbNode] | None:
     left_upper[widest] = mid
     right_lower = list(node.lower)
     right_lower[widest] = mid
-    left = BnbNode(-1, node.lower, tuple(left_upper), node.depth + 1, node.parent_bound)
-    right = BnbNode(-1, tuple(right_lower), node.upper, node.depth + 1, node.parent_bound)
+    left = BnbNode(first_id, node.lower, tuple(left_upper), node.depth + 1, bound)
+    right = BnbNode(first_id + 1, tuple(right_lower), node.upper, node.depth + 1, bound)
     return left, right
-
-
-def _corners(lower, upper, limit: int = 16):
-    pts = [[]]
-    for lo, hi in zip(lower, upper):
-        pts = [p + [v] for p in pts for v in (lo, hi)]
-        if len(pts) > limit:
-            return []
-    return [tuple(p) for p in pts]
 
 
 def _seed_words(key: int) -> list[int]:
@@ -99,29 +96,73 @@ def _seed_words(key: int) -> list[int]:
     return [(key >> s) & 0xFFFFFFFF for s in range(0, max(key.bit_length(), 1), 32)]
 
 
-def _sample_incumbent(inst: PopInstance, node: BnbNode, seed: int,
-                      rng: np.random.RandomState | None = None):
-    """Best feasible (value, point) among corners, center and samples.
+class _Sampler:
+    """The incumbent search of one run, compiled once from the instance.
 
-    The samples are random.Random(seed * 1000003 + node_id).uniform
-    draws, bit for bit: rng (a new one when None) is seeded with the
-    same init_by_array key, and its random_sample uses the same 53-bit
-    doubles, in the same order.
+    A node's candidates are its box's center, its corners (for up to 4
+    variables) and SAMPLES_PER_NODE samples, the rows of one buffer.  The samples
+    are random.Random(seed * 1000003 + node_id).uniform draws, bit for
+    bit: one RandomState, re-seeded per node with the same init_by_array
+    key, draws the same 53-bit doubles in the same order.
+
+    One table holds, row by row, every power x_i**e that a term of the
+    objective or a constraint has, taken once per node with e a Python
+    int (an exponent array can round otherwise); each term's coefficient,
+    filled once; and ones.  A term is the product of its coefficient's
+    row and its powers' rows, in its variable order, padded with ones;
+    a polynomial's terms are summed from 0.0 in its term order.  That is
+    poly.evaluate's arithmetic, at every candidate at once.
     """
-    if rng is None:
-        rng = np.random.RandomState()
-    rng.seed(_seed_words(seed * 1000003 + node.node_id))
-    lo, hi = np.array(node.lower), np.array(node.upper)
-    points = np.vstack([(lo + hi) / 2.0, *_corners(node.lower, node.upper),
-                        lo + (hi - lo) * rng.random_sample((SAMPLES_PER_NODE, len(lo)))])
-    values = evaluate_points(inst.objective, points)
-    usable = values < math.inf  # NaN never counts as a minimum
-    for g in inst.constraints:
-        usable &= ~(evaluate_points(g, points) < -1e-9)
-    if not usable.any():
-        return math.inf, None
-    best = int(np.argmin(np.where(usable, values, math.inf)))
-    return float(values[best]), tuple(points[best].tolist())
+
+    def __init__(self, inst: PopInstance, seed: int):
+        self.seed, self.rng = seed, np.random.RandomState()
+        n = inst.n
+        polys = [inst.objective, *inst.constraints]
+        self.powers = sorted({(i, e) for p in polys for exps in p
+                              for i, e in enumerate(exps) if e})
+        row = {power: k for k, power in enumerate(self.powers)}
+        # Each polynomial's terms, led by zero terms to one length.
+        length = max(1, *map(len, polys))
+        coef, factors = [], []
+        for p in polys:
+            coef += [0.0] * (length - len(p)) + list(p.values())
+            factors += [[]] * (length - len(p)) + [
+                [row[(i, e)] for i, e in enumerate(exps) if e] for exps in p]
+        first, unit = len(self.powers), len(self.powers) + len(coef)
+        width = max(map(len, factors))
+        # factors[j] is each term's j-th factor: its coefficient, a power or 1
+        self.factors = np.array([[first + t] + f + [unit] * (width - len(f))
+                                 for t, f in enumerate(factors)]).T
+        self.shape = (len(polys), length, -1)
+        corners = 1 << n if n <= 4 else 0
+        self.corner_hi = (np.arange(corners)[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 1
+        self.points = np.empty((1 + corners + SAMPLES_PER_NODE, n))
+        self.table = np.empty((unit + 1, len(self.points)))
+        self.table[first:unit] = np.array(coef)[:, None]
+        self.table[unit] = 1.0
+
+    def __call__(self, node: BnbNode) -> tuple[float, tuple[float, ...] | None]:
+        """Best feasible (value, point) among node's candidates."""
+        pts, table = self.points, self.table
+        lo, hi = np.array(node.lower), np.array(node.upper)
+        corners = len(self.corner_hi)
+        self.rng.seed(_seed_words(self.seed * 1000003 + node.node_id))
+        pts[0] = (lo + hi) / 2.0
+        pts[1:1 + corners] = np.where(self.corner_hi, hi, lo)
+        pts[1 + corners:] = lo + (hi - lo) * self.rng.random_sample((SAMPLES_PER_NODE, len(lo)))
+        for k, (i, e) in enumerate(self.powers):
+            table[k] = pts[:, i] ** e
+        # Products and sums run factor by factor and term by term, in order.
+        terms = np.multiply.reduce(table[self.factors], axis=0)
+        sums = np.add.reduce(terms.reshape(self.shape), axis=1, initial=0.0)
+        values = sums[0]
+        usable = values < math.inf  # NaN is no minimum
+        if len(sums) > 1:
+            usable &= ~(sums[1:] < -1e-9).any(axis=0)
+        best = int(np.argmin(np.where(usable, values, math.inf)))
+        if not usable[best]:
+            return math.inf, None
+        return float(values[best]), tuple(pts[best].tolist())
 
 
 def solve_bnb(
@@ -152,22 +193,15 @@ def solve_bnb(
 
     incumbent_value = math.inf
     incumbent_point = None
-    rng = np.random.RandomState()  # re-seeded per node by _sample_incumbent
-    next_id = 0
+    sample = _Sampler(inst, seed)
+    next_id = 1
     nodes_solved = 0
     error_nodes = 0
     records: list[NodeRecord] = []
     closed_min = math.inf  # smallest bound of a closed leaf
 
-    heap: list[tuple[float, int, int, BnbNode]] = []
-
-    def push(node: BnbNode):
-        nonlocal next_id
-        node = BnbNode(next_id, node.lower, node.upper, node.depth, node.parent_bound)
-        next_id += 1
-        heapq.heappush(heap, (node.parent_bound, -node.depth, node.node_id, node))
-
-    push(BnbNode(0, inst.lower, inst.upper, 0, -math.inf))
+    # Best-first by inherited bound, then deepest, then oldest.
+    heap = [(-math.inf, 0, 0, BnbNode(0, inst.lower, inst.upper, 0, -math.inf))]
     limit_hit = False
 
     while heap:
@@ -189,7 +223,7 @@ def solve_bnb(
             effective = node.parent_bound if math.isfinite(node.parent_bound) else -math.inf
             error_nodes += 1
 
-        val, pt = _sample_incumbent(inst, node, seed, rng)
+        val, pt = sample(node)
         if val < incumbent_value:
             incumbent_value, incumbent_point = val, pt
 
@@ -209,14 +243,13 @@ def solve_bnb(
         if computed is None and node.depth >= ERROR_DEPTH_CAP:
             closed_min = min(closed_min, effective)
             continue
-        children = branch(
-            BnbNode(node.node_id, node.lower, node.upper, node.depth, effective)
-        )
+        children = branch(node, effective, next_id)
         if children is None:
             closed_min = min(closed_min, effective)
             continue
+        next_id += 2
         for child in children:
-            push(child)
+            heapq.heappush(heap, (effective, -child.depth, child.node_id, child))
     else:
         global_bound = closed_min  # the last node popped closed
 

@@ -3,7 +3,8 @@
 prepare_root fixes what does not depend on the box (bound exponents,
 candidates, covers); solve_on_box builds, solves and certifies the
 model of one box, once per distinct model of a root, each solve after
-the root's first starting warm from the path of the last one (see
+the root's first starting warm from the path of the last one, on the
+first one's barrier plan where the rows keep its pattern (see
 barrier).  solve_instance is the two on the instance's box, on a fresh
 root, so it always starts cold.
 """
@@ -14,7 +15,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from . import status as st
-from .barrier import SolveResult, SolverOptions, solve_relaxation
+from .barrier import SolveResult, SolverOptions, phase2_plan, solve_relaxation
 from .certify import Certificate, RepairFailure, repair_and_certify
 from .covers import (
     UNIFORM,
@@ -87,8 +88,9 @@ class RootStructure:
     bcs and lag are those of the instance's own box.  _results holds the
     outcome of every box solved on this root, by its box key (see
     solve_on_box); _warm holds the last solve on this root that has a
-    central path, the warm start of the next (_solve_model).  Both live
-    and die with the root.
+    central path, the warm start of the next, and _plan the barrier plan
+    of the first model solved, which later models of its shape and
+    nonzero pattern reuse (_solve_model).  All live and die with the root.
     """
 
     inst: PopInstance
@@ -102,6 +104,7 @@ class RootStructure:
         default_factory=dict, init=False, compare=False, repr=False)
     _warm: list[SolveResult] = field(
         default_factory=list, init=False, compare=False, repr=False)
+    _plan: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     @property
     def relaxations_solved(self) -> int:
@@ -178,7 +181,9 @@ def _solve_model(
 
     The solve is offered the root's last solve with a central path as
     its warm start: in a branch-and-bound dive, the parent's.  It then
-    becomes the root's warm start in turn, if it has a path.
+    becomes the root's warm start in turn, if it has a path.  Its barrier
+    plan is the root's first, with this model's values, where the rows
+    have that plan's shape and nonzero pattern (phase2_plan).
     """
     start = time.perf_counter()
     use_bcs = root.options.use_bound_constraints
@@ -192,8 +197,11 @@ def _solve_model(
         model = build_model(lag, root.cands, root.covers, bcs)
     except PREPARE_ERRORS as exc:
         return failure_result(exc)
+    plan = phase2_plan(model, root._plan[0] if root._plan else None)
+    if not root._plan:
+        root._plan.append(plan)
     result = solve_relaxation(model, root.options.solver,
-                              warm=root._warm[-1] if root._warm else None)
+                              warm=root._warm[-1] if root._warm else None, plan=plan)
     if result.path:
         root._warm[:] = [result]
     base = PipelineResult(

@@ -17,8 +17,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 Exponent = tuple[int, ...]
 Polynomial = dict[Exponent, float]
 
@@ -69,19 +67,6 @@ def evaluate(p: Polynomial, x) -> float:
         for e, v in zip(exps, x):
             if e:
                 term *= v**e
-        total += term
-    return total
-
-
-def evaluate_points(p: Polynomial, points: np.ndarray) -> np.ndarray:
-    """evaluate at every row of the (k, n) array points, term by term in
-    evaluate's order."""
-    total = np.zeros(len(points))
-    for exps, coeff in p.items():
-        term = np.full(len(points), coeff)
-        for i, e in enumerate(exps):
-            if e:
-                term *= points[:, i] ** e
         total += term
     return total
 

@@ -98,7 +98,7 @@ class TestStatuses:
         inst = make_inst(lower=(-1,), upper=(1,), objective=(((4,), 1.0), ((2,), -1e12)))
         res = solve_instance(inst)
         z = barrier._constructive_start(res.model)
-        prob = barrier._phase2_problem(res.model)
+        prob = barrier.phase2_plan(res.model)
         assert z is None or not barrier._Point(prob, z).margin > 0.0
         assert res.status == st.NUMERICAL_ERROR
         assert res.message == "phase-1 bound row active"
@@ -267,7 +267,7 @@ def _off_center(prob, z):
 def _phase2_point(model):
     z, stat, message, _ = barrier._phase1(model)
     assert stat == st.OPTIMAL and z is not None, message
-    prob = barrier._phase2_problem(model)
+    prob = barrier.phase2_plan(model)
     point = barrier._center(barrier._Point(prob, z), 1.0)[0]
     return _off_center(prob, point.z)
 
@@ -299,7 +299,7 @@ class TestBarrierDerivatives:
             assert prob.obj[model.gamma_index] == 1.0
             assert prob.rhs[-1] == barrier.PHASE1_RADIUS
         else:
-            prob, z = barrier._phase2_problem(model), _phase2_point(model)
+            prob, z = barrier.phase2_plan(model), _phase2_point(model)
         tau = 1.0
         grad, hess = barrier._grad_hess(barrier._Point(prob, z), tau)
         fd_grad = np.zeros_like(z)
@@ -320,7 +320,7 @@ class TestBarrierDerivatives:
     @pytest.mark.parametrize("k", range(3))
     def test_against_loop_reference(self, circuit_models, k):
         model = circuit_models[k]
-        prob, z = barrier._phase2_problem(model), _phase2_point(model)
+        prob, z = barrier.phase2_plan(model), _phase2_point(model)
         phi, grad, hess = _loop_reference(model, 2.0, z)
         point = barrier._Point(prob, z)
         assert point.phi(2.0) == pytest.approx(phi, rel=1e-12)
@@ -381,7 +381,7 @@ def _ref_gradient(point, tau):
 
 
 def _constructive_point(model):
-    prob = barrier._phase2_problem(model)
+    prob = barrier.phase2_plan(model)
     z = barrier._constructive_start(model)
     assert z is not None and barrier._Point(prob, z).margin > 0.0
     return prob, _off_center(prob, z)
@@ -417,7 +417,7 @@ class TestScatterPlan:
         if phase == 1:
             prob, z = barrier._phase1_problem(model), _phase1_point(model)
         else:
-            prob, z = barrier._phase2_problem(model), _phase2_point(model)
+            prob, z = barrier.phase2_plan(model), _phase2_point(model)
         assert len(prob.rows) and len(prob.c_idx)
         self._assert_same(prob, z)
 
@@ -536,8 +536,8 @@ class TestBlockElimination:
     @pytest.mark.parametrize("k", range(2))
     def test_matches_dense_solve(self, wide_models, monkeypatch, k):
         model = wide_models[k]
-        prob = barrier._phase2_problem(model)
-        dense = _dense_twin(monkeypatch, barrier._phase2_problem, model)
+        prob = barrier.phase2_plan(model)
+        dense = _dense_twin(monkeypatch, barrier.phase2_plan, model)
         assert prob.border is not None and dense.border is None
         for tau, point, kappa in _path_points(prob, model, (1.0, 1e2, 1e4, 1e6, 1e8)):
             for weights in (None, kappa):
@@ -550,7 +550,7 @@ class TestBlockElimination:
         """The block plan's parts, the blocks' closed form and the coupling
         rows' kappa a a^T / rho^2 put together give the dense Hessian."""
         model = circuit_models[k]
-        for build, z in ((barrier._phase2_problem, _phase2_point(model)),
+        for build, z in ((barrier.phase2_plan, _phase2_point(model)),
                          (barrier._phase1_problem, _phase1_point(model))):
             prob, dense = _blocked(monkeypatch, build, model), build(model)
             plan, nvar = prob.border, model.nvar
@@ -596,9 +596,9 @@ class TestBlockElimination:
         wider = dataclasses.replace(model, rows=np.vstack([model.rows, row]),
                                     rhs=np.append(model.rhs, bound),
                                     row_labels=model.row_labels + ("t0 + t1",))
-        prob = barrier._phase2_problem(wider)
+        prob = barrier.phase2_plan(wider)
         assert len(model.rows) in prob.border.coupling
-        dense = _dense_twin(monkeypatch, barrier._phase2_problem, wider)
+        dense = _dense_twin(monkeypatch, barrier.phase2_plan, wider)
         for tau, point, kappa in _path_points(prob, wider, (1.0, 1e2, 1e4)):
             _assert_matches_dense(dense, point, tau, kappa)
         res, base = solve_relaxation(wider), solve_relaxation(model)
@@ -617,16 +617,16 @@ class TestBlockElimination:
             _assert_matches_dense(dense, point, tau)
         z, stat, message, steps = barrier._phase1(model)
         assert stat == st.OPTIMAL, message
-        assert barrier._Point(barrier._phase2_problem(model), z).margin > 0.0 and steps > 0
+        assert barrier._Point(barrier.phase2_plan(model), z).margin > 0.0 and steps > 0
 
     def test_which_path(self, circuit_models, wide_models, monkeypatch):
         for model in circuit_models:
             assert model.nvar < barrier.BLOCK_MIN_NVAR
-            assert barrier._phase2_problem(model).border is None
+            assert barrier.phase2_plan(model).border is None
             assert barrier._phase1_problem(model).border is None
         for model in wide_models:
             assert model.nvar >= barrier.BLOCK_MIN_NVAR
-            prob = barrier._phase2_problem(model)
+            prob = barrier.phase2_plan(model)
             # gamma, one mu, six nu, and the origin and six vertex rows
             assert prob.border.nf == 15 and len(prob.border.coupling) == 7
             assert barrier._phase1_problem(model).border is not None
@@ -650,7 +650,7 @@ class TestBlockElimination:
             if model is None:
                 continue
             sizes.append(model.nvar)
-            assert barrier._phase2_problem(model).border is None
+            assert barrier.phase2_plan(model).border is None
         assert len(sizes) >= 150 and max(sizes) < barrier.BLOCK_MIN_NVAR
 
 
@@ -675,7 +675,7 @@ class TestMaxStep:
         if phase == 1:
             prob, z = barrier._phase1_problem(model), _phase1_point(model)
         else:
-            prob, z = barrier._phase2_problem(model), _phase2_point(model)
+            prob, z = barrier.phase2_plan(model), _phase2_point(model)
         point = barrier._Point(prob, z)
         rng = np.random.default_rng(k)
         steps = []
@@ -824,7 +824,7 @@ class TestLongStep:
     def test_loose_center_stops_at_its_tolerance(self, circuit_models):
         loose_total = tight_total = 0
         for model in circuit_models:
-            start = barrier._Point(barrier._phase2_problem(model), _phase2_point(model))
+            start = barrier._Point(barrier.phase2_plan(model), _phase2_point(model))
             _, ok, loose, dec, _ = barrier._center(start, 1.0, barrier.LONG_STEP_DECREMENT)
             assert ok and abs(dec) <= barrier.LONG_STEP_DECREMENT
             _, ok, tight, dec, _ = barrier._center(start, 1.0)
@@ -921,7 +921,7 @@ class TestDualWeights:
             # The same centering with unit weights, from the constructive start.
             z = barrier._constructive_start(res.model)
             assert np.array_equal(start.z, z)
-            unit = barrier._Point(barrier._phase2_problem(res.model), z)
+            unit = barrier._Point(barrier.phase2_plan(res.model), z)
             want, ok, steps, _, _ = center(unit, 1.0, barrier.LONG_STEP_DECREMENT)
             assert converged and ok and got == steps
             assert np.array_equal(point.z, want.z)
@@ -973,7 +973,7 @@ class TestStartPoint:
         z = barrier._constructive_start(model)
         origin = model.row_labels.index("origin-budget")
         assert model.rows[origin] @ z + model.rhs[origin] > 0.0
-        assert barrier._Point(barrier._phase2_problem(model), z).margin > 0.0
+        assert barrier._Point(barrier.phase2_plan(model), z).margin > 0.0
 
     def test_phase1_start_past_float_resolution(self):
         # min x^4 - 1e16 x^2 on [-1,1]: the start violates a row by more than

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import warnings
@@ -32,18 +33,19 @@ HARD = inst_from({"n": 1, "objective": [[[2], 1.0], [[4], -1.0]], "constraints":
 class TestBranch:
     def test_widest_coordinate_split(self):
         node = BnbNode(0, (-1.0, 0.0), (2.0, 1.0), 0, -math.inf)
-        left, right = branch(node)
+        left, right = branch(node, -3.0, 7)
         assert left.upper == (0.5, 1.0) and right.lower == (0.5, 0.0)
         assert left.depth == right.depth == 1
+        assert (left.node_id, right.node_id) == (7, 8)
 
     def test_interval_split(self):
-        node = BnbNode(0, (0.0,), (1.0,), 3, -5.0)
-        left, right = branch(node)
+        node = BnbNode(0, (0.0,), (1.0,), 3, -7.0)
+        left, right = branch(node, -5.0, 1)
         assert left.upper == (0.5,) and right.lower == (0.5,)
         assert left.parent_bound == right.parent_bound == -5.0
 
     def test_degenerate_box_is_leaf(self):
-        assert branch(BnbNode(0, (1.0,), (1.0,), 0, -math.inf)) is None
+        assert branch(BnbNode(0, (1.0,), (1.0,), 0, -math.inf), -1.0, 1) is None
 
 
 class TestSolveBnb:
@@ -214,6 +216,43 @@ class TestNodeResultsReused:
         assert len(solves) == res.relaxations_solved == distinct
 
 
+DEMO_BOUND, HARD_ROOT = -10.263656839336845, -1.0000000148514854
+# HARD's last eight records: the siblings of its dive's deepest nodes,
+# deepest first, each with a relaxation of its own.
+HARD_DIVE = ((62, 31, -1.000000011126195), (60, 30, -1.0000000074009048),
+             (58, 29, -0.9999999999503243), (56, 28, -0.9999999850491632),
+             (54, 27, -0.9999999552468416), (52, 26, -0.9999998956422004),
+             (50, 25, -0.9999997764329259), (48, 24, -0.9999995380144127))
+PINNED = {
+    "demo": (DEMO_BOUND, -8.100893331549099, (-1.4371547789342736, -1.7362493969655806), 1,
+             [(0, 0, -math.inf, DEMO_BOUND, DEMO_BOUND)]
+             + [(2 * d - 1, d, DEMO_BOUND, DEMO_BOUND, DEMO_BOUND) for d in range(1, 40)]),
+    "hard": (HARD_ROOT, 0.0, (0.0,), 9,
+             [(0, 0, -math.inf, HARD_ROOT, HARD_ROOT)]
+             + [(2 * d - 1, d, HARD_ROOT, HARD_ROOT, HARD_ROOT) for d in range(1, 32)]
+             + [(i, d, HARD_ROOT, bound, bound) for i, d, bound in HARD_DIVE]),
+}
+
+
+class TestPinnedResults:
+    """The benchmark's B&B runs (40 nodes, gap 1e-6), bit for bit as
+    solved before the barrier plan was reused and the sampler compiled:
+    bounds, incumbents, counts and every record, at sampling seeds 0 and
+    1 alike."""
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    @pytest.mark.parametrize("inst, options, name", [
+        pytest.param(DEMO, TIGHT, "demo", id="demo"),
+        pytest.param(HARD, HARD_OPTIONS, "hard", id="hard")])
+    def test_run(self, inst, options, name, seed):
+        bound, value, point, relaxations, records = PINNED[name]
+        res = solve_bnb(inst, options, max_nodes=40, gap_tol=1e-6, seed=seed)
+        assert (res.lower_bound, res.incumbent_value, res.incumbent_point) == (bound, value, point)
+        assert (res.nodes, res.relaxations_solved, res.status, res.error_nodes) == (
+            40, relaxations, NODE_LIMIT, 0)
+        assert res.records == tuple(bnb.NodeRecord(*r, st.OPTIMAL) for r in records)
+
+
 class TestWarmStart:
     """Node relaxations after a root's first re-enter the central path
     of the last one solved (barrier._enter_path)."""
@@ -244,7 +283,7 @@ class TestWarmStart:
         root = prepare_root(HARD, HARD_OPTIONS)
         source = pipeline.solve_on_box(root, (-1.0,), (1.0,)).solve
         child = pipeline.solve_on_box(root, (-0.75,), (0.75,)).model
-        prob = barrier._phase2_problem(child)
+        prob = barrier.phase2_plan(child)
         # Each point of the path, read at 100 times its weight, is strictly
         # feasible for the child but far from its center there.
         off = tuple(p._replace(tau=100.0 * p.tau) for p in source.path)
@@ -297,52 +336,85 @@ def test_wide_box_raises_no_warning():
     assert res.nodes == 30
 
 
+def _evaluate_points(p, points):
+    """poly.evaluate at every row of points, term by term in its order:
+    the arithmetic the compiled sampler must reproduce bit for bit."""
+    total = np.zeros(len(points))
+    for exps, coeff in p.items():
+        term = np.full(len(points), coeff)
+        for i, e in enumerate(exps):
+            if e:
+                term *= points[:, i] ** e
+        total += term
+    return total
+
+
 def _sample_incumbent_reference(inst, node, seed):
-    """_sample_incumbent one candidate at a time with the scalar evaluate."""
+    """The sampler's (value, point) from random.Random's own stream and
+    the term-by-term evaluation, and the value by the scalar evaluate."""
     rng = random.Random(seed * 1000003 + node.node_id)
     cands = [tuple((lo + hi) / 2.0 for lo, hi in zip(node.lower, node.upper))]
-    cands.extend(bnb._corners(node.lower, node.upper))
+    if inst.n <= 4:
+        cands.extend(itertools.product(*zip(node.lower, node.upper)))
     for _ in range(bnb.SAMPLES_PER_NODE):
         cands.append(tuple(rng.uniform(lo, hi) for lo, hi in zip(node.lower, node.upper)))
-    best_val, best_pt = math.inf, None
-    for x in cands:
-        if any(evaluate(g, x) < -1e-9 for g in inst.constraints):
-            continue
-        fx = evaluate(inst.objective, x)
-        if fx < best_val:
-            best_val, best_pt = fx, x
-    return best_val, best_pt
+    points = np.array(cands)
+    values = _evaluate_points(inst.objective, points)
+    usable = values < math.inf
+    for g in inst.constraints:
+        usable &= ~(_evaluate_points(g, points) < -1e-9)
+    if not usable.any():
+        return math.inf, None, math.inf
+    best = int(np.argmin(np.where(usable, values, math.inf)))
+    return float(values[best]), cands[best], evaluate(inst.objective, cands[best])
 
 
 # -1 - x^2 >= 0 holds nowhere: no candidate is feasible.
 NO_FEASIBLE = inst_from({"n": 1, "objective": [[[1], 1.0]],
                          "constraints": [[[[0], -1.0], [[2], -1.0]]],
                          "lower": [-1], "upper": [1]})
+# min -x s.t. -x y >= 0 on [-1, 0]^2: where x = 0 both terms are -0.0,
+# the objective's sum from 0.0 is +0.0 and the constraint holds.
+SIGNED_ZERO = inst_from({"n": 2, "objective": [[[1, 0], -1.0]],
+                         "constraints": [[[[1, 1], -1.0]]],
+                         "lower": [-1, -1], "upper": [0, 0]})
 
 
-def test_sample_incumbent_matches_scalar_reference():
+def _assert_matches_reference(got, inst, node, seed):
+    val, pt = got
+    want_val, want_pt, scalar_val = _sample_incumbent_reference(inst, node, seed)
+    assert pt == want_pt
+    assert pt is None or all(type(v) is float for v in pt)
+    assert np.float64(val).tobytes() == np.float64(want_val).tobytes()
+    if want_pt is not None:
+        assert val == pytest.approx(scalar_val, rel=1e-12, abs=1e-300)
+
+
+def test_sampler_matches_reference():
+    """Random sub-boxes of generated instances of 1-6 variables, among
+    them degenerate ones, and the -0.0 cases: one sampler per instance
+    and seed serves every node."""
     rng = random.Random(7)
-    insts = [NO_FEASIBLE] + [generate_instance(s, n=1 + s % 3, m=s % 3, max_degree=3 + s % 9)
-                             for s in range(40)]
+    insts = [NO_FEASIBLE, SIGNED_ZERO] + [
+        generate_instance(s, n=1 + s % 6, m=s % 3, max_degree=3 + s % 9) for s in range(40)]
     for inst in insts:
-        for node_id in range(5):
-            lower, upper = [], []
-            for lo, hi in zip(inst.lower, inst.upper):
-                a, b = sorted((rng.uniform(lo, hi), rng.uniform(lo, hi)))
-                lower.append(a)
-                upper.append(b)
-            node = BnbNode(node_id, tuple(lower), tuple(upper), 1, -math.inf)
-            for seed in (0, 3):
-                val, pt = bnb._sample_incumbent(inst, node, seed)
-                want_val, want_pt = _sample_incumbent_reference(inst, node, seed)
-                assert pt == want_pt
-                if want_pt is None:
-                    assert val == want_val == math.inf
-                else:
-                    assert val == pytest.approx(want_val, rel=1e-12, abs=1e-300)
+        for seed in (0, 3):
+            sample = bnb._Sampler(inst, seed)
+            for node_id in range(5):
+                lower, upper = [], []
+                for lo, hi in zip(inst.lower, inst.upper):
+                    a, b = sorted((rng.uniform(lo, hi), rng.uniform(lo, hi)))
+                    lower.append(a)
+                    upper.append(a if node_id == 4 else b)
+                node = BnbNode(node_id, tuple(lower), tuple(upper), 1, -math.inf)
+                _assert_matches_reference(sample(node), inst, node, seed)
+    box = BnbNode(0, SIGNED_ZERO.lower, SIGNED_ZERO.upper, 0, -math.inf)
+    val, pt = bnb._Sampler(SIGNED_ZERO, 0)(box)
+    assert pt == (0.0, -1.0)  # the first corner with x = 0
+    assert np.float64(val).tobytes() == np.float64(0.0).tobytes()
 
 
-def test_sample_incumbent_matches_scalar_reference_for_wide_keys():
+def test_sampler_matches_reference_for_wide_keys():
     """Keys seed * 1000003 + node_id above 2**32 and node ids from 10**6:
     the numpy draw stays random.Random's stream, one generator reused."""
     # sum (x_i - 0.3)^2 on [-1, 1]^3: a sample, not the center or a corner, is best
@@ -350,14 +422,10 @@ def test_sample_incumbent_matches_scalar_reference_for_wide_keys():
                                             [[1, 0, 0], -0.6], [[0, 1, 0], -0.6],
                                             [[0, 0, 1], -0.6]],
                       "constraints": [], "lower": [-1, -1, -1], "upper": [1, 1, 1]})
-    rng = np.random.RandomState()
     for seed in (4295, 10**9, -7):
+        sample = bnb._Sampler(inst, seed)
         for node_id in (10**6, 10**6 + 1, 2**33 + 5):
             node = BnbNode(node_id, inst.lower, inst.upper, 3, -math.inf)
-            want_val, want_pt = _sample_incumbent_reference(inst, node, seed)
-            assert want_pt is not None
-            for got_val, got_pt in (bnb._sample_incumbent(inst, node, seed),
-                                    bnb._sample_incumbent(inst, node, seed, rng)):
-                assert got_pt == want_pt
-                assert all(type(v) is float for v in got_pt)
-                assert got_val == pytest.approx(want_val, rel=1e-12, abs=1e-300)
+            assert _sample_incumbent_reference(inst, node, seed)[1] not in (
+                (0.0, 0.0, 0.0), *itertools.product((-1.0, 1.0), repeat=3))
+            _assert_matches_reference(sample(node), inst, node, seed)

@@ -7,6 +7,7 @@ from soncbound import barrier, pipeline
 from soncbound import status as st
 from soncbound.certify import sample_soundness_check, strict_gamma_float
 from soncbound.covers import PER_VARIABLE, UNIFORM
+from soncbound.bnb import solve_bnb
 from soncbound.generator import generate_instance
 from soncbound.pipeline import (
     PREPARE_ERRORS,
@@ -245,6 +246,94 @@ class TestNodeResultsReused:
         res = solve_instance(inst, PipelineOptions(use_bound_constraints=use_bcs))
         assert res.status == st.OPTIMAL
         assert (len(lags), len(bcs)) == (lagrangians, bound_sets)
+
+
+def _assert_same_plan(got, want):
+    """Every attribute of two barrier plans (and of their block plans)
+    equal, arrays byte for byte."""
+    assert type(got) is type(want) and vars(got).keys() == vars(want).keys()
+    for name, a in vars(want).items():
+        b = vars(got)[name]
+        if isinstance(a, np.ndarray):
+            assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), name
+        elif isinstance(a, barrier._BlockPlan):
+            _assert_same_plan(b, a)
+        else:
+            assert b == a, name
+
+
+def _solved_plans(monkeypatch, solve=None):
+    """Wrap pipeline.solve_relaxation to keep each (model, plan) it is
+    given, calling solve(model) in place of the solver where given."""
+    seen = []
+    original = pipeline.solve_relaxation
+
+    def recorded(model, opts, warm=None, plan=None):
+        seen.append((model, plan))
+        if solve is not None:
+            return solve(model)
+        return original(model, opts, warm=warm, plan=plan)
+
+    monkeypatch.setattr(pipeline, "solve_relaxation", recorded)
+    return seen
+
+
+def _no_solve(model):
+    return barrier.SolveResult(status=st.NUMERICAL_ERROR)
+
+
+class TestPlanReuse:
+    """A model whose rows have the shape and nonzero pattern of the
+    root's first solves on that plan with its own values; the plan then
+    equals a fresh one byte for byte, and it shares the root plan's index
+    arrays.  Any other model gets a fresh plan."""
+
+    @pytest.mark.parametrize("inst, options, reused", [
+        (generate_instance(1002, n=2, m=1, max_degree=4),
+         PipelineOptions(solver=barrier.SolverOptions(tol_gap=1e-8, tol_kkt=1e-5)), 0),
+        (HARD, PipelineOptions(solver=barrier.SolverOptions(tol_gap=1e-8, tol_kkt=1e-5),
+                               exponents=(4,)), 8),
+    ], ids=["demo", "hard"])
+    def test_every_bnb_node_model(self, monkeypatch, inst, options, reused):
+        seen = _solved_plans(monkeypatch)
+        res = solve_bnb(inst, options, max_nodes=40, gap_tol=1e-6, seed=0)
+        assert len(seen) == res.relaxations_solved == reused + 1
+        root_plan = seen[0][1]
+        for model, plan in seen:
+            _assert_same_plan(plan, barrier.phase2_plan(model))
+            assert plan.flat is root_plan.flat
+        assert sum(plan is not root_plan for _, plan in seen) == reused
+
+    @pytest.mark.parametrize("degree", (4, 5))
+    def test_wide_model_on_its_box_and_a_sub_box(self, monkeypatch, degree):
+        """The benchmark's wide models (175 and 235 variables) take the
+        block path, whose plan reads coupling constants from the rows."""
+        inst = generate_instance(0, n=6, m=1, max_degree=degree, density=2.0)
+        root = prepare_root(inst, PipelineOptions())
+        seen = _solved_plans(monkeypatch, _no_solve)
+        lower, upper = list(inst.lower), list(inst.upper)
+        upper[0] = 0.5 * (lower[0] + upper[0])
+        lower[1] = 0.25 * lower[1]
+        solve_on_box(root, inst.lower, inst.upper)
+        solve_on_box(root, tuple(lower), tuple(upper))
+        (model, plan), (sub_model, sub_plan) = seen
+        assert plan.border is not None and sub_model.rows.tobytes() != model.rows.tobytes()
+        _assert_same_plan(barrier.phase2_plan(model, plan), barrier.phase2_plan(model))
+        _assert_same_plan(sub_plan, barrier.phase2_plan(sub_model))
+        assert sub_plan.flat is plan.flat and sub_plan.border is plan.border
+
+    def test_other_pattern_builds_fresh(self, monkeypatch):
+        """On the point box [0, 0], M**4 = 0 drops nu from the origin budget."""
+        root = prepare_root(HARD, PipelineOptions(exponents=(4,)))
+        seen = _solved_plans(monkeypatch, _no_solve)
+        solve_on_box(root, (-1.0,), (1.0,))
+        solve_on_box(root, (0.0,), (0.0,))
+        solve_on_box(root, (-0.5,), (0.5,))
+        (model, plan), (point_model, point_plan), (_, half_plan) = seen
+        assert (point_model.rows != 0).sum() == (model.rows != 0).sum() - 1
+        assert point_plan.flat is not plan.flat
+        _assert_same_plan(point_plan, barrier.phase2_plan(point_model))
+        assert root._plan == [plan] and half_plan.flat is plan.flat
 
 
 def test_singular_newton_system_is_numerical_error(monkeypatch):
