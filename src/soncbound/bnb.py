@@ -178,7 +178,8 @@ def solve_bnb(
     The reported lower bound is the minimum over open and closed leaf
     bounds, so it stays valid whatever stops the search.  When the root
     cannot be prepared, the result is bound -inf with one error node
-    whose record carries the mapped status.
+    whose record carries the mapped status.  Exponents that do not fit
+    the instance raise ValueError (PipelineOptions.check_fits).
     """
     options = options or PipelineOptions()
     try:

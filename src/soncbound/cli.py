@@ -13,10 +13,9 @@ from pathlib import Path
 from . import status as st
 from .barrier import SolverOptions
 from .bnb import solve_bnb
-from .covers import STRATEGIES, UNIFORM
 from .generator import generate_instance
 from .pipeline import PipelineOptions, solve_instance
-from .poly import InstanceFormatError, parse_instance, serialize_instance
+from .poly import parse_instance, serialize_instance
 from .relaxation import dump_model
 
 WITH_BCS = "with-bcs"
@@ -68,22 +67,26 @@ class StatusTable:
 
 def _pipeline_options(args, use_bcs: bool,
                       solver: SolverOptions | None = None) -> PipelineOptions:
-    exponents = None
-    if getattr(args, "bound_exponents", None):
-        exponents = tuple(int(v) for v in args.bound_exponents.split(","))
     return PipelineOptions(
         use_bound_constraints=use_bcs,
-        exponent_strategy=args.exponent_strategy,
-        exponents=exponents,
+        exponents=args.bound_exponents,
         solver=solver or SolverOptions(tol_gap=args.tol_gap),
     )
 
 
+def _bound_exponents(text: str) -> tuple[int, ...]:
+    """--bound-exponents A1,A2,...: each entry checked as PipelineOptions checks it."""
+    try:
+        return PipelineOptions(exponents=tuple(int(v) for v in text.split(","))).exponents
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     """The relaxation flags of solve, batch and bnb."""
-    p.add_argument("--exponent-strategy", choices=STRATEGIES, default=UNIFORM)
-    p.add_argument("--bound-exponents", default=None, metavar="A1,A2,...",
-                   help="explicit even bound exponents, overriding the strategy")
+    p.add_argument("--bound-exponents", type=_bound_exponents, default=None,
+                   metavar="A1,A2,...",
+                   help="even bound exponents, one per variable, in place of the default rule")
     p.add_argument("--tol-gap", type=float, default=1e-6)
 
 
@@ -93,17 +96,21 @@ def _add_bcs_flag(p: argparse.ArgumentParser) -> None:
                    help="vanilla relaxation without box-derived cover vertices")
 
 
-def _load_instance(path: str):
+def _load_instance(path: str, options: PipelineOptions):
+    """The instance at path, or None after a message on stderr when it
+    cannot be read or parsed or when options' exponents do not fit it."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
     try:
-        return parse_instance(text)
-    except InstanceFormatError as exc:
+        inst = parse_instance(text)
+        options.check_fits(inst)
+    except ValueError as exc:  # InstanceFormatError is one
         print(f"error: {path}: {exc}", file=sys.stderr)
         return None
+    return inst
 
 
 def _gamma_str(value: float | None) -> str:
@@ -111,10 +118,10 @@ def _gamma_str(value: float | None) -> str:
 
 
 def cmd_solve(args) -> int:
-    inst = _load_instance(args.instance)
+    options = _pipeline_options(args, use_bcs=not args.no_bound_constraints)
+    inst = _load_instance(args.instance, options)
     if inst is None:
         return 1
-    options = _pipeline_options(args, use_bcs=not args.no_bound_constraints)
     result = solve_instance(inst, options)
 
     if args.dump_model and result.model is not None:
@@ -160,7 +167,7 @@ def cmd_solve(args) -> int:
 def _run_both_configs(job) -> list[tuple[str, str, str, str, str, float]]:
     path, args_dict = job
     ns = argparse.Namespace(**args_dict)
-    inst = _load_instance(path)
+    inst = _load_instance(path, _pipeline_options(ns, use_bcs=True))
     name = Path(path).name
     rows = []
     if inst is None:
@@ -234,11 +241,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bnb(args) -> int:
-    inst = _load_instance(args.instance)
-    if inst is None:
-        return 1
     solver = SolverOptions(tol_gap=min(args.tol_gap, 1e-8), tol_kkt=1e-5)
     options = _pipeline_options(args, use_bcs=not args.no_bound_constraints, solver=solver)
+    inst = _load_instance(args.instance, options)
+    if inst is None:
+        return 1
     result = solve_bnb(
         inst,
         options,

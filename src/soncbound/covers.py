@@ -3,7 +3,9 @@
 Finite variable bounds l <= x <= u imply, for any even a_i, the valid
 inequality x_i**a_i <= M_i**a_i with M_i = max(|l_i|, |u_i|).  Each such
 bound constraint contributes the even exponent a_i * e_i as an extra
-cover vertex, which is what makes every inner term coverable.
+cover vertex, which is what makes every inner term coverable.  The
+exponents come from one rule, select_bound_exponents; other exponents
+enter only as an explicit override (PipelineOptions.exponents).
 """
 
 from __future__ import annotations
@@ -15,11 +17,6 @@ from .geometry import CandidateSet, Cover
 from .geometry import barycentric_coordinates, polytope_vertices
 from .poly import Exponent, PopInstance, zero_exponent
 from .status import NumericalError
-
-UNIFORM = "uniform"
-PER_VARIABLE = "per-variable"
-STRATEGIES = (UNIFORM, PER_VARIABLE)
-
 
 @dataclass(frozen=True)
 class BoundConstraint:
@@ -41,47 +38,28 @@ class BoundConstraint:
         return tuple(e)
 
 
-def _smallest_even_at_least(d: int) -> int:
-    d = max(d, 2)
-    return d if d % 2 == 0 else d + 1
-
-
 def select_bound_exponents(
-    inst: PopInstance, inner_terms: set[Exponent] | list[Exponent], strategy: str = UNIFORM
+    inst: PopInstance, inner_terms: set[Exponent] | list[Exponent]
 ) -> tuple[int, ...]:
     """Choose even exponents a so that the origin and the points a_i*e_i
     cover every inner term via the explicit weights lambda_i = beta_i/a_i.
 
-    uniform: one shared a = smallest even integer >= max total degree of
-    the inner terms, plus 2 where a term other than a corner a*e_i has
-    total degree a and no point of the instance lies beyond degree a.
-    Such a term lies on the face of conv(0, a*e_1, ..., a*e_n) opposite
-    the origin, and no candidate lifts it off that face, so its cover
-    would carry no origin weight, which the exact repair needs.
-    per-variable: start from per-coordinate maxima and double entries
-    until sum_i beta_i/a_i <= 1 for every inner term.
+    One shared a = smallest even integer >= 2 and >= the largest total
+    degree of the inner terms, plus 2 where a term other than a corner a*e_i has total
+    degree a and no point of the instance lies beyond degree a.  Such a
+    term lies on the face of conv(0, a*e_1, ..., a*e_n) opposite the
+    origin, and no candidate lifts it off that face, so its cover would
+    carry no origin weight, which the exact repair needs.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown exponent strategy {strategy!r}")
     inner = list(inner_terms)
     if not inner:
         return (2,) * inst.n
-
-    if strategy == UNIFORM:
-        a = _smallest_even_at_least(max(sum(b) for b in inner))
-        top = max(sum(e) for poly in (inst.objective, *inst.constraints) for e in poly)
-        if top <= a and any(sum(b) == a and max(b) < a for b in inner):
-            a += 2
-        return (a,) * inst.n
-
-    a = [_smallest_even_at_least(max(b[i] for b in inner)) for i in range(inst.n)]
-    while True:
-        worst = max(inner, key=lambda b: sum(b[i] / a[i] for i in range(inst.n)))
-        if sum(worst[i] / a[i] for i in range(inst.n)) <= 1.0:
-            return tuple(a)
-        # Double the coordinate contributing most to the violation.
-        i_star = max(range(inst.n), key=lambda i: (worst[i] / a[i], -i))
-        a[i_star] *= 2
+    a = max(2, max(sum(b) for b in inner))
+    a += a % 2
+    top = max(sum(e) for poly in (inst.objective, *inst.constraints) for e in poly)
+    if top <= a and any(sum(b) == a and max(b) < a for b in inner):
+        a += 2
+    return (a,) * inst.n
 
 
 def box_magnitudes(lower: tuple[float, ...], upper: tuple[float, ...]) -> tuple[float, ...]:

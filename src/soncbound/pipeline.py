@@ -18,7 +18,6 @@ from . import status as st
 from .barrier import SolveResult, SolverOptions, phase2_plan, solve_relaxation
 from .certify import Certificate, RepairFailure, repair_and_certify
 from .covers import (
-    UNIFORM,
     BoundConstraint,
     box_magnitudes,
     build_candidate_set,
@@ -34,9 +33,18 @@ from .relaxation import LagrangianSupport, RelaxationModel, assemble_lagrangian,
 @dataclass(frozen=True)
 class PipelineOptions:
     use_bound_constraints: bool = True
-    exponent_strategy: str = UNIFORM
-    exponents: tuple[int, ...] | None = None  # explicit override of the a_i
+    exponents: tuple[int, ...] | None = None  # override of select_bound_exponents' a_i
     solver: SolverOptions = field(default_factory=SolverOptions)
+
+    def __post_init__(self):
+        for a in self.exponents or ():
+            if not isinstance(a, int) or a < 2 or a % 2:
+                raise ValueError(f"bound exponent must be an even int >= 2, got {a!r}")
+
+    def check_fits(self, inst: PopInstance) -> None:
+        """Raise ValueError unless exponents, where given, has one entry per variable."""
+        if self.exponents is not None and len(self.exponents) != inst.n:
+            raise ValueError(f"{len(self.exponents)} bound exponents for {inst.n} variables")
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,7 @@ def solve_instance(inst: PopInstance, options: PipelineOptions | None = None) ->
     This is prepare_root followed by solve_on_box on the instance's own
     box.  A certification repair failure demotes an optimal solve to the
     numerical-error status: the bound exists but cannot be vouched for.
+    Exponents that do not fit the instance raise ValueError (check_fits).
     """
     start = time.perf_counter()
     try:
@@ -120,17 +129,20 @@ class RootStructure:
 def prepare_root(inst: PopInstance, options: PipelineOptions) -> RootStructure:
     """Fix the bound exponents and covers once; boxes only change big-M.
 
-    Raises CoverUnavailable when some inner term cannot be covered,
-    LpFailure when an LP gives up, and NumericalError on big-M overflow.
+    The exponents are options.exponents where given, else those of
+    select_bound_exponents.  Raises ValueError, before any work, when
+    options.exponents does not fit the instance (check_fits);
+    CoverUnavailable when some inner term cannot be covered, LpFailure
+    when an LP gives up, and NumericalError on big-M overflow.
     """
+    options.check_fits(inst)
     lag_plain = assemble_lagrangian(inst, [], False)
     a, bcs, lag = None, [], lag_plain
     if options.use_bound_constraints:
         if options.exponents is not None:
             a = tuple(options.exponents)
         else:
-            a = select_bound_exponents(inst, _terms_to_cover(lag_plain),
-                                       options.exponent_strategy)
+            a = select_bound_exponents(inst, _terms_to_cover(lag_plain))
         bcs = make_bound_constraints(inst, a)
         lag = assemble_lagrangian(inst, bcs, True)
     cands, covers = build_candidates_and_covers(lag.support, bcs, inst.n)
@@ -159,18 +171,16 @@ def solve_on_box(
     constraints' M_i = max(|l_i|, |u_i|), and nothing without them.
     Boxes with one key therefore share one bit-identical relaxation, so
     each key is built, solved and certified once per root; a later box
-    with that key gets the stored result (every status included), its
-    seconds the lookup time, and shares its solve, model and
-    certificate: treat them as read-only.  A model that reads l and u
-    itself must widen the key to the full box.
+    with that key gets the stored result itself (every status included,
+    its seconds those of the solve that made it): treat it, and its
+    solve, model and certificate, as read-only.  A model that reads l
+    and u itself must widen the key to the full box.
     """
-    start = time.perf_counter()
     key = root.box_key(lower, upper)
     stored = root._results.get(key)
-    if stored is not None:
-        return replace(stored, seconds=time.perf_counter() - start)
-    result = root._results[key] = _solve_model(root, key, lower, upper)
-    return result
+    if stored is None:
+        stored = root._results[key] = _solve_model(root, key, lower, upper)
+    return stored
 
 
 def _solve_model(

@@ -74,6 +74,9 @@ MOTZKIN = {
     "objective": [[[4, 2], 1.0], [[2, 4], 1.0], [[2, 2], -3.0], [[0, 0], 1.0]],
     "constraints": [], "lower": [-2, -2], "upper": [2, 2],
 }
+# min x^2 - x s.t. 1 - x^2 >= 0 on [-1, 1]: the minimum -1/4 at x = 1/2
+CONSTRAINED = {"n": 1, "objective": [[[2], 1.0], [[1], -1.0]],
+               "constraints": [[[[0], 1.0], [[2], -1.0]]], "lower": [-1], "upper": [1]}
 
 
 def test_criterion_1_status_table(corpus):
@@ -110,6 +113,7 @@ def test_criterion_2_closed_forms():
         ("min -x^2 on [-1,2] with a=4", MIN_X2, PipelineOptions(exponents=(4,)), -4.0),
         ("Motzkin unconstrained", MOTZKIN, PipelineOptions(), 0.0),
         ("Motzkin without bcs", MOTZKIN, PipelineOptions(use_bound_constraints=False), 0.0),
+        ("min x^2 - x s.t. 1 - x^2 >= 0", CONSTRAINED, PipelineOptions(), -0.25),
     ]
     ok = True
     details = []

@@ -87,10 +87,61 @@ class TestSolveCommand:
         assert err.value.code == 1
 
     @pytest.mark.parametrize("flag", [["--tol-feas", "1e-7"], ["--max-iters", "5"],
-                                      ["--seed", "1"]])
+                                      ["--seed", "1"], ["--exponent-strategy", "uniform"]])
     def test_removed_solver_flags_rejected(self, minx_file, flag):
         with pytest.raises(SystemExit) as err:
             main(["solve", minx_file, *flag])
+        assert err.value.code == 1
+
+
+class TestBoundExponentsFlag:
+    """--bound-exponents is the one way to other bound exponents; a
+    malformed value ends as a usage error, without a traceback."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        directory = tmp_path / "corpus"
+        directory.mkdir()
+        (directory / "minx.json").write_text(json.dumps(MIN_X))
+        (directory / "motzkin.json").write_text(json.dumps(MOTZKIN))
+        return directory
+
+    @pytest.mark.parametrize("command", ["solve", "batch", "bnb"])
+    @pytest.mark.parametrize("value, message", [("4,3", "got 3"), ("0", "got 0"),
+                                                ("x", "'x'")])
+    def test_bad_entry_is_usage_error(self, corpus, capsys, command, value, message):
+        target = corpus if command == "batch" else corpus / "motzkin.json"
+        with pytest.raises(SystemExit) as err:
+            main([command, str(target), "--bound-exponents", value])
+        assert err.value.code == 1
+        err_text = capsys.readouterr().err
+        assert "argument --bound-exponents: " in err_text and message in err_text
+
+    @pytest.mark.parametrize("command", ["solve", "bnb"])
+    @pytest.mark.parametrize("value", ["4", "4,4,4"])
+    def test_wrong_length_exit_one(self, corpus, capsys, command, value):
+        path = corpus / "motzkin.json"
+        assert main([command, str(path), "--bound-exponents", value]) == 1
+        captured = capsys.readouterr()
+        count = len(value.split(","))
+        assert captured.err == f"error: {path}: {count} bound exponents for 2 variables\n"
+        assert captured.out == ""
+
+    def test_batch_reports_misfit_instance_and_goes_on(self, corpus, tmp_path, capsys):
+        csv_path = tmp_path / "out.csv"
+        assert main(["batch", str(corpus), "--bound-exponents", "4,4",
+                     "--csv", str(csv_path)]) == 0
+        assert "minx.json: 2 bound exponents for 1 variables" in capsys.readouterr().err
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        assert rows[:2] == [["minx.json", config, "numerical-error", "", "", "0.000"]
+                            for config in ("with-bcs", "without-bcs")]
+        assert rows[2][:3] == ["motzkin.json", "with-bcs", "optimal"]
+
+    @pytest.mark.parametrize("command", ["batch", "bnb"])
+    def test_exponent_strategy_flag_removed(self, corpus, command):
+        target = corpus if command == "batch" else corpus / "minx.json"
+        with pytest.raises(SystemExit) as err:
+            main([command, str(target), "--exponent-strategy", "uniform"])
         assert err.value.code == 1
 
 

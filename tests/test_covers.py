@@ -1,8 +1,6 @@
 import pytest
 
 from soncbound.covers import (
-    PER_VARIABLE,
-    UNIFORM,
     BoundConstraint,
     build_candidates_and_covers,
     make_bound_constraints,
@@ -21,7 +19,7 @@ from builders import make_inst
 class TestSelectExponents:
     def test_uniform_degree_four(self):
         inst = make_inst(n=2, lower=(-1, -1), upper=(1, 1), objective=(((2, 2), -1.0),))
-        a = select_bound_exponents(inst, {(2, 2)}, UNIFORM)
+        a = select_bound_exponents(inst, {(2, 2)})
         # total degree 4 would put (2,2) on the face of conv(0, 4e_1, 4e_2)
         assert a == (6, 6)
         # explicit construction: 2/6 + 2/6 < 1, origin weight 1/3
@@ -29,27 +27,27 @@ class TestSelectExponents:
 
     def test_uniform_linear(self):
         inst = make_inst()
-        assert select_bound_exponents(inst, {(1,)}, UNIFORM) == (2,)
+        assert select_bound_exponents(inst, {(1,)}) == (2,)
 
     def test_uniform_mixed(self):
         inst = make_inst(n=2, lower=(-1, -1), upper=(1, 1), objective=(((3, 1), 1.0),))
-        a = select_bound_exponents(inst, {(3, 1)}, UNIFORM)
+        a = select_bound_exponents(inst, {(3, 1)})
         assert a == (6, 6)  # at (4, 4), 3/4 + 1/4 = 1 leaves no origin weight
         assert 3 / 6 + 1 / 6 < 1.0
 
     def test_uniform_corner_keeps_its_degree(self):
         # a negative pure power a*e_i is a corner of the simplex, not a face term
         inst = make_inst(n=2, lower=(-1, -1), upper=(1, 1), objective=(((4, 0), -1.0),))
-        assert select_bound_exponents(inst, {(4, 0), (1, 1)}, UNIFORM) == (4, 4)
-        assert select_bound_exponents(inst, {(4, 0), (2, 2)}, UNIFORM) == (6, 6)
-        assert select_bound_exponents(inst, {(3, 0)}, UNIFORM) == (4,) * 2
+        assert select_bound_exponents(inst, {(4, 0), (1, 1)}) == (4, 4)
+        assert select_bound_exponents(inst, {(4, 0), (2, 2)}) == (6, 6)
+        assert select_bound_exponents(inst, {(3, 0)}) == (4,) * 2
 
     def test_uniform_face_term_lifted_by_a_higher_vertex(self):
         # Motzkin: (4,2) and (2,4) lie beyond the face x + y = 4, so (2,2)
         # keeps origin weight 1/3 at a = 4, and a larger a only loosens the bound
         inst = make_inst(n=2, lower=(-2, -2), upper=(2, 2),
                          objective=(((4, 2), 1.0), ((2, 4), 1.0), ((2, 2), -3.0), ((0, 0), 1.0)))
-        assert select_bound_exponents(inst, {(2, 2)}, UNIFORM) == (4, 4)
+        assert select_bound_exponents(inst, {(2, 2)}) == (4, 4)
 
     def test_face_term_is_certified(self):
         # x^4 + y^4 - x^2 y^2 + xy on [-1, 1]^2: at a = 4 the cover of (2, 2)
@@ -64,22 +62,14 @@ class TestSelectExponents:
         assert res.gamma_certified <= res.gamma_solver
         assert sample_soundness_check(inst, res.gamma_certified).ok()
 
-    def test_per_variable_covers_all(self):
-        inst = make_inst(n=2, lower=(-1, -1), upper=(1, 1), objective=(((3, 1), 1.0),))
-        a = select_bound_exponents(inst, {(3, 1), (1, 3), (2, 2)}, PER_VARIABLE)
-        assert all(ai % 2 == 0 and ai >= 2 for ai in a)
-        for beta in ((3, 1), (1, 3), (2, 2)):
-            assert sum(b / ai for b, ai in zip(beta, a)) <= 1.0
-
     def test_empty_inner_defaults(self):
         inst = make_inst()
-        assert select_bound_exponents(inst, set(), UNIFORM) == (2,)
+        assert select_bound_exponents(inst, set()) == (2,)
 
     def test_evenness_always(self):
         inst = make_inst(n=3, lower=(-1,) * 3, upper=(1,) * 3, objective=(((1, 2, 3), 1.0),))
-        for strategy in (UNIFORM, PER_VARIABLE):
-            a = select_bound_exponents(inst, {(1, 2, 3), (5, 0, 0)}, strategy)
-            assert all(ai % 2 == 0 for ai in a)
+        a = select_bound_exponents(inst, {(1, 2, 3), (5, 0, 0)})
+        assert all(ai % 2 == 0 for ai in a)
 
 
 class TestMakeBoundConstraints:

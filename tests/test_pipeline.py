@@ -1,12 +1,9 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from soncbound import barrier, pipeline
 from soncbound import status as st
 from soncbound.certify import sample_soundness_check, strict_gamma_float
-from soncbound.covers import PER_VARIABLE, UNIFORM
 from soncbound.bnb import solve_bnb
 from soncbound.generator import generate_instance
 from soncbound.pipeline import (
@@ -150,14 +147,13 @@ class TestDefaultExponents:
     """An even hull vertex with a negative constant coefficient is a term
     the bound exponents must cover: as a candidate no multiplier lifts it."""
 
-    @pytest.mark.parametrize("inst, strategy, expected", [
-        (HARD, UNIFORM, (4,)),
-        (HARD, PER_VARIABLE, (4,)),
-        (SADDLE, UNIFORM, (4, 4)),
-        (SADDLE, PER_VARIABLE, (4, 2)),
-    ], ids=["hard-uniform", "hard-per-variable", "saddle-uniform", "saddle-per-variable"])
-    def test_negative_square_vertex_is_covered(self, inst, strategy, expected):
-        res = solve_instance(inst, PipelineOptions(exponent_strategy=strategy))
+    @pytest.mark.parametrize("inst, exponents, expected", [
+        (HARD, None, (4,)),
+        (SADDLE, None, (4, 4)),
+        (SADDLE, (4, 2), (4, 2)),
+    ], ids=["hard-uniform", "saddle-uniform", "saddle-override"])
+    def test_negative_square_vertex_is_covered(self, inst, exponents, expected):
+        res = solve_instance(inst, PipelineOptions(exponents=exponents))
         assert res.status == st.OPTIMAL, res.message
         assert res.bound_exponents == expected
         assert strict_gamma_float(res.model, res.certificate) <= res.gamma_certified
@@ -166,6 +162,41 @@ class TestDefaultExponents:
     def test_hard_bound(self):
         res = solve_instance(HARD)
         assert res.gamma_certified == pytest.approx(-1.0, abs=1e-5)
+
+
+class TestExponentOverride:
+    """PipelineOptions.exponents is the one way to other bound exponents,
+    so malformed ones are rejected where they enter."""
+
+    @pytest.mark.parametrize("exponents, entry", [
+        ((4, 3), "3"), ((0,), "0"), ((-2, 4), "-2"), ((4.0,), "4.0"), (("4",), "'4'"),
+    ])
+    def test_bad_entry_rejected(self, exponents, entry):
+        with pytest.raises(ValueError, match=f"got {entry}$"):
+            PipelineOptions(exponents=exponents)
+
+    @pytest.mark.parametrize("exponents", [(4,), (4, 4, 4)])
+    @pytest.mark.parametrize("use_bcs", [True, False])
+    def test_wrong_length_rejected_before_any_work(self, monkeypatch, exponents, use_bcs):
+        lags = count_calls(monkeypatch, pipeline, "assemble_lagrangian")
+        options = PipelineOptions(use_bound_constraints=use_bcs, exponents=exponents)
+        with pytest.raises(ValueError, match=f"{len(exponents)} bound exponents for 2"):
+            solve_instance(MOTZKIN, options)
+        with pytest.raises(ValueError, match=f"{len(exponents)} bound exponents for 2"):
+            solve_bnb(MOTZKIN, options, max_nodes=2)
+        assert lags == []
+
+    def test_override_reaches_a_better_bound(self):
+        # highdeg s19/n2-d8-m1: the default rule takes (8, 8) and certifies
+        # -7.958116149168632; (4, 12) certifies this bound, to the bit
+        inst = generate_instance(19, n=2, m=1, max_degree=8)
+        res = solve_instance(inst, PipelineOptions(exponents=(4, 12)))
+        assert res.status == st.OPTIMAL, res.message
+        assert res.bound_exponents == (4, 12)
+        assert res.gamma_certified == -1.5801385906557566
+        assert strict_gamma_float(res.model, res.certificate) <= res.gamma_certified
+        assert res.gamma_certified <= res.gamma_solver
+        assert sample_soundness_check(inst, res.gamma_certified).ok()
 
 
 def count_calls(monkeypatch, module, name):
@@ -222,12 +253,10 @@ class TestNodeResultsReused:
         assert first.status == again.status == st.NUMERICAL_ERROR
         assert again.message == first.message
 
-    def test_hit_reports_lookup_time(self):
+    def test_hit_returns_stored_result(self):
         root = prepare_root(HARD, PipelineOptions(exponents=(4,)))
         first = solve_on_box(root, (-1.0, ), (1.0, ))
-        again = solve_on_box(root, (-1.0, ), (1.0, ))
-        assert again.seconds < first.seconds
-        assert again == replace(first, seconds=again.seconds)
+        assert solve_on_box(root, (-1.0, ), (1.0, )) is first
 
     def test_fresh_root_per_call(self, monkeypatch):
         solves = count_calls(monkeypatch, pipeline, "solve_relaxation")
