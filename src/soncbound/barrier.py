@@ -538,20 +538,6 @@ def _grad_hess(point: _Point, tau: float,
     return grad, sums[:nvar * nvar].reshape(nvar, nvar)
 
 
-def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Newton step from one float64 solve.
-
-    A singular Hessian is retried once with a 1e-10 diagonal shift.
-    """
-    try:
-        return np.linalg.solve(hess, -grad)
-    except np.linalg.LinAlgError:
-        try:
-            return np.linalg.solve(hess + 1e-10 * np.eye(len(grad)), -grad)
-        except np.linalg.LinAlgError:
-            raise st.NumericalError("singular Newton system") from None
-
-
 _PLUS_MINUS = np.array([1.0, -1.0])
 
 
@@ -610,10 +596,7 @@ def _block_direction(point: _Point, sums: np.ndarray, tau: float,
     schur = border - e.T @ z
     scale = 1.0 / np.sqrt(np.abs(schur[:, :nf]).max(axis=1))
     scaled = schur[:, :nf] * scale * scale[:, None]
-    try:
-        s_inv = np.linalg.inv(scaled)
-    except np.linalg.LinAlgError:
-        raise st.NumericalError("singular Newton system") from None
+    s_inv = np.linalg.inv(scaled)
 
     def border_solve(r):  # S x = r, refined once
         r = scale * r
@@ -638,10 +621,14 @@ def _block_direction(point: _Point, sums: np.ndarray, tau: float,
 def _newton_step(point: _Point, tau: float,
                  kappa: np.ndarray | None) -> tuple[np.ndarray, float]:
     """(d, lambda^2): the Newton step at point, its Hessian weighted by
-    kappa where given, and its decrement -grad.d."""
+    kappa where given, and its decrement -grad.d.  A singular system, on
+    either path, raises NumericalError."""
     grad, system = _grad_hess(point, tau, kappa)
-    d = (_newton_direction(system, grad) if point.prob.border is None
-         else _block_direction(point, system, tau, kappa))
+    try:
+        d = (np.linalg.solve(system, -grad) if point.prob.border is None
+             else _block_direction(point, system, tau, kappa))
+    except np.linalg.LinAlgError:
+        raise st.NumericalError("singular Newton system") from None
     return d, -float(grad @ d)
 
 

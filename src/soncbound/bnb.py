@@ -11,13 +11,13 @@ bound tightens only where a split lowers some M_i.  A relaxation after
 the root's first starts warm on the central path of the last one solved,
 in a dive its parent's (pipeline, barrier), so its Newton steps follow
 how far M moved: on x^2 - x^4 over [-1, 1], 1 step for the 8 later
-relaxations together, against 21 each cold.  It also reuses the root's
-barrier plan with its own big-M values, where its rows keep the root's
-nonzero pattern (barrier.phase2_plan): 1 plan build per run there, not
-9.  Incumbents come from seeded sampling plus the box corners and
-center, evaluated by a sampler compiled once per run (_Sampler): each
-power x_i**e is taken once per node, and the arithmetic is
-poly.evaluate's, bit for bit.
+relaxations together, against 21 each cold.  It also takes the barrier
+plan that prepare_root built for the root, with its own big-M values,
+where its rows keep the root's nonzero pattern (barrier.phase2_plan): 1
+plan build per run there, not 9.  Incumbents come from seeded sampling
+plus the box corners and center, evaluated by a sampler compiled once
+per run (_Sampler): each power x_i**e is taken once per node, and the
+arithmetic is poly.evaluate's, bit for bit.
 """
 
 from __future__ import annotations

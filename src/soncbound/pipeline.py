@@ -1,31 +1,32 @@
 """End-to-end solve pipeline: classify, cover, model, solve, certify.
 
 prepare_root fixes what does not depend on the box (bound exponents,
-candidates, covers); solve_on_box builds, solves and certifies the
-model of one box, once per distinct model of a root, each solve after
-the root's first starting warm from the path of the last one, on the
-first one's barrier plan where the rows keep its pattern (see
-barrier).  solve_instance is the two on the instance's box, on a fresh
-root, so it always starts cold.
+candidates, covers) and builds the instance box's model and barrier
+plan; solve_on_box solves and certifies the model of one box, once per
+distinct model of a root, each solve after the root's first starting
+warm from the path of the last one, on the root's plan where the rows
+keep its pattern (see barrier).  solve_instance is the two on the
+instance's box, on a fresh root, so it always starts cold.
 """
 
 from __future__ import annotations
 
+import numbers
+import operator
 import time
 from dataclasses import dataclass, field, replace
 
 from . import status as st
-from .barrier import SolveResult, SolverOptions, phase2_plan, solve_relaxation
+from .barrier import SolveResult, SolverOptions, _Barrier, phase2_plan, solve_relaxation
 from .certify import Certificate, RepairFailure, repair_and_certify
 from .covers import (
-    BoundConstraint,
     box_magnitudes,
     build_candidate_set,
     build_candidates_and_covers,
     make_bound_constraints,
     select_bound_exponents,
 )
-from .geometry import CandidateSet, Cover, CoverUnavailable, LpFailure, classify_support
+from .geometry import CoverUnavailable, LpFailure, classify_support
 from .poly import Exponent, PopInstance
 from .relaxation import LagrangianSupport, RelaxationModel, assemble_lagrangian, build_model
 
@@ -37,14 +38,21 @@ class PipelineOptions:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        for a in self.exponents or ():
-            if not isinstance(a, int) or a < 2 or a % 2:
-                raise ValueError(f"bound exponent must be an even int >= 2, got {a!r}")
+        if self.exponents is not None:
+            object.__setattr__(self, "exponents", tuple(map(_bound_exponent, self.exponents)))
 
     def check_fits(self, inst: PopInstance) -> None:
         """Raise ValueError unless exponents, where given, has one entry per variable."""
         if self.exponents is not None and len(self.exponents) != inst.n:
             raise ValueError(f"{len(self.exponents)} bound exponents for {inst.n} variables")
+
+
+def _bound_exponent(a) -> int:
+    """a as a Python int, where it is an even integer >= 2 (a bool is 0 or 1)."""
+    k = operator.index(a) if isinstance(a, numbers.Integral) else 0
+    if k < 2 or k % 2:
+        raise ValueError(f"bound exponent must be an even int >= 2, got {a!r}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -94,26 +102,24 @@ def solve_instance(inst: PopInstance, options: PipelineOptions | None = None) ->
 class RootStructure:
     """Everything box-independent, reusable across branch-and-bound nodes.
 
-    bcs and lag are those of the instance's own box.  _results holds the
-    outcome of every box solved on this root, by its box key (see
-    solve_on_box); _warm holds the last solve on this root that has a
-    central path, the warm start of the next, and _plan the barrier plan
-    of the first model solved, which later models of its shape and
-    nonzero pattern reuse (_solve_model).  All live and die with the root.
+    model and plan are the relaxation of the instance's own box and its
+    phase-2 barrier plan; every other box's model shares model's
+    candidates and covers, and reuses plan where its rows keep plan's
+    pattern (_solve_model).  _results holds the outcome of every box
+    solved on this root, by its box key (see solve_on_box); _warm holds
+    the last solve on this root that has a central path, the warm start
+    of the next.  Both live and die with the root.
     """
 
     inst: PopInstance
     options: PipelineOptions
     exponents: tuple[int, ...] | None  # None without bound constraints
-    cands: CandidateSet
-    covers: dict[Exponent, Cover]
-    bcs: tuple[BoundConstraint, ...]  # () without bound constraints
-    lag: LagrangianSupport
+    model: RelaxationModel
+    plan: _Barrier
     _results: dict[tuple[float, ...], PipelineResult] = field(
         default_factory=dict, init=False, compare=False, repr=False)
     _warm: list[SolveResult] = field(
         default_factory=list, init=False, compare=False, repr=False)
-    _plan: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     @property
     def relaxations_solved(self) -> int:
@@ -127,27 +133,31 @@ class RootStructure:
 
 
 def prepare_root(inst: PopInstance, options: PipelineOptions) -> RootStructure:
-    """Fix the bound exponents and covers once; boxes only change big-M.
+    """Fix the bound exponents and covers, and build the instance box's
+    model and phase-2 plan, once; other boxes only change big-M.
 
     The exponents are options.exponents where given, else those of
     select_bound_exponents.  Raises ValueError, before any work, when
     options.exponents does not fit the instance (check_fits);
     CoverUnavailable when some inner term cannot be covered, LpFailure
     when an LP gives up, and NumericalError on big-M overflow.
+    build_model adds no failure: it raises only at an inner term without
+    a cover, and every support point that is not a candidate has one.
     """
     options.check_fits(inst)
     lag_plain = assemble_lagrangian(inst, [], False)
     a, bcs, lag = None, [], lag_plain
     if options.use_bound_constraints:
         if options.exponents is not None:
-            a = tuple(options.exponents)
+            a = options.exponents
         else:
             a = select_bound_exponents(inst, _terms_to_cover(lag_plain))
         bcs = make_bound_constraints(inst, a)
         lag = assemble_lagrangian(inst, bcs, True)
     cands, covers = build_candidates_and_covers(lag.support, bcs, inst.n)
-    return RootStructure(inst=inst, options=options, exponents=a, cands=cands, covers=covers,
-                         bcs=tuple(bcs), lag=lag)
+    model = build_model(lag, cands, covers, bcs)
+    return RootStructure(inst=inst, options=options, exponents=a, model=model,
+                         plan=phase2_plan(model))
 
 
 def _terms_to_cover(lag_plain: LagrangianSupport) -> list[Exponent]:
@@ -170,11 +180,12 @@ def solve_on_box(
     The model sees the box only through root.box_key: the bound
     constraints' M_i = max(|l_i|, |u_i|), and nothing without them.
     Boxes with one key therefore share one bit-identical relaxation, so
-    each key is built, solved and certified once per root; a later box
-    with that key gets the stored result itself (every status included,
-    its seconds those of the solve that made it): treat it, and its
-    solve, model and certificate, as read-only.  A model that reads l
-    and u itself must widen the key to the full box.
+    each key is solved and certified once per root, the root's own key
+    on root.model; a later box with that key gets the stored result
+    itself (every status included, its seconds those of the solve that
+    made it): treat it, and its solve, model and certificate, as
+    read-only.  A model that reads l and u itself must widen the key to
+    the full box.
     """
     key = root.box_key(lower, upper)
     stored = root._results.get(key)
@@ -187,29 +198,28 @@ def _solve_model(
     root: RootStructure, key: tuple[float, ...], lower: tuple[float, ...],
     upper: tuple[float, ...]
 ) -> PipelineResult:
-    """Build, solve and certify the model of a box with this key.
+    """Solve and certify the model of a box with this key.
 
-    The solve is offered the root's last solve with a central path as
-    its warm start: in a branch-and-bound dive, the parent's.  It then
-    becomes the root's warm start in turn, if it has a path.  Its barrier
-    plan is the root's first, with this model's values, where the rows
-    have that plan's shape and nonzero pattern (phase2_plan).
+    The root's key is solved on root.model and root.plan; another key
+    builds its model on the root's candidates and covers, and its plan
+    from root.plan (phase2_plan).  The solve is offered the root's last
+    solve with a central path as its warm start: in a branch-and-bound
+    dive, the parent's.  It then becomes the root's warm start in turn,
+    if it has a path.
     """
     start = time.perf_counter()
-    use_bcs = root.options.use_bound_constraints
-    try:
-        if key == root.box_key(root.inst.lower, root.inst.upper):
-            bcs, lag = root.bcs, root.lag
-        else:
-            inst = replace(root.inst, lower=tuple(lower), upper=tuple(upper))
+    if key == root.box_key(root.inst.lower, root.inst.upper):
+        model, plan = root.model, root.plan
+    else:
+        use_bcs = root.options.use_bound_constraints
+        inst = replace(root.inst, lower=tuple(lower), upper=tuple(upper))
+        try:
             bcs = make_bound_constraints(inst, root.exponents) if use_bcs else []
-            lag = assemble_lagrangian(inst, bcs, use_bcs)
-        model = build_model(lag, root.cands, root.covers, bcs)
-    except PREPARE_ERRORS as exc:
-        return failure_result(exc)
-    plan = phase2_plan(model, root._plan[0] if root._plan else None)
-    if not root._plan:
-        root._plan.append(plan)
+            model = build_model(assemble_lagrangian(inst, bcs, use_bcs), root.model.cands,
+                                root.model.covers, bcs)
+        except PREPARE_ERRORS as exc:
+            return failure_result(exc)
+        plan = phase2_plan(model, root.plan)
     result = solve_relaxation(model, root.options.solver,
                               warm=root._warm[-1] if root._warm else None, plan=plan)
     if result.path:

@@ -114,6 +114,34 @@ class TestSolveBnb:
         r2 = solve_bnb(MIN_X2, TIGHT, max_nodes=20, gap_tol=1e-6, seed=3)
         assert r1 == r2
 
+    def test_exhausted_when_every_leaf_closes_short_of_the_gap(self):
+        # min x on [0, 1e-8] at gap 0: every node's solve stalls on so thin a
+        # box (ROADMAP item 4), and branching stops at WIDTH_EPS after 31 nodes
+        inst = inst_from({"n": 1, "objective": [[[1], 1.0]], "constraints": [],
+                          "lower": [0], "upper": [1e-8]})
+        res = solve_bnb(inst, max_nodes=1000, gap_tol=0.0, seed=0)
+        assert res.status == EXHAUSTED
+        assert res.nodes < 1000
+        assert res.lower_bound <= res.incumbent_value
+
+    def test_gap_reached_with_nodes_still_open(self, monkeypatch):
+        """-x^2 on [-2, 2] with no incumbent at the root: node 1 finds the
+        optimum, and the search stops before node 2, whose inherited bound
+        already meets it."""
+
+        class LateSampler(bnb._Sampler):
+            def __call__(self, node):
+                return (math.inf, None) if node.node_id == 0 else super().__call__(node)
+
+        monkeypatch.setattr(bnb, "_Sampler", LateSampler)
+        inst = inst_from({"n": 1, "objective": [[[2], -1.0]], "constraints": [],
+                          "lower": [-2], "upper": [2]})
+        res = solve_bnb(inst, TIGHT, max_nodes=40, gap_tol=1e-6, seed=0)
+        assert res.status == GAP_REACHED
+        assert [r.node_id for r in res.records] == [0, 1] and res.nodes == 2
+        assert res.incumbent_value == -4.0
+        assert 0.0 <= res.incumbent_value - res.lower_bound <= 1e-6
+
 
 class TestPrepareFailure:
     """A root that cannot be prepared gives bound -inf and one error node."""
@@ -310,6 +338,15 @@ class TestWarmStart:
             assert a.tau == b.tau and a.budget_slack == b.budget_slack
             assert a.z.tobytes() == b.z.tobytes() and a.duals.tobytes() == b.duals.tobytes()
 
+    def test_source_of_another_shape_gives_the_cold_solve(self):
+        source = pipeline.solve_on_box(prepare_root(HARD, HARD_OPTIONS), (-1.0,), (1.0,)).solve
+        model = prepare_root(DEMO, TIGHT).model
+        assert source.path and len(source.path[0].z) != model.nvar
+        cold = barrier.solve_relaxation(model, TIGHT.solver)
+        got = barrier.solve_relaxation(model, TIGHT.solver, warm=source)
+        assert got.status == st.OPTIMAL and got.start == cold.start != barrier.START_WARM
+        _assert_same_solve(got, cold)
+
     def test_warm_path_keeps_the_source_points_below_its_start(self):
         root = prepare_root(HARD, HARD_OPTIONS)
         source = pipeline.solve_on_box(root, (-1.0,), (1.0,)).solve
@@ -324,6 +361,18 @@ class TestWarmStart:
         r1 = solve_bnb(HARD, HARD_OPTIONS, max_nodes=40, gap_tol=1e-6, seed=0)
         r2 = solve_bnb(HARD, HARD_OPTIONS, max_nodes=40, gap_tol=1e-6, seed=0)
         assert r1 == r2  # every record, its bounds included
+
+
+def _assert_same_solve(got, want):
+    """Every field of two solve results equal, arrays and path points byte for byte."""
+    for f in dataclasses.fields(want):
+        if f.compare:  # the path, compare=False, follows
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert (a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b), f.name
+    assert len(got.path) == len(want.path)
+    for a, b in zip(got.path, want.path):
+        assert a.tau == b.tau and a.budget_slack == b.budget_slack
+        assert a.z.tobytes() == b.z.tobytes() and a.duals.tobytes() == b.duals.tobytes()
 
 
 def test_wide_box_raises_no_warning():

@@ -15,7 +15,7 @@ from soncbound.pipeline import (
     solve_on_box,
 )
 
-from builders import inst_from
+from builders import build_for, inst_from
 
 
 MIN_X = inst_from({"n": 1, "objective": [[[1], -1.0]], "constraints": [],
@@ -170,10 +170,20 @@ class TestExponentOverride:
 
     @pytest.mark.parametrize("exponents, entry", [
         ((4, 3), "3"), ((0,), "0"), ((-2, 4), "-2"), ((4.0,), "4.0"), (("4",), "'4'"),
+        ((True,), "True"), ((np.bool_(True),), "np.True_"), ((np.int64(5),), r"np.int64\(5\)"),
+        (np.array([4.0]), r"np.float64\(4.0\)"),
     ])
     def test_bad_entry_rejected(self, exponents, entry):
         with pytest.raises(ValueError, match=f"got {entry}$"):
             PipelineOptions(exponents=exponents)
+
+    @pytest.mark.parametrize("exponents", [
+        np.array([4, 6]), tuple(np.array([4, 6])), [4, 6], (np.int32(4), 6),
+    ], ids=["numpy-array", "numpy-ints", "list", "mixed"])
+    def test_integer_sequence_kept_as_python_ints(self, exponents):
+        options = PipelineOptions(exponents=exponents)
+        assert options.exponents == (4, 6) and all(type(a) is int for a in options.exponents)
+        assert hash(options) == hash(PipelineOptions(exponents=(4, 6)))
 
     @pytest.mark.parametrize("exponents", [(4,), (4, 4, 4)])
     @pytest.mark.parametrize("use_bcs", [True, False])
@@ -311,11 +321,39 @@ def _no_solve(model):
     return barrier.SolveResult(status=st.NUMERICAL_ERROR)
 
 
+WIDE = generate_instance(0, n=6, m=1, max_degree=4, density=2.0)  # the benchmark's 175 variables
+
+
+class TestRootRelaxation:
+    """prepare_root builds the model of the instance's own box and its
+    phase-2 plan once; a solve of that box takes both as they are."""
+
+    ROOTS = [(MIN_X, PipelineOptions()), (MOTZKIN, PipelineOptions(use_bound_constraints=False)),
+             (WIDE, PipelineOptions())]
+    IDS = ["min-x", "motzkin-without-bcs", "wide"]
+
+    @pytest.mark.parametrize("inst, options", ROOTS, ids=IDS)
+    def test_root_box_is_solved_on_the_root_model_and_plan(self, monkeypatch, inst, options):
+        root = prepare_root(inst, options)
+        seen = _solved_plans(monkeypatch, _no_solve)
+        solve_on_box(root, inst.lower, inst.upper)
+        ((model, plan),) = seen
+        assert model is root.model and plan is root.plan
+
+    @pytest.mark.parametrize("inst, options", ROOTS, ids=IDS)
+    def test_root_model_and_plan_are_a_fresh_build(self, inst, options):
+        root = prepare_root(inst, options)
+        fresh = build_for(inst, root.exponents)
+        assert root.model.rows.tobytes() == fresh.rows.tobytes()
+        assert root.model.rhs.tobytes() == fresh.rhs.tobytes()
+        _assert_same_plan(root.plan, barrier.phase2_plan(fresh))
+
+
 class TestPlanReuse:
     """A model whose rows have the shape and nonzero pattern of the
-    root's first solves on that plan with its own values; the plan then
-    equals a fresh one byte for byte, and it shares the root plan's index
-    arrays.  Any other model gets a fresh plan."""
+    root's own model solves on the root's plan with its own values; the
+    plan then equals a fresh one byte for byte, and it shares the root
+    plan's index arrays.  Any other model gets a fresh plan."""
 
     @pytest.mark.parametrize("inst, options, reused", [
         (generate_instance(1002, n=2, m=1, max_degree=4),
@@ -362,7 +400,7 @@ class TestPlanReuse:
         assert (point_model.rows != 0).sum() == (model.rows != 0).sum() - 1
         assert point_plan.flat is not plan.flat
         _assert_same_plan(point_plan, barrier.phase2_plan(point_model))
-        assert root._plan == [plan] and half_plan.flat is plan.flat
+        assert root.plan is plan and half_plan.flat is plan.flat
 
 
 def test_singular_newton_system_is_numerical_error(monkeypatch):
@@ -374,3 +412,18 @@ def test_singular_newton_system_is_numerical_error(monkeypatch):
                 solve_on_box(prepare_root(MIN_X, PipelineOptions()), (-1.0, ), (2.0, ))):
         assert res.status == st.NUMERICAL_ERROR
         assert res.message == "singular Newton system"
+
+
+def test_singular_block_system_is_numerical_error(monkeypatch):
+    """The block path (_block_direction) maps a singular border as the
+    dense path maps a singular Hessian."""
+    root = prepare_root(WIDE, PipelineOptions())
+    assert root.plan.border is not None
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(barrier.np.linalg, "inv", singular)
+    res = solve_on_box(root, WIDE.lower, WIDE.upper)
+    assert res.status == st.NUMERICAL_ERROR
+    assert res.message == "singular Newton system"
