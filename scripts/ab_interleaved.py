@@ -12,7 +12,11 @@ and the A/A control t_A / t_A2, whose spread is the resolution of the
 measurement.  The summary gives the median and range of both ratios over
 the timed passes, and over pairs of consecutive passes, which run each
 package once in each order, so that a cost of going first or last
-cancels.  One untimed warm-up pass comes first.
+cancels.  One untimed warm-up pass comes first.  On the `bnb` workload
+each run also logs its nodes, as `perfbench/run.py` does, and the summary
+gives each package's median node latency (the median over nodes of each
+node's median over the timed passes, as the benchmark's `solve_p50_ms`)
+with its B/A and A/A ratios.
 
     python scripts/ab_interleaved.py TREE_A TREE_B --workload acceptance
         [--passes 10] [--corpus-seed N]
@@ -52,14 +56,20 @@ def load_package(tree: Path, name: str):
 
 
 def call(sb, item, gap_tol: float):
-    """One operation of the corpus on package sb: (seconds, status)."""
-    start = time.perf_counter()
+    """One operation of the corpus on package sb: (seconds, status, the
+    seconds of each B&B node, from the log line before it to its own)."""
+    marks = [time.perf_counter()]
+
+    def log(_line):
+        marks.append(time.perf_counter())
+
     if item.max_nodes:
         result = sb.solve_bnb(item.inst, item.options, max_nodes=item.max_nodes,
-                              gap_tol=gap_tol, seed=BNB_SEED)
+                              gap_tol=gap_tol, seed=BNB_SEED, log=log)
     else:
         result = sb.solve_instance(item.inst, item.options)
-    return time.perf_counter() - start, result.status
+    seconds = time.perf_counter() - marks[0]
+    return seconds, result.status, [b - a for a, b in zip(marks, marks[1:])]
 
 
 def spread(values: list[float]) -> str:
@@ -93,15 +103,19 @@ def main() -> int:
           f"{'A/A control':>12s}")
 
     ratios, controls, totals, differ = [], [], [], 0
+    nodes = [{}, {}, {}]  # per package: (operation, node index) -> seconds per pass
     for p in range(args.passes + 1):
         order = (0, 1, 2) if p % 2 else (2, 1, 0)
         seconds = [0.0, 0.0, 0.0]
         statuses = [[], [], []]
         for items in zip(*corpora):
             for k in order:
-                s, status = call(packages[k], items[k], workloads.BNB_GAP_TOL)
+                s, status, node_seconds = call(packages[k], items[k], workloads.BNB_GAP_TOL)
                 seconds[k] += s
                 statuses[k].append(status)
+                if p:
+                    for index, t in enumerate(node_seconds):
+                        nodes[k].setdefault((items[k].key, index), []).append(t)
         if p == 0:
             differ = sum(a != b for a, b in zip(statuses[0], statuses[2]))
             continue
@@ -117,6 +131,11 @@ def main() -> int:
     if pairs:
         print(f"per pair of passes: B/A {spread([t[0] / t[2] for t in pairs])}, "
               f"A/A {spread([t[0] / t[1] for t in pairs])}")
+    if nodes[0]:
+        p50 = [statistics.median(statistics.median(v) for v in side.values()) for side in nodes]
+        print(f"median node latency over {len(nodes[0])} nodes: A {1e3 * p50[0]:.4f} ms, "
+              f"A2 {1e3 * p50[1]:.4f} ms, B {1e3 * p50[2]:.4f} ms; B/A (p50_A / p50_B) "
+              f"{p50[0] / p50[2]:.4f}, A/A control (p50_A / p50_A2) {p50[0] / p50[1]:.4f}")
     print(f"operations whose status differs between A and B: {differ} of {len(corpora[0])}")
     print(f"A = {packages[0].__file__}, B = {packages[2].__file__}")
     return 0

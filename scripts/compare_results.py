@@ -48,10 +48,14 @@ the solves that started from the constructive point, from phase 1 (with
 how many of those ended optimal), warm from a path, and from neither.
 For each benchmark B&B run it says whether nodes, status, error nodes,
 relaxations_solved, incumbents and every record's id, depth and status
-are equal, how far the bounds moved, and how many LPs, Newton steps and
-warm starts each side's relaxations took and how many phase-2 barrier
-plans they built (read from a wrapped `barrier._Barrier.__init__`); for
-the generic corpus it sums the same over its runs.
+are equal, how far the bounds moved, how far the incumbent value moved
+in ulps (float64 values between the two) and whether the incumbent
+points are equal, and how many LPs, Newton steps and warm starts each
+side's relaxations took and how many phase-2 barrier plans they built
+(read from a wrapped `barrier._Barrier.__init__`); for the generic
+corpus it sums the same over its runs, and counts the runs whose
+incumbent value moved, with the largest move in ulps, and the runs
+whose incumbent points differ.
 
     python scripts/compare_results.py PARENT_TREE CHANGE_TREE
 
@@ -286,6 +290,19 @@ def _drift(p, c):
     return (d / abs(p) if p else math.inf), d / (1.0 + abs(p))
 
 
+def _ulps(p: float, c: float) -> float:
+    """How many float64 steps lie from p to c: 0 where equal (-0.0 and
+    0.0 included), inf where either is not finite and they differ."""
+    if p == c:
+        return 0
+    if not (math.isfinite(p) and math.isfinite(c)):
+        return math.inf
+    # Sign-magnitude bits to a scale on which adjacent floats differ by 1.
+    p, c = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (p, c))
+    p, c = (x if x >= 0 else -(x & 0x7FFFFFFFFFFFFFFF) for x in (p, c))
+    return abs(c - p)
+
+
 def _bits(x):
     """x's float64 bits where x is a float, else x itself."""
     return struct.pack("<d", x) if isinstance(x, float) else x
@@ -409,6 +426,8 @@ def compare_bnb(parent: dict, change: dict) -> list[str]:
         drift = max(_drift(x, y)[0] for x, y in _bnb_bounds(p, c))
         print(f"bnb {key}: {'all fields equal' if not differ else '; '.join(differ)}; "
               f"records (id, depth, status) {'equal' if same_records else 'DIFFER'}; "
+              f"incumbent value drift {_ulps(p['incumbent_value'], c['incumbent_value'])} ulp, "
+              f"points {'equal' if p['incumbent_point'] == c['incumbent_point'] else 'DIFFER'}; "
               f"nodes {p['nodes']}, lower bound {p['lower_bound']!r} -> {c['lower_bound']!r}, "
               f"largest relative bound drift {drift:.2e}, LPs {_pc(p, c, 'lps')}, "
               f"relaxations {_pc(p, c, 'relaxations_solved')}, phase-2 plans built "
@@ -423,6 +442,8 @@ def compare_bnb(parent: dict, change: dict) -> list[str]:
         fields = sum(any(p[f] != c[f] for f in BNB_FIELDS) for p, c in generic)
         aligned = [(p, c) for p, c in generic if _same_records(p, c)]
         moved = sum(p["lower_bound"] != c["lower_bound"] for p, c in generic)
+        ulps = [_ulps(p["incumbent_value"], c["incumbent_value"]) for p, c in generic]
+        points = sum(p["incumbent_point"] != c["incumbent_point"] for p, c in generic)
         drift = max((_drift(x, y)[1] for p, c in aligned for x, y in _bnb_bounds(p, c)),
                     default=0.0)
         print(f"bnb generic ({len(generic)} runs, {_pc(*sums, 'nodes')} nodes): "
@@ -430,6 +451,8 @@ def compare_bnb(parent: dict, change: dict) -> list[str]:
               f"differ {len(generic) - len(aligned)}; record statuses {statuses[0]} -> "
               f"{statuses[1]}; error nodes {_pc(*sums, 'error_nodes')}; lower bounds moved "
               f"{moved}; largest bound drift / (1 + |bound|) where records match {drift:.2e}; "
+              f"incumbent values moved {sum(u > 0 for u in ulps)}, by at most {max(ulps)} ulp; "
+              f"incumbent points differ {points}; "
               f"relaxations {_pc(*sums, 'relaxations_solved')}; "
               f"phase-2 plans built {_pc(*sums, 'plans')}; "
               f"Newton steps {_pc(*sums, 'newton')}; warm starts {_pc(*sums, 'warm')}")

@@ -16,8 +16,8 @@ plan that prepare_root built for the root, with its own big-M values,
 where its rows keep the root's nonzero pattern (barrier.phase2_plan): 1
 plan build per run there, not 9.  Incumbents come from seeded sampling
 plus the box corners and center, evaluated by a sampler compiled once
-per run (_Sampler): each power x_i**e is taken once per node, and the
-arithmetic is poly.evaluate's, bit for bit.
+per run (_Sampler) that multiplies out each power x_i**e once per node:
+the same floats on every CPU, tested to 1e-12 of poly.evaluate's.
 """
 
 from __future__ import annotations
@@ -100,35 +100,33 @@ class _Sampler:
     """The incumbent search of one run, compiled once from the instance.
 
     A node's candidates are its box's center, its corners (for up to 4
-    variables) and SAMPLES_PER_NODE samples, the rows of one buffer.  The samples
-    are random.Random(seed * 1000003 + node_id).uniform draws, bit for
-    bit: one RandomState, re-seeded per node with the same init_by_array
-    key, draws the same 53-bit doubles in the same order.
+    variables) and SAMPLES_PER_NODE samples, each a column of the table
+    below.  The samples are random.Random(seed * 1000003 + node_id).uniform
+    draws, bit for bit: one RandomState, re-seeded per node with the same
+    init_by_array key, draws the same 53-bit doubles in the same order.
 
-    One table holds, row by row, every power x_i**e that a term of the
-    objective or a constraint has, taken once per node with e a Python
-    int (an exponent array can round otherwise); each term's coefficient,
-    filled once; and ones.  A term is the product of its coefficient's
-    row and its powers' rows, in its variable order, padded with ones;
-    a polynomial's terms are summed from 0.0 in its term order.  That is
-    poly.evaluate's arithmetic, at every candidate at once.
+    One table holds x_i**e for every variable and each e up to the
+    largest exponent, built per node as x**(e-1) * x: IEEE products give
+    the same floats on every CPU, where numpy's pow over negative x
+    follows its CPU dispatch.  Then come each term's coefficient and ones.
+    A term is the product of its coefficient's row and its powers' rows,
+    in variable order, padded with ones; a polynomial's terms are summed
+    from 0.0 in term order: poly.evaluate's order, tested to 1e-12 of it.
     """
 
     def __init__(self, inst: PopInstance, seed: int):
         self.seed, self.rng = seed, np.random.RandomState()
         n = inst.n
         polys = [inst.objective, *inst.constraints]
-        self.powers = sorted({(i, e) for p in polys for exps in p
-                              for i, e in enumerate(exps) if e})
-        row = {power: k for k, power in enumerate(self.powers)}
+        degree = max([1] + [e for p in polys for exps in p for e in exps])
         # Each polynomial's terms, led by zero terms to one length.
         length = max(1, *map(len, polys))
         coef, factors = [], []
         for p in polys:
             coef += [0.0] * (length - len(p)) + list(p.values())
             factors += [[]] * (length - len(p)) + [
-                [row[(i, e)] for i, e in enumerate(exps) if e] for exps in p]
-        first, unit = len(self.powers), len(self.powers) + len(coef)
+                [(e - 1) * n + i for i, e in enumerate(exps) if e] for exps in p]
+        first, unit = degree * n, degree * n + len(coef)
         width = max(map(len, factors))
         # factors[j] is each term's j-th factor: its coefficient, a power or 1
         self.factors = np.array([[first + t] + f + [unit] * (width - len(f))
@@ -136,22 +134,24 @@ class _Sampler:
         self.shape = (len(polys), length, -1)
         corners = 1 << n if n <= 4 else 0
         self.corner_hi = (np.arange(corners)[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 1
-        self.points = np.empty((1 + corners + SAMPLES_PER_NODE, n))
-        self.table = np.empty((unit + 1, len(self.points)))
+        self.table = np.empty((unit + 1, 1 + corners + SAMPLES_PER_NODE))
+        # powers[e - 1, i] is the row of x_i**e; candidate c is column c
+        self.powers = self.table[:first].reshape(degree, n, -1)
+        self.points = self.powers[0].T
         self.table[first:unit] = np.array(coef)[:, None]
         self.table[unit] = 1.0
 
     def __call__(self, node: BnbNode) -> tuple[float, tuple[float, ...] | None]:
         """Best feasible (value, point) among node's candidates."""
-        pts, table = self.points, self.table
+        pts, powers, table = self.points, self.powers, self.table
         lo, hi = np.array(node.lower), np.array(node.upper)
         corners = len(self.corner_hi)
         self.rng.seed(_seed_words(self.seed * 1000003 + node.node_id))
         pts[0] = (lo + hi) / 2.0
         pts[1:1 + corners] = np.where(self.corner_hi, hi, lo)
         pts[1 + corners:] = lo + (hi - lo) * self.rng.random_sample((SAMPLES_PER_NODE, len(lo)))
-        for k, (i, e) in enumerate(self.powers):
-            table[k] = pts[:, i] ** e
+        for e in range(1, len(powers)):  # x**(e + 1) = x**e * x, every variable at once
+            np.multiply(powers[e - 1], powers[0], out=powers[e])
         # Products and sums run factor by factor and term by term, in order.
         terms = np.multiply.reduce(table[self.factors], axis=0)
         sums = np.add.reduce(terms.reshape(self.shape), axis=1, initial=0.0)

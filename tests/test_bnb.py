@@ -386,36 +386,43 @@ def test_wide_box_raises_no_warning():
 
 
 def _evaluate_points(p, points):
-    """poly.evaluate at every row of points, term by term in its order:
-    the arithmetic the compiled sampler must reproduce bit for bit."""
-    total = np.zeros(len(points))
-    for exps, coeff in p.items():
-        term = np.full(len(points), coeff)
-        for i, e in enumerate(exps):
-            if e:
-                term *= points[:, i] ** e
-        total += term
-    return total
+    """p at every point in Python floats: x**e as the left-to-right
+    product of e factors, each term its coefficient times its powers in
+    variable order, the terms summed from 0.0 in p's order.  The compiled
+    sampler must reproduce this bit for bit."""
+    values = []
+    for x in points:
+        total = 0.0
+        for exps, coeff in p.items():
+            term = coeff
+            for v, e in zip(x, exps):
+                if e:
+                    power = v
+                    for _ in range(e - 1):
+                        power *= v
+                    term *= power
+            total += term
+        values.append(total)
+    return values
 
 
 def _sample_incumbent_reference(inst, node, seed):
     """The sampler's (value, point) from random.Random's own stream and
-    the term-by-term evaluation, and the value by the scalar evaluate."""
+    the product evaluation, and the value by the scalar evaluate."""
     rng = random.Random(seed * 1000003 + node.node_id)
     cands = [tuple((lo + hi) / 2.0 for lo, hi in zip(node.lower, node.upper))]
     if inst.n <= 4:
         cands.extend(itertools.product(*zip(node.lower, node.upper)))
     for _ in range(bnb.SAMPLES_PER_NODE):
         cands.append(tuple(rng.uniform(lo, hi) for lo, hi in zip(node.lower, node.upper)))
-    points = np.array(cands)
-    values = _evaluate_points(inst.objective, points)
-    usable = values < math.inf
+    values = _evaluate_points(inst.objective, cands)
+    usable = [v < math.inf for v in values]  # NaN is no minimum
     for g in inst.constraints:
-        usable &= ~(_evaluate_points(g, points) < -1e-9)
-    if not usable.any():
+        usable = [u and not v < -1e-9 for u, v in zip(usable, _evaluate_points(g, cands))]
+    if not any(usable):
         return math.inf, None, math.inf
-    best = int(np.argmin(np.where(usable, values, math.inf)))
-    return float(values[best]), cands[best], evaluate(inst.objective, cands[best])
+    best = min((k for k in range(len(cands)) if usable[k]), key=values.__getitem__)
+    return values[best], cands[best], evaluate(inst.objective, cands[best])
 
 
 # -1 - x^2 >= 0 holds nowhere: no candidate is feasible.
@@ -478,3 +485,23 @@ def test_sampler_matches_reference_for_wide_keys():
             assert _sample_incumbent_reference(inst, node, seed)[1] not in (
                 (0.0, 0.0, 0.0), *itertools.product((-1.0, 1.0), repeat=3))
             _assert_matches_reference(sample(node), inst, node, seed)
+
+
+# Odd and even powers up to 12 over a box of mixed sign in x that touches 0
+# in y: the best candidate is often a sample with x < 0.
+MIXED_SIGNS = inst_from({
+    "n": 2,
+    "objective": [[[12, 0], 1.0], [[3, 5], -2.0], [[5, 0], 0.7], [[0, 7], -1.0],
+                  [[11, 1], 0.25], [[1, 2], 1.0], [[0, 0], -1.0]],
+    "constraints": [[[[0, 0], 3.0], [[9, 1], -1.0], [[0, 4], -1.0]]],
+    "lower": [-1.5, 0.0], "upper": [1.25, 1.1]})
+
+
+def test_sampler_matches_reference_on_mixed_signs():
+    boxes = [((-1.5, 0.0), (1.25, 1.1)), ((-1.5, 0.0), (-0.125, 1.1)),
+             ((-0.8, 0.0), (0.4, 0.55)), ((0.0, 0.0), (1.25, 0.55))]
+    for seed in range(10):
+        sample = bnb._Sampler(MIXED_SIGNS, seed)
+        for node_id, (lower, upper) in enumerate(boxes):
+            node = BnbNode(node_id, lower, upper, 1, -math.inf)
+            _assert_matches_reference(sample(node), MIXED_SIGNS, node, seed)
