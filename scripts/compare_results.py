@@ -48,14 +48,15 @@ the solves that started from the constructive point, from phase 1 (with
 how many of those ended optimal), warm from a path, and from neither.
 For each benchmark B&B run it says whether nodes, status, error nodes,
 relaxations_solved, incumbents and every record's id, depth and status
-are equal, how far the bounds moved, how far the incumbent value moved
-in ulps (float64 values between the two) and whether the incumbent
-points are equal, and how many LPs, Newton steps and warm starts each
-side's relaxations took and how many phase-2 barrier plans they built
+are equal, how far the bounds moved, whether the incumbent value moved
+lower (better) or higher (worse) and by how many ulps (float64 values
+between the two), whether the incumbent points are equal, and how many
+LPs, Newton steps and warm starts each side's relaxations took and how
+many phase-2 barrier plans they built
 (read from a wrapped `barrier._Barrier.__init__`); for the generic
 corpus it sums the same over its runs, and counts the runs whose
-incumbent value moved, with the largest move in ulps, and the runs
-whose incumbent points differ.
+incumbent value moved lower and higher, with the largest move in ulps,
+and the runs whose incumbent points differ.
 
     python scripts/compare_results.py PARENT_TREE CHANGE_TREE
 
@@ -405,6 +406,13 @@ def _same_records(p: dict, c: dict) -> bool:
     return [r[:3] for r in p["records"]] == [r[:3] for r in c["records"]]
 
 
+def _incumbent_move(p: dict, c: dict) -> str:
+    """"better", "worse" or "equal": the change's incumbent value lower,
+    higher or the same as the parent's."""
+    pv, cv = p["incumbent_value"], c["incumbent_value"]
+    return "better" if cv < pv else "worse" if cv > pv else "equal"
+
+
 def _pc(p: dict, c: dict, field: str) -> str:
     """field of both sides, as "P -> C"."""
     return f"{p[field]:,} -> {c[field]:,}"
@@ -426,7 +434,8 @@ def compare_bnb(parent: dict, change: dict) -> list[str]:
         drift = max(_drift(x, y)[0] for x, y in _bnb_bounds(p, c))
         print(f"bnb {key}: {'all fields equal' if not differ else '; '.join(differ)}; "
               f"records (id, depth, status) {'equal' if same_records else 'DIFFER'}; "
-              f"incumbent value drift {_ulps(p['incumbent_value'], c['incumbent_value'])} ulp, "
+              f"incumbent {_incumbent_move(p, c)}, value drift "
+              f"{_ulps(p['incumbent_value'], c['incumbent_value'])} ulp, "
               f"points {'equal' if p['incumbent_point'] == c['incumbent_point'] else 'DIFFER'}; "
               f"nodes {p['nodes']}, lower bound {p['lower_bound']!r} -> {c['lower_bound']!r}, "
               f"largest relative bound drift {drift:.2e}, LPs {_pc(p, c, 'lps')}, "
@@ -443,6 +452,7 @@ def compare_bnb(parent: dict, change: dict) -> list[str]:
         aligned = [(p, c) for p, c in generic if _same_records(p, c)]
         moved = sum(p["lower_bound"] != c["lower_bound"] for p, c in generic)
         ulps = [_ulps(p["incumbent_value"], c["incumbent_value"]) for p, c in generic]
+        moves = Counter(_incumbent_move(p, c) for p, c in generic)
         points = sum(p["incumbent_point"] != c["incumbent_point"] for p, c in generic)
         drift = max((_drift(x, y)[1] for p, c in aligned for x, y in _bnb_bounds(p, c)),
                     default=0.0)
@@ -451,7 +461,8 @@ def compare_bnb(parent: dict, change: dict) -> list[str]:
               f"differ {len(generic) - len(aligned)}; record statuses {statuses[0]} -> "
               f"{statuses[1]}; error nodes {_pc(*sums, 'error_nodes')}; lower bounds moved "
               f"{moved}; largest bound drift / (1 + |bound|) where records match {drift:.2e}; "
-              f"incumbent values moved {sum(u > 0 for u in ulps)}, by at most {max(ulps)} ulp; "
+              f"incumbent values better {moves['better']}, worse {moves['worse']}, "
+              f"equal {moves['equal']}, moved by at most {max(ulps)} ulp; "
               f"incumbent points differ {points}; "
               f"relaxations {_pc(*sums, 'relaxations_solved')}; "
               f"phase-2 plans built {_pc(*sums, 'plans')}; "

@@ -112,10 +112,11 @@ gamma, which it moves so that the origin budget keeps its old slack,
 and takes the first point that is strictly feasible and centered by
 the test _path_follow itself applies, a kappa-weighted Newton decrement
 at most LONG_STEP_DECREMENT at that tau.  The path is followed from
-there with the same duals.  Where no point passes, the solve is the
-cold one, bit for bit; a warm verdict is not retried cold.  On the
-non-localizing B&B instance x^2 - x^4 the last point passes, and the
-8 warm relaxations take 1 Newton step in all where each took 21 cold.
+there with the same duals; that test was its first centering, which is
+not solved again.  Where no point passes, the solve is the cold one,
+bit for bit; a warm verdict is not retried cold.  On the non-localizing
+B&B instance x^2 - x^4 the last point passes, and the 8 warm
+relaxations take 1 Newton step in all where each took 21 cold.
 
 All arithmetic is float64.  Where the path ends, at tau = num_terms /
 (tol_gap (1 + |gamma|)), the largest stationarity residual over the 138
@@ -1030,17 +1031,24 @@ def _path_follow(model: RelaxationModel, point: _Point, total_steps: int,
                  duals: np.ndarray | None = None) -> SolveResult:
     """Follow the central path from the strictly feasible point, at
     weight tau with the duals carried there (none: the first centering
-    weights every term 1).  The result's path holds each outer
+    weights every term 1).  A point given with duals entered warm: it
+    passed the first centering's test at tau (_enter_path), so that
+    centering is not solved again.  The result's path holds each outer
     centering's point."""
     prob = point.prob
     budget = _budget_row(model)
     trace: list[float] = []
     path: list[PathPoint] = []
     outers = 0
+    warm = duals is not None
     for _ in range(MAX_OUTER):
         gap = prob.num_terms / tau
-        point, converged, steps, _, duals = _center(point, tau, LONG_STEP_DECREMENT, duals=duals)
-        total_steps += steps
+        if warm:
+            converged, warm = True, False
+        else:
+            point, converged, steps, _, duals = _center(point, tau, LONG_STEP_DECREMENT,
+                                                        duals=duals)
+            total_steps += steps
         outers += 1
         if converged and gap <= opts.tol_gap * (1.0 + abs(point.z[model.gamma_index])):
             point, converged, steps, _, duals = _center(point, tau, duals=duals)

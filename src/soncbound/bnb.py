@@ -14,16 +14,17 @@ how far M moved: on x^2 - x^4 over [-1, 1], 1 step for the 8 later
 relaxations together, against 21 each cold.  It also takes the barrier
 plan that prepare_root built for the root, with its own big-M values,
 where its rows keep the root's nonzero pattern (barrier.phase2_plan): 1
-plan build per run there, not 9.  Incumbents come from seeded sampling
-plus the box corners and center, evaluated by a sampler compiled once
-per run (_Sampler) that multiplies out each power x_i**e once per node:
-the same floats on every CPU, tested to 1e-12 of poly.evaluate's.
+plan build per run there, not 9.  Incumbents come from the box corners
+and center and from a node's own block of one seeded PCG64 stream, by a
+sampler compiled once per run (_Sampler) that multiplies out x_i**e once
+per node: the same floats on every CPU, tested to 1e-12 of evaluate's.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,21 +90,16 @@ def branch(node: BnbNode, bound: float, first_id: int) -> tuple[BnbNode, BnbNode
     return left, right
 
 
-def _seed_words(key: int) -> list[int]:
-    """abs(key) as 32-bit words, least significant first: the key that
-    random.Random(key) hands to the Mersenne Twister's init_by_array."""
-    key = abs(key)
-    return [(key >> s) & 0xFFFFFFFF for s in range(0, max(key.bit_length(), 1), 32)]
-
-
 class _Sampler:
     """The incumbent search of one run, compiled once from the instance.
 
     A node's candidates are its box's center, its corners (for up to 4
     variables) and SAMPLES_PER_NODE samples, each a column of the table
-    below.  The samples are random.Random(seed * 1000003 + node_id).uniform
-    draws, bit for bit: one RandomState, re-seeded per node with the same
-    init_by_array key, draws the same 53-bit doubles in the same order.
+    below.  Node k's samples come from the raw outputs [k S n, (k + 1) S n)
+    of the run's one PCG64 (seeded as solve_bnb says), S = SAMPLES_PER_NODE:
+    x_i of sample s from output x at k S n + i S + s, as lo_i + (hi_i -
+    lo_i) * ((x >> 11) * 2**-53).  advance moves the stream to the block
+    (mod 2**128: back too), so the order of the nodes does not matter.
 
     One table holds x_i**e for every variable and each e up to the
     largest exponent, built per node as x**(e-1) * x: IEEE products give
@@ -115,8 +111,9 @@ class _Sampler:
     """
 
     def __init__(self, inst: PopInstance, seed: int):
-        self.seed, self.rng = seed, np.random.RandomState()
-        n = inst.n
+        n, seed = inst.n, operator.index(seed)
+        self.bits = np.random.PCG64(2 * seed if seed >= 0 else -2 * seed - 1)
+        self.block, self.drawn = SAMPLES_PER_NODE * n, 0  # outputs per node, and drawn so far
         polys = [inst.objective, *inst.constraints]
         degree = max([1] + [e for p in polys for exps in p for e in exps])
         # Each polynomial's terms, led by zero terms to one length.
@@ -137,7 +134,7 @@ class _Sampler:
         self.table = np.empty((unit + 1, 1 + corners + SAMPLES_PER_NODE))
         # powers[e - 1, i] is the row of x_i**e; candidate c is column c
         self.powers = self.table[:first].reshape(degree, n, -1)
-        self.points = self.powers[0].T
+        self.points, self.samples = self.powers[0].T, self.powers[0][:, 1 + corners:]
         self.table[first:unit] = np.array(coef)[:, None]
         self.table[unit] = 1.0
 
@@ -145,11 +142,13 @@ class _Sampler:
         """Best feasible (value, point) among node's candidates."""
         pts, powers, table = self.points, self.powers, self.table
         lo, hi = np.array(node.lower), np.array(node.upper)
-        corners = len(self.corner_hi)
-        self.rng.seed(_seed_words(self.seed * 1000003 + node.node_id))
+        self.bits.advance((node.node_id * self.block - self.drawn) % 2**128)
+        self.drawn = (node.node_id + 1) * self.block
+        u = (self.bits.random_raw(self.block) >> 11).reshape(len(lo), -1) * 2.0**-53
+        u *= (hi - lo)[:, None]
+        np.add(u, lo[:, None], out=self.samples)  # lo + (hi - lo) * u, row by row
         pts[0] = (lo + hi) / 2.0
-        pts[1:1 + corners] = np.where(self.corner_hi, hi, lo)
-        pts[1 + corners:] = lo + (hi - lo) * self.rng.random_sample((SAMPLES_PER_NODE, len(lo)))
+        pts[1:1 + len(self.corner_hi)] = np.where(self.corner_hi, hi, lo)
         for e in range(1, len(powers)):  # x**(e + 1) = x**e * x, every variable at once
             np.multiply(powers[e - 1], powers[0], out=powers[e])
         # Products and sums run factor by factor and term by term, in order.
@@ -180,6 +179,10 @@ def solve_bnb(
     cannot be prepared, the result is bound -inf with one error node
     whose record carries the mapped status.  Exponents that do not fit
     the instance raise ValueError (PipelineOptions.check_fits).
+
+    seed, any int (numpy's too), seeds the run's one PCG64 sampling stream
+    (_Sampler) with entropy 2 * seed, or -2 * seed - 1 below 0: one stream
+    a seed, and a node's samples depend on (seed, node_id, n) alone.
     """
     options = options or PipelineOptions()
     try:
@@ -192,12 +195,9 @@ def solve_bnb(
                          incumbent_point=None, nodes=1, status=EXHAUSTED, error_nodes=1,
                          records=(NodeRecord(0, 0, -math.inf, None, -math.inf, stat),))
 
-    incumbent_value = math.inf
-    incumbent_point = None
+    incumbent_value, incumbent_point = math.inf, None
     sample = _Sampler(inst, seed)
-    next_id = 1
-    nodes_solved = 0
-    error_nodes = 0
+    next_id, nodes_solved, error_nodes = 1, 0, 0
     records: list[NodeRecord] = []
     closed_min = math.inf  # smallest bound of a closed leaf
 

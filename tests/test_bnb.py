@@ -307,6 +307,21 @@ class TestWarmStart:
             box = dataclasses.replace(HARD, lower=lower, upper=upper)
             assert sample_soundness_check(box, node.gamma_certified).ok()
 
+    def test_warm_entry_solves_one_newton_system(self, monkeypatch):
+        """The system by which _enter_path accepts a point is its first
+        centering too: HARD's run solves 45 Newton systems, where solving
+        that one again took 53, one more for each of its 8 warm starts."""
+        calls = []
+        newton_step = barrier._newton_step
+
+        def counted(*args):
+            calls.append(args)
+            return newton_step(*args)
+
+        monkeypatch.setattr(barrier, "_newton_step", counted)
+        res = solve_bnb(HARD, HARD_OPTIONS, max_nodes=40, gap_tol=1e-6, seed=0)
+        assert res.relaxations_solved == 9 and len(calls) == 45
+
     def test_uncentered_source_gives_the_cold_solve(self):
         root = prepare_root(HARD, HARD_OPTIONS)
         source = pipeline.solve_on_box(root, (-1.0,), (1.0,)).solve
@@ -407,14 +422,19 @@ def _evaluate_points(p, points):
 
 
 def _sample_incumbent_reference(inst, node, seed):
-    """The sampler's (value, point) from random.Random's own stream and
-    the product evaluation, and the value by the scalar evaluate."""
-    rng = random.Random(seed * 1000003 + node.node_id)
+    """The sampler's (value, point) from numpy's PCG64 raw outputs at the
+    node's offset, placed and evaluated in Python floats, and the value
+    by the scalar evaluate."""
+    bits = np.random.PCG64(2 * seed if seed >= 0 else -2 * seed - 1)
+    block = bnb.SAMPLES_PER_NODE * inst.n
+    bits.advance(node.node_id * block)
+    raw = bits.random_raw(block).tolist()  # x_i of sample s at i * S + s
     cands = [tuple((lo + hi) / 2.0 for lo, hi in zip(node.lower, node.upper))]
     if inst.n <= 4:
         cands.extend(itertools.product(*zip(node.lower, node.upper)))
-    for _ in range(bnb.SAMPLES_PER_NODE):
-        cands.append(tuple(rng.uniform(lo, hi) for lo, hi in zip(node.lower, node.upper)))
+    for s in range(bnb.SAMPLES_PER_NODE):
+        cands.append(tuple(lo + (hi - lo) * ((raw[i * bnb.SAMPLES_PER_NODE + s] >> 11) * 2.0**-53)
+                           for i, (lo, hi) in enumerate(zip(node.lower, node.upper))))
     values = _evaluate_points(inst.objective, cands)
     usable = [v < math.inf for v in values]  # NaN is no minimum
     for g in inst.constraints:
@@ -470,21 +490,58 @@ def test_sampler_matches_reference():
     assert np.float64(val).tobytes() == np.float64(0.0).tobytes()
 
 
+# sum (x_i - 0.3)^2 on [-1, 1]^3: a sample, not the center or a corner, is best
+NEAR_POINT_THREE = inst_from({
+    "n": 3, "objective": [[[2, 0, 0], 1.0], [[0, 2, 0], 1.0], [[0, 0, 2], 1.0],
+                          [[1, 0, 0], -0.6], [[0, 1, 0], -0.6], [[0, 0, 1], -0.6]],
+    "constraints": [], "lower": [-1, -1, -1], "upper": [1, 1, 1]})
+
+
 def test_sampler_matches_reference_for_wide_keys():
-    """Keys seed * 1000003 + node_id above 2**32 and node ids from 10**6:
-    the numpy draw stays random.Random's stream, one generator reused."""
-    # sum (x_i - 0.3)^2 on [-1, 1]^3: a sample, not the center or a corner, is best
-    inst = inst_from({"n": 3, "objective": [[[2, 0, 0], 1.0], [[0, 2, 0], 1.0], [[0, 0, 2], 1.0],
-                                            [[1, 0, 0], -0.6], [[0, 1, 0], -0.6],
-                                            [[0, 0, 1], -0.6]],
-                      "constraints": [], "lower": [-1, -1, -1], "upper": [1, 1, 1]})
-    for seed in (4295, 10**9, -7):
+    """Negative seeds, a seed past 2**64, and node ids from 10**6 and
+    2**33, the last one behind its predecessor: one generator, reused,
+    moves forward and back to each node's block."""
+    inst = NEAR_POINT_THREE
+    for seed in (4295, 10**9, -7, 2**70):
         sample = bnb._Sampler(inst, seed)
-        for node_id in (10**6, 10**6 + 1, 2**33 + 5):
+        for node_id in (10**6, 10**6 + 1, 2**33 + 5, 2**33):
             node = BnbNode(node_id, inst.lower, inst.upper, 3, -math.inf)
             assert _sample_incumbent_reference(inst, node, seed)[1] not in (
                 (0.0, 0.0, 0.0), *itertools.product((-1.0, 1.0), repeat=3))
             _assert_matches_reference(sample(node), inst, node, seed)
+
+
+def test_sampler_ignores_node_order():
+    """A node's samples depend on (seed, node_id, n) alone: the same nodes,
+    whose blocks reach past 2**64 outputs, in shuffled order or each from
+    a fresh sampler, give the same results.  np.int64(5) keys seed 5's
+    stream; -5, 0 and 6 key others."""
+    rng = random.Random(11)
+    nodes = [BnbNode(k, (-1.0, -0.5, -1.0), (0.75, 1.0, 0.5), 2, -math.inf)
+             for k in [0, 1, 2, 7, 40, 2**33, 2**33 + 1, 3 * 2**60]]
+    want = [bnb._Sampler(NEAR_POINT_THREE, 5)(node) for node in nodes]
+    for _ in range(3):
+        order = rng.sample(range(len(nodes)), len(nodes))
+        sample = bnb._Sampler(NEAR_POINT_THREE, 5)
+        got = {k: sample(nodes[k]) for k in order}
+        assert [got[k] for k in range(len(nodes))] == want
+    assert [bnb._Sampler(NEAR_POINT_THREE, np.int64(5))(node) for node in nodes] == want
+    for seed in (-5, 0, 6):
+        sample = bnb._Sampler(NEAR_POINT_THREE, seed)
+        assert all(sample(node)[1] != w[1] for node, w in zip(nodes, want))
+
+
+@pytest.mark.parametrize("seed", (-7, 2**70))
+def test_any_int_seed(seed):
+    """solve_bnb takes any int seed, numpy's too: the same run from the
+    same seed, an incumbent no worse than the root's samples."""
+    res = solve_bnb(NEAR_POINT_THREE, TIGHT, max_nodes=3, gap_tol=1e-6, seed=seed)
+    assert (res.nodes, res.error_nodes) == (3, 0)
+    assert res.lower_bound <= res.incumbent_value
+    root = BnbNode(0, NEAR_POINT_THREE.lower, NEAR_POINT_THREE.upper, 0, -math.inf)
+    assert res.incumbent_value <= bnb._Sampler(NEAR_POINT_THREE, seed)(root)[0]
+    same = np.int64(seed) if seed == -7 else seed  # 2**70 is past int64
+    assert solve_bnb(NEAR_POINT_THREE, TIGHT, max_nodes=3, gap_tol=1e-6, seed=same) == res
 
 
 # Odd and even powers up to 12 over a box of mixed sign in x that touches 0

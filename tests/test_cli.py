@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from soncbound.bnb import BnbNode, _Sampler
 from soncbound.cli import StatusTable, main
 from soncbound.poly import parse_instance
 
@@ -255,6 +257,19 @@ class TestBnbCommand:
         assert code == 0
         assert "node 0 depth 0 bound -inf incumbent inf status cover-unavailable" in out
         assert "lower bound: -inf" in out
+
+    def test_negative_seed(self, tmp_path, capsys):
+        """--seed takes a negative int: the root's incumbent is a sample
+        of that seed's stream."""
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"n": 1, "objective": [[[2], 1.0], [[1], -0.6]],
+                                    "constraints": [], "lower": [-1], "upper": [1]}))
+        code = main(["bnb", str(path), "--seed", "-3", "--max-nodes", "1"])
+        out = capsys.readouterr().out
+        inst = parse_instance(path.read_text())
+        value, point = _Sampler(inst, -3)(BnbNode(0, inst.lower, inst.upper, 0, -math.inf))
+        assert code == 0 and point not in ((0.0,), (-1.0,), (1.0,))
+        assert f"incumbent: {value:.9g} at {point}" in out
 
     def test_format_rejected(self, minx_file):
         with pytest.raises(SystemExit) as err:
